@@ -67,7 +67,6 @@ from .protocols import (
     SharedContext,
     Verdict,
     bc_run,
-    common_steps,
     ct_run,
     mpsc_run,
     ot_run,

@@ -25,7 +25,6 @@ rather than silently excluded.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -41,18 +40,7 @@ from .states import (
     qubit,
     trace_distance,
 )
-from .protocols import (
-    CheatStrategy,
-    Deviation,
-    RunRecord,
-    bc_run,
-    ct_run,
-    mpsc_run,
-    ot_run,
-    qds_run,
-    qss_run,
-    tpsc_run,
-)
+from .protocols import PROTOCOLS, CheatStrategy, Deviation, RunRecord, spec_for
 from .transcript import RunConfig
 
 SCOPE_NOTE = (
@@ -215,7 +203,7 @@ _register(CatalogEntry(
          "the sender share its captured state averages to the maximally "
          "mixed state",
 ))
-for _proto in ("bc", "ct", "ot", "tpsc", "qss", "qds", "mpsc"):
+for _proto in PROTOCOLS:
     _register(CatalogEntry(
         _proto, "null", "detection", Fraction(0),
         _single(CheatStrategy("null", "-", {})),
@@ -228,66 +216,18 @@ def strategies_for(protocol: str) -> list[str]:
 
 
 def enumeration_cells(config: RunConfig):
-    """Yield kwargs for every forced-outcome / mask cell of a protocol."""
-    protocol = config.protocol
-    if protocol in ("bc", "ct"):
-        for aa, cc in itertools.product(_ALL_PAIRS, repeat=2):
-            yield {"forced": (aa, cc)}
-    elif protocol == "ot":
-        # an explicit receiver pair in the config pins that axis
-        fixed = TwoBits.parse(config.inputs) if config.inputs else None
-        for aa in _ALL_PAIRS:
-            for cc in ([fixed] if fixed is not None else _ALL_PAIRS):
-                yield {"forced_aa": aa, "bob_message": cc}
-    elif protocol == "tpsc":
-        for aa, cc in itertools.product(_ALL_PAIRS, repeat=2):
-            for ma, mb in itertools.product((0, 1), repeat=2):
-                yield {"forced": (aa, cc), "masks": (ma, mb)}
-    elif protocol == "qss":
-        for aa, cc in itertools.product(_ALL_PAIRS, repeat=2):
-            yield {"forced": (aa, cc)}
-    elif protocol == "qds":
-        k = max(1, len(config.secret))
-        for aa, cc in itertools.product(_ALL_PAIRS, repeat=2):
-            yield {"forced": [(aa, cc)] * k}
-    elif protocol == "mpsc":
-        parts = config.inputs.split(",") if config.inputs else ["", "", "--"]
-        fixed = None if parts[2] == "--" else TwoBits.parse(parts[2])
-        for aa in _ALL_PAIRS:
-            for cc in ([fixed] if fixed is not None else _ALL_PAIRS):
-                for m in itertools.product((0, 1), repeat=3):
-                    yield {"forced_aa": aa, "charlie_input": cc, "masks": m}
-    else:
-        raise ValueError(f"unknown protocol {protocol!r}")
+    """Kwargs for every forced-outcome / mask cell of a protocol."""
+    spec = spec_for(config.protocol)
+    return spec.cells(spec.runner_kwargs(config, None))
 
 
 def run_cell(config: RunConfig, cell: dict, cheat: CheatStrategy | None,
-              rng: Rng | None) -> RunRecord:
-    protocol = config.protocol
-    if protocol == "bc":
-        return bc_run(int(config.secret), rng, mu=config.mu, nu=config.nu,
-                      cheat=cheat, **cell)
-    if protocol == "ct":
-        return ct_run(int(config.secret), rng, cheat=cheat, **cell)
-    if protocol == "ot":
-        return ot_run(int(config.secret), rng=rng, cheat=cheat, **cell)
-    if protocol == "tpsc":
-        a_txt, b_txt = config.inputs.split(",")
-        return tpsc_run(TwoBits.parse(a_txt), TwoBits.parse(b_txt),
-                        int(config.secret), rng, mu=config.mu, nu=config.nu,
-                        cheat=cheat, **cell)
-    if protocol == "qss":
-        secret = int(config.secret) if config.secret in ("0", "1") else qubit(0.6, 0.8j)
-        return qss_run(secret, rng, mu=config.mu, nu=config.nu, cheat=cheat, **cell)
-    if protocol == "qds":
-        bits = [int(c) for c in config.secret]
-        return qds_run(bits, rng, mu=config.mu, nu=config.nu, cheat=cheat, **cell)
-    if protocol == "mpsc":
-        parts = config.inputs.split(",")
-        return mpsc_run(TwoBits.parse(parts[0]), TwoBits.parse(parts[1]),
-                        cell.pop("charlie_input", None), int(config.secret), rng,
-                        mu=config.mu, nu=config.nu, cheat=cheat, **cell)
-    raise ValueError(f"unknown protocol {protocol!r}")
+             rng: Rng | None) -> RunRecord:
+    """Run ``config`` with ``cell``'s kwargs (a forced cell, or none to sample)."""
+    spec = spec_for(config.protocol)
+    kwargs = spec.runner_kwargs(config, rng)
+    kwargs.update(cell)
+    return spec.runner(rng=rng, cheat=cheat, **kwargs)
 
 
 def run_strategy(config: RunConfig, name: str,

@@ -7,11 +7,17 @@ Subcommands and their exit codes form the regression surface:
     attack       evaluate a cheating strategy         0 bound met, 6 violated
     replay       re-execute a transcript, compare     0 identical, 3 diverged
 
-plus 2 for configuration/usage errors and 4 for I/O problems.  Every
-subcommand is deterministic given its flags; sampled modes require an
-explicit ``--seed``.  ``--jobs`` is accepted for interface stability;
-enumeration cells are independent, and this driver executes them in a
-fixed serial order so outputs are byte-stable.
+plus 2 for configuration/usage errors and 4 for I/O problems, each with one
+``error:`` line on stderr.  Exit 2 covers an unknown protocol, strategy or
+fault, a malformed ``--secret`` (including ``q:`` amplitudes that are not
+four numbers or not normalised) or ``--inputs``, a channel label outside
+0..3, a negative ``--seed`` and ``--samples`` below 1.  Exit 4 covers a file
+that cannot be read or written (any ``--out``) and a transcript that does
+not parse or whose configuration no protocol accepts.  Without ``--inputs``
+tpsc runs with ``00,00`` and mpsc with ``00,00,--`` (the relay's pair left
+to its Bell outcome).  Every subcommand is deterministic given its flags;
+sampled modes require an explicit ``--seed``.  Enumeration cells run in a
+fixed serial order, so outputs are byte-stable.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ from .attacks import (
     strategies_for,
 )
 from .identities import format_suite, run_identity_suite
-from .protocols import PROTOCOLS, run_from_config
+from .protocols import PROTOCOLS, ConfigError, run_from_config, spec_for
 from .transcript import FORMAT_VERSION, RunConfig, first_divergence, parse_transcript
 
 EXIT_OK = 0
@@ -40,7 +46,13 @@ EXIT_IDENTITY = 5
 EXIT_BOUND = 6
 
 
+def _error(problem, code: int) -> int:
+    print(f"error: {problem}", file=sys.stderr)
+    return code
+
+
 def _write_out(path: str | None, text: str) -> None:
+    """Write ``text`` to ``path`` if one was given; ``main`` turns OSError into exit 4."""
     if path:
         Path(path).write_text(text)
 
@@ -49,59 +61,23 @@ def cmd_identities(args) -> int:
     try:
         results = run_identity_suite(fault=args.fault)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return _error(exc, EXIT_CONFIG)
     table = format_suite(results)
     print(table)
     _write_out(args.out, f"{FORMAT_VERSION} identities\n{table}\n")
     return EXIT_OK if all(r.passed for r in results) else EXIT_IDENTITY
 
 
-def _build_config(args) -> RunConfig:
-    mode = "enumerate" if args.mode == "enumerate" else f"sample:{args.samples}"
-    k = len(args.secret) if args.protocol == "qds" else 1
-    return RunConfig(
-        protocol=args.protocol,
-        mu=args.mu,
-        nu=args.nu,
-        secret=args.secret,
-        inputs=args.inputs,
-        k=k,
-        seed=args.seed,
-        mode=mode,
-        strategy="",
-    )
+def _config(args, mode: str, strategy: str = "") -> RunConfig:
+    """The configuration the flags describe, checked before any output."""
+    spec = spec_for(args.protocol)
+    config = spec.config(secret=args.secret, inputs=args.inputs, mu=args.mu, nu=args.nu,
+                         seed=args.seed, mode=mode, strategy=strategy)
+    spec.runner_kwargs(config, None)  # raises ConfigError on a bad value
+    return config
 
 
-def _validate_run_config(config: RunConfig) -> str | None:
-    if config.protocol not in PROTOCOLS:
-        return f"unknown protocol {config.protocol!r}"
-    if config.mu not in (0, 1, 2, 3) or config.nu not in (0, 1, 2, 3):
-        return "channel labels must be in 0..3"
-    if config.protocol == "qds":
-        if not config.secret or any(c not in "01" for c in config.secret):
-            return "qds needs --secret as a bit string, e.g. 1011"
-    elif config.protocol == "qss":
-        if config.secret not in ("0", "1", "q") and not config.secret.startswith("q:"):
-            return ("qss needs --secret 0, 1, q (seeded random qubit) or "
-                    "q:re,im,re,im (explicit amplitudes)")
-    elif config.secret not in ("0", "1"):
-        return f"{config.protocol} needs --secret 0 or 1"
-    if config.protocol == "tpsc":
-        parts = config.inputs.split(",")
-        if len(parts) != 2:
-            return "tpsc needs --inputs like 10,01 (sender pair, receiver pair)"
-    if config.protocol == "mpsc":
-        parts = config.inputs.split(",")
-        if len(parts) != 3:
-            return "mpsc needs --inputs like 10,01,11 (one pair per party)"
-    if config.protocol == "ot" and config.inputs:
-        if len(config.inputs) != 2 or any(c not in "01" for c in config.inputs):
-            return "ot takes --inputs as the receiver pair, e.g. 01"
-    return None
-
-
-def _cell_description(protocol: str, cell: dict) -> str:
+def _cell_description(cell: dict) -> str:
     parts = []
     if "forced" in cell:
         forced = cell["forced"]
@@ -123,23 +99,16 @@ def _cell_description(protocol: str, cell: dict) -> str:
 
 
 def _enumerate_rows(config: RunConfig) -> tuple[list[str], bool]:
+    row_extra = spec_for(config.protocol).row_extra
     rows = []
     all_accept = True
     for cell in enumeration_cells(config):
-        desc = _cell_description(config.protocol, dict(cell))
-        rec = run_cell(config, dict(cell), None, None)
+        rec = run_cell(config, cell, None, None)
         verdict = rec.verdict
-        extra = ""
-        if config.protocol == "ct":
-            extra = f" coin={rec.values['coin']}"
-        elif config.protocol in ("tpsc", "mpsc"):
-            extra = f" f={verdict.value}" if verdict.accepted else ""
-        elif config.protocol == "qss":
-            extra = f" fidelity={rec.values['fidelity']:.12f}"
-        row = f"{desc} verdict={verdict.outcome}"
+        row = f"{_cell_description(cell)} verdict={verdict.outcome}"
         if verdict.accepted and verdict.value:
             row += f" value={verdict.value}"
-        row += extra
+        row += row_extra(rec)
         if verdict.reason:
             row += f" reason={verdict.reason}"
         rows.append(row)
@@ -148,13 +117,8 @@ def _enumerate_rows(config: RunConfig) -> tuple[list[str], bool]:
 
 
 def cmd_run(args) -> int:
-    config = _build_config(args)
-    problem = _validate_run_config(config)
-    if problem:
-        print(f"error: {problem}", file=sys.stderr)
-        return EXIT_CONFIG
-
     if args.mode == "enumerate":
+        config = _config(args, "enumerate")
         rows, all_accept = _enumerate_rows(config)
         header = f"{config.protocol} enumerate cells={len(rows)}"
         print(header)
@@ -162,6 +126,7 @@ def cmd_run(args) -> int:
         _write_out(args.out, f"{FORMAT_VERSION} report\n{header}\n" + "\n".join(rows) + "\n")
         return EXIT_OK if all_accept else EXIT_REJECT
 
+    config = _config(args, "sample:1")
     record = run_from_config(config)
     verdict = record.verdict
     line = f"{config.protocol} verdict={verdict.outcome}"
@@ -171,11 +136,7 @@ def cmd_run(args) -> int:
         line += f" reason={verdict.reason}"
     print(line)
     out_path = args.out or f"{config.protocol}-seed{config.seed}.pwv1"
-    try:
-        Path(out_path).write_text(record.transcript.to_text())
-    except OSError as exc:
-        print(f"error: cannot write transcript: {exc}", file=sys.stderr)
-        return EXIT_IO
+    _write_out(out_path, record.transcript.to_text())
     print(f"transcript {out_path}")
     return EXIT_OK if verdict.accepted else EXIT_REJECT
 
@@ -184,52 +145,28 @@ def cmd_attack(args) -> int:
     key = (args.protocol, args.strategy)
     if key not in CATALOG:
         known = ", ".join(strategies_for(args.protocol)) or "none"
-        print(
-            f"error: unknown strategy {args.strategy!r} for {args.protocol!r} "
-            f"(known: {known})",
-            file=sys.stderr,
-        )
-        return EXIT_CONFIG
-    config = RunConfig(
-        protocol=args.protocol,
-        mu=args.mu,
-        nu=args.nu,
-        secret=args.secret,
-        inputs=args.inputs,
-        k=len(args.secret) if args.protocol == "qds" else 1,
-        seed=args.seed,
-        mode=args.mode,
-        strategy=args.strategy,
-    )
-    problem = _validate_run_config(config)
-    if problem:
-        print(f"error: {problem}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError(f"unknown strategy {args.strategy!r} for {args.protocol!r} "
+                          f"(known: {known})")
+    if args.samples < 1:
+        raise ConfigError("--samples must be >= 1")
+    config = _config(args, args.mode, args.strategy)
     report = run_strategy(config, args.strategy, mode=args.mode,
                           trials=args.samples, seed=args.seed)
     text = report.to_text()
     print(text, end="")
     _write_out(args.out, text)
-    entry = CATALOG[key]
-    return EXIT_OK if expected_bound_met(report, entry) else EXIT_BOUND
+    return EXIT_OK if expected_bound_met(report, CATALOG[key]) else EXIT_BOUND
 
 
 def cmd_replay(args) -> int:
-    try:
-        original = Path(args.transcript).read_text()
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    original = Path(args.transcript).read_text()
     try:
         config, _events = parse_transcript(original)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    if config.strategy:
-        print("error: transcripts of strategy runs are not replayable here",
-              file=sys.stderr)
-        return EXIT_CONFIG
-    record = run_from_config(config)
+        if config.strategy:
+            return _error("transcripts of strategy runs are not replayable here", EXIT_CONFIG)
+        record = run_from_config(config)
+    except ValueError as exc:  # malformed, or a configuration no protocol accepts
+        return _error(exc, EXIT_IO)
     regenerated = record.transcript.to_text()
     if regenerated == original:
         print(f"replay identical ({len(record.transcript.events)} events)")
@@ -259,17 +196,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--mu", type=int, default=0, help="sender-relay channel label")
     p_run.add_argument("--nu", type=int, default=0, help="relay-receiver channel label")
     p_run.add_argument("--secret", default="0",
-                       help="payload bit(s): one bit, a qds bit string, or q for qss")
+                       help="payload: one bit, a qds bit string, or for qss q (random "
+                            "qubit) or q:re,im,re,im")
     p_run.add_argument("--inputs", default="",
-                       help="party inputs as bit pairs, e.g. 10,01 (tpsc) or 10,01,11 (mpsc)")
-    p_run.add_argument("--k", type=int, default=1,
-                       help="bit length (informational; qds takes it from --secret)")
+                       help="party inputs as bit pairs: 10,01 for tpsc (default 00,00), "
+                            "10,01,11 for mpsc (default 00,00,--), the receiver pair for ot")
     p_run.add_argument("--seed", type=int, required=True)
     p_run.add_argument("--mode", choices=("sample", "enumerate"), default="sample")
-    p_run.add_argument("--samples", type=int, default=1)
     p_run.add_argument("--out", default=None, help="transcript or table path")
-    p_run.add_argument("--jobs", type=int, default=1,
-                       help="accepted for compatibility; execution is serial and ordered")
     p_run.set_defaults(func=cmd_run)
 
     p_att = sub.add_parser("attack", help="evaluate a cheating strategy")
@@ -283,7 +217,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_att.add_argument("--samples", type=int, default=10_000)
     p_att.add_argument("--seed", type=int, default=0)
     p_att.add_argument("--out", default=None)
-    p_att.add_argument("--jobs", type=int, default=1)
     p_att.set_defaults(func=cmd_attack)
 
     p_rep = sub.add_parser("replay", help="re-execute a transcript and compare")
@@ -293,14 +226,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    # default inputs for protocols that need them
-    if getattr(args, "protocol", None) == "tpsc" and not args.inputs:
-        args.inputs = "00,00"
-    if getattr(args, "protocol", None) == "mpsc" and not args.inputs:
-        args.inputs = "00,00,--"
-    return args.func(args)
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except ConfigError as exc:
+        return _error(exc, EXIT_CONFIG)
+    except OSError as exc:
+        return _error(exc, EXIT_IO)
 
 
 if __name__ == "__main__":

@@ -24,12 +24,13 @@ check it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+import itertools
+from dataclasses import dataclass, replace
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .algebra import TwoBits, label_from_zx, pauli_matrix, x_bit
+from .algebra import LABELS, TwoBits, label_from_zx, pauli_matrix, x_bit
 from .states import (
     Rng,
     StateVector,
@@ -45,22 +46,14 @@ from .states import (
 )
 from .transcript import RunConfig, Transcript
 
-CASTS: dict[str, dict[str, str]] = {
-    "bc": {"A": "alice", "B": "bob", "C": "bob"},
-    "ct": {"A": "alice", "B": "bob", "C": "bob"},
-    "ot": {"A": "alice", "B": "bob", "C": "bob"},
-    "tpsc": {"A": "alice", "B": "bob", "C": "bob"},
-    "qss": {"A": "alice", "B": "bob", "C": "charlie"},
-    "qds": {"A": "alice", "B": "bob", "C": "charlie"},
-    "mpsc": {"A": "alice", "B": "bob", "C": "charlie"},
-}
-
-PROTOCOLS = tuple(CASTS)
-
 # fixed derived-stream indices so replays are stable
 _STREAM_BORN = 0
 _STREAM_PARTY = {"alice": 1, "bob": 2, "charlie": 3}
 _STREAM_SHARED = 9
+
+
+class ConfigError(ValueError):
+    """A configuration value no run can take; the message is meant for the user."""
 
 
 @dataclass(frozen=True)
@@ -134,16 +127,17 @@ class RunRecord:
 class Run:
     """Shared bookkeeping for one protocol execution.
 
-    When no generator is passed (forced-outcome runs), streams fall back
-    to one keyed by the config seed, so a replay driven purely by the
-    recorded configuration reproduces masks and share splits exactly.
+    The stations' controllers come from the protocol's spec.  When no
+    generator is passed (forced-outcome runs), streams fall back to one
+    keyed by the config seed, so a replay driven purely by the recorded
+    configuration reproduces masks and share splits exactly.
     """
 
-    def __init__(self, config: RunConfig, cast: Mapping[str, str], rng: Rng | None,
+    def __init__(self, config: RunConfig, rng: Rng | None,
                  cheat: CheatStrategy | None = None):
         self.config = config
-        self.cast = dict(cast)
-        self.controllers = tuple(sorted(set(cast.values())))
+        self.cast = dict(SPECS[config.protocol].cast)
+        self.controllers = tuple(sorted(set(self.cast.values())))
         self.transcript = Transcript(config)
         self.cheat = cheat
         base = rng if rng is not None else Rng(config.seed)
@@ -203,7 +197,7 @@ def _forced_pair(forced) -> tuple[TwoBits | None, TwoBits | None]:
     return aa, cc
 
 
-def _mode_string(forced, k: int = 1) -> str:
+def _mode_string(forced) -> str:
     if forced is None:
         return "sample:1"
     cells = forced if isinstance(forced, list) else [forced]
@@ -236,7 +230,7 @@ def _make_config(protocol, mu, nu, secret, inputs, k, rng, forced, cheat) -> Run
         inputs=inputs,
         k=k,
         seed=rng.seed if rng is not None else 0,
-        mode=_mode_string(forced, k),
+        mode=_mode_string(forced),
         strategy=cheat.name if cheat else "",
     )
 
@@ -292,23 +286,6 @@ def _chain_open(run: Run, mu: int, nu: int, payload: StateVector, *,
     return ctx, state
 
 
-def common_steps(mu: int, nu: int, payload, rng: Rng | None, measure_b: bool = True,
-                 *, forced_cc: TwoBits | None = None,
-                 forced_aa: TwoBits | None = None) -> SharedContext:
-    """Run the shared opening steps standalone (three-party casting)."""
-    payload = _payload_state(payload)
-    forced = None if forced_cc is None and forced_aa is None else (forced_aa, forced_cc)
-    config = _make_config("qss", mu, nu, "q", "", 1, rng, forced, None)
-    run = Run(config, CASTS["qss"], rng)
-    ctx, state = _chain_open(
-        run, mu, nu, payload,
-        measure_receiver=measure_b, forced_cc=forced_cc, forced_aa=forced_aa,
-    )
-    if not measure_b:
-        run.held["bob"].append(extract_qubit(state, 4).amplitudes)
-    return ctx
-
-
 # --- two-party protocols ----------------------------------------------------
 
 
@@ -325,7 +302,7 @@ def bc_run(secret: int, rng: Rng | None = None, *, mu: int = 0, nu: int = 0,
     """
     forced_aa, forced_cc = _forced_pair(forced)
     config = config or _make_config("bc", mu, nu, secret, "", 1, rng, forced, cheat)
-    run = Run(config, CASTS["bc"], rng, cheat)
+    run = Run(config, rng, cheat)
     run.local("setup", "alice", "payload", f"bit={secret}")
     ctx, state = _chain_open(
         run, mu, nu, _payload_state(secret),
@@ -376,7 +353,7 @@ def ct_run(secret: int, rng: Rng | None = None, *, forced=None,
     mu = nu = 0
     forced_aa, forced_cc = _forced_pair(forced)
     config = config or _make_config("ct", mu, nu, secret, "", 1, rng, forced, cheat)
-    run = Run(config, CASTS["ct"], rng, cheat)
+    run = Run(config, rng, cheat)
     run.local("setup", "alice", "payload", f"bit={secret}")
     ctx, state = _chain_open(
         run, mu, nu, _payload_state(secret),
@@ -422,7 +399,7 @@ def ot_run(secret: int, bob_message: TwoBits | None = None, rng: Rng | None = No
     forced = None if bob_message is None and forced_aa is None else (forced_aa, bob_message)
     inputs = str(bob_message) if bob_message is not None else ""
     config = config or _make_config("ot", mu, nu, secret, inputs, 1, rng, forced, cheat)
-    run = Run(config, CASTS["ot"], rng, cheat)
+    run = Run(config, rng, cheat)
     run.local("setup", "alice", "payload", f"bit={secret}")
     ctx, state = _chain_open(
         run, mu, nu, _payload_state(secret),
@@ -467,7 +444,7 @@ def tpsc_run(alice_input: TwoBits, bob_input: TwoBits, public_bit: int,
     inputs = f"{alice_input},{bob_input}"
     config = config or _make_config("tpsc", mu, nu, public_bit, inputs, 1, rng, forced, cheat)
     forced_aa, forced_cc = _forced_pair(forced)
-    run = Run(config, CASTS["tpsc"], rng, cheat)
+    run = Run(config, rng, cheat)
     mask_a, mask_b = masks if masks is not None else (
         run.party_rng["alice"].bit(), run.party_rng["bob"].bit())
     run.announce("setup", "alice", "public_payload", f"bit={public_bit}")
@@ -539,7 +516,7 @@ def qss_run(secret, rng: Rng | None = None, *, mu: int = 0, nu: int = 0,
     secret_text = str(secret) if classical else _encode_qubit(payload)
     forced_aa, forced_cc = _forced_pair(forced)
     config = config or _make_config("qss", mu, nu, secret_text, "", 1, rng, forced, cheat)
-    run = Run(config, CASTS["qss"], rng, cheat)
+    run = Run(config, rng, cheat)
     run.local("setup", "alice", "payload", f"value={secret_text}")
 
     dev = run.deviation("relay_bsm")
@@ -607,7 +584,7 @@ def qds_run(message: Sequence[int], rng: Rng | None = None, *, mu: int = 0, nu: 
     config = config or _make_config(
         "qds", mu, nu, "".join(map(str, message)), "", k, rng,
         forced if forced is None else list(forced_cells), cheat)
-    run = Run(config, CASTS["qds"], rng, cheat)
+    run = Run(config, rng, cheat)
 
     aa_list: list[TwoBits] = []
     cc_list: list[TwoBits] = []
@@ -718,7 +695,7 @@ def mpsc_run(alice_input: TwoBits, bob_input: TwoBits,
     inputs = f"{alice_input},{bob_input},{charlie_input if charlie_input else '--'}"
     forced = None if forced_aa is None and charlie_input is None else (forced_aa, charlie_input)
     config = config or _make_config("mpsc", mu, nu, public_bit, inputs, 1, rng, forced, cheat)
-    run = Run(config, CASTS["mpsc"], rng, cheat)
+    run = Run(config, rng, cheat)
     mask_a, mask_b, mask_c = masks if masks is not None else (
         run.party_rng["alice"].bit(), run.party_rng["bob"].bit(),
         run.party_rng["charlie"].bit())
@@ -767,62 +744,208 @@ def mpsc_run(alice_input: TwoBits, bob_input: TwoBits,
         "charlie", Verdict("reject", reason=f"verification_failed:{blamed}")))
 
 
-# --- config-driven dispatch -------------------------------------------------
+# --- protocol specs: one description per protocol ------------------------------
+
+_ALL_PAIRS = tuple(TwoBits.from_label(lab) for lab in LABELS)
+_OUTCOME_CELLS = tuple(itertools.product(_ALL_PAIRS, repeat=2))
+_TWO_PARTY = {"A": "alice", "B": "bob", "C": "bob"}
+_THREE_PARTY = {"A": "alice", "B": "bob", "C": "charlie"}
+_QSS_SECRET_HELP = ("qss needs --secret 0, 1, q (seeded random qubit) or "
+                    "q:re,im,re,im (explicit amplitudes)")
+
+
+@dataclass(frozen=True)
+class ProtocolSpec:
+    """Everything the CLI and the attack evaluator need to know about one protocol.
+
+    Who plays each station, how a configuration becomes runner arguments
+    (``parse``, which raises ConfigError with a user-facing message on a bad
+    value), which forced cells exhaust its outcome space (``cells``, given
+    the parsed arguments) and what its enumeration table rows add.
+    """
+
+    name: str
+    cast: Mapping[str, str]
+    parse: Callable[[RunConfig, Rng | None], dict]
+    cells: Callable[[dict], Iterable[dict]]
+    row_extra: Callable[[RunRecord], str] = lambda record: ""
+    default_inputs: str = ""
+    k_from_secret: bool = False  # qds runs one chain per message bit
+
+    @property
+    def runner(self) -> Callable[..., RunRecord]:
+        # looked up at call time, so a wrapper bound to the module attribute
+        # (a profiler, say) also sees the runs dispatched through the spec
+        return globals()[f"{self.name}_run"]
+
+    def config(self, *, secret: str, inputs: str = "", **fields) -> RunConfig:
+        """Configuration with the default inputs and the chain count filled in."""
+        return RunConfig(protocol=self.name, secret=secret,
+                         inputs=inputs or self.default_inputs,
+                         k=len(secret) if self.k_from_secret else 1, **fields)
+
+    def runner_kwargs(self, config: RunConfig, rng: Rng | None) -> dict:
+        """Keyword arguments of the runner (besides rng, cheat and config)."""
+        if config.mu not in LABELS or config.nu not in LABELS:
+            raise ConfigError("channel labels must be in 0..3")
+        if config.seed < 0:
+            raise ConfigError("seed must be >= 0")
+        if not config.inputs and self.default_inputs:
+            config = replace(config, inputs=self.default_inputs)
+        return self.parse(config, rng)
+
+
+def _bit_secret(config: RunConfig) -> int:
+    if config.secret not in ("0", "1"):
+        raise ConfigError(f"{config.protocol} needs --secret 0 or 1")
+    return int(config.secret)
+
+
+def _pairs(inputs: str, count: int, usage: str, open_last: bool = False) -> list:
+    """``count`` comma-separated bit pairs; with ``open_last`` the last may be
+    ``--`` (None: that party's pair is its sampled Bell outcome)."""
+    parts = inputs.split(",")
+    if len(parts) != count:
+        raise ConfigError(usage)
+    try:
+        return [None if open_last and i == count - 1 and part == "--" else TwoBits.parse(part)
+                for i, part in enumerate(parts)]
+    except ValueError:
+        raise ConfigError(usage) from None
+
+
+def _first_forced(config: RunConfig):
+    forced = parse_forced(config.mode)
+    return forced[0] if forced else None
+
+
+def _chain_args(config: RunConfig) -> dict:
+    return {"mu": config.mu, "nu": config.nu, "forced": _first_forced(config)}
+
+
+def _qss_secret(config: RunConfig, rng: Rng | None):
+    """A bit, the stated amplitudes, or for ``q`` a random qubit (a fixed
+    probe when the run has no generator, as in forced cells)."""
+    text = config.secret
+    if text in ("0", "1"):
+        return int(text)
+    if text == "q":
+        return rng.derive(99).unit_qubit() if rng is not None else qubit(0.6, 0.8j)
+    if text.startswith("q:"):
+        try:
+            return _decode_qubit(text)
+        except ValueError as exc:
+            raise ConfigError(f"{_QSS_SECRET_HELP}; {exc}") from None
+    raise ConfigError(_QSS_SECRET_HELP)
+
+
+def _ot_args(config: RunConfig, rng: Rng | None) -> dict:
+    forced_aa, forced_cc = _first_forced(config) or (None, None)
+    bob_message = forced_cc
+    if bob_message is None and config.inputs:
+        [bob_message] = _pairs(config.inputs, 1,
+                               "ot takes --inputs as the receiver pair, e.g. 01")
+    return {"secret": _bit_secret(config), "bob_message": bob_message,
+            "forced_aa": forced_aa}
+
+
+def _tpsc_args(config: RunConfig, rng: Rng | None) -> dict:
+    alice, bob = _pairs(config.inputs, 2,
+                        "tpsc needs --inputs like 10,01 (sender pair, receiver pair)")
+    return {"alice_input": alice, "bob_input": bob, "public_bit": _bit_secret(config),
+            **_chain_args(config)}
+
+
+def _qds_args(config: RunConfig, rng: Rng | None) -> dict:
+    if not config.secret or any(c not in "01" for c in config.secret):
+        raise ConfigError("qds needs --secret as a bit string, e.g. 1011")
+    return {"message": [int(c) for c in config.secret], "mu": config.mu,
+            "nu": config.nu, "forced": parse_forced(config.mode)}
+
+
+def _mpsc_args(config: RunConfig, rng: Rng | None) -> dict:
+    alice, bob, charlie = _pairs(config.inputs, 3,
+                                 "mpsc needs --inputs like 10,01,11 (one pair per party)",
+                                 open_last=True)
+    one = _first_forced(config)
+    return {"alice_input": alice, "bob_input": bob, "charlie_input": charlie,
+            "public_bit": _bit_secret(config), "mu": config.mu, "nu": config.nu,
+            "forced_aa": one[0] if one else None}
+
+
+def _outcome_cells(kwargs: dict):
+    for cell in _OUTCOME_CELLS:
+        yield {"forced": cell}
+
+
+def _ot_cells(kwargs: dict):
+    # an explicit receiver pair pins that axis
+    fixed = kwargs["bob_message"]
+    for aa in _ALL_PAIRS:
+        for cc in ([fixed] if fixed is not None else _ALL_PAIRS):
+            yield {"forced_aa": aa, "bob_message": cc}
+
+
+def _tpsc_cells(kwargs: dict):
+    for cell in _OUTCOME_CELLS:
+        for masks in itertools.product((0, 1), repeat=2):
+            yield {"forced": cell, "masks": masks}
+
+
+def _qds_cells(kwargs: dict):
+    k = len(kwargs["message"])
+    for cell in _OUTCOME_CELLS:
+        yield {"forced": [cell] * k}
+
+
+def _mpsc_cells(kwargs: dict):
+    # an explicit relay pair pins that axis
+    fixed = kwargs["charlie_input"]
+    for aa in _ALL_PAIRS:
+        for cc in ([fixed] if fixed is not None else _ALL_PAIRS):
+            for masks in itertools.product((0, 1), repeat=3):
+                yield {"forced_aa": aa, "charlie_input": cc, "masks": masks}
+
+
+def _output_extra(record: RunRecord) -> str:
+    return f" f={record.verdict.value}" if record.verdict.accepted else ""
+
+
+SPECS: dict[str, ProtocolSpec] = {spec.name: spec for spec in (
+    ProtocolSpec("bc", _TWO_PARTY,
+                 lambda c, rng: {"secret": _bit_secret(c), **_chain_args(c)},
+                 _outcome_cells),
+    ProtocolSpec("ct", _TWO_PARTY,
+                 lambda c, rng: {"secret": _bit_secret(c), "forced": _first_forced(c)},
+                 _outcome_cells,
+                 row_extra=lambda record: f" coin={record.values['coin']}"),
+    ProtocolSpec("ot", _TWO_PARTY, _ot_args, _ot_cells),
+    ProtocolSpec("tpsc", _TWO_PARTY, _tpsc_args, _tpsc_cells,
+                 row_extra=_output_extra, default_inputs="00,00"),
+    ProtocolSpec("qss", _THREE_PARTY,
+                 lambda c, rng: {"secret": _qss_secret(c, rng), **_chain_args(c)},
+                 _outcome_cells,
+                 row_extra=lambda record: f" fidelity={record.values['fidelity']:.12f}"),
+    ProtocolSpec("qds", _THREE_PARTY, _qds_args, _qds_cells, k_from_secret=True),
+    ProtocolSpec("mpsc", _THREE_PARTY, _mpsc_args, _mpsc_cells,
+                 row_extra=_output_extra, default_inputs="00,00,--"),
+)}
+
+PROTOCOLS = tuple(SPECS)
+
+
+def spec_for(protocol: str) -> ProtocolSpec:
+    try:
+        return SPECS[protocol]
+    except KeyError:
+        raise ConfigError(f"unknown protocol {protocol!r}") from None
 
 
 def run_from_config(config: RunConfig, cheat: CheatStrategy | None = None) -> RunRecord:
     """Execute the protocol a configuration describes, reproducibly."""
-    if config.protocol not in CASTS:
-        raise ValueError(f"unknown protocol {config.protocol!r}")
+    spec = spec_for(config.protocol)
     rng = Rng(config.seed)
-    forced = parse_forced(config.mode)
-    one = forced[0] if forced else None
-    if config.protocol == "bc":
-        return bc_run(int(config.secret), rng, mu=config.mu, nu=config.nu,
-                      forced=one, cheat=cheat, config=config)
-    if config.protocol == "ct":
-        return ct_run(int(config.secret), rng, forced=one, cheat=cheat, config=config)
-    if config.protocol == "ot":
-        bob_message = TwoBits.parse(config.inputs) if config.inputs else None
-        forced_aa = one[0] if one else None
-        if one and one[1] is not None:
-            bob_message = one[1]
-        return ot_run(int(config.secret), bob_message, rng,
-                      forced_aa=forced_aa, cheat=cheat, config=config)
-    if config.protocol == "tpsc":
-        a_txt, b_txt = config.inputs.split(",")
-        return tpsc_run(TwoBits.parse(a_txt), TwoBits.parse(b_txt), int(config.secret),
-                        rng, mu=config.mu, nu=config.nu, forced=one, cheat=cheat,
-                        config=config)
-    if config.protocol == "qss":
-        if config.secret in ("0", "1"):
-            secret = int(config.secret)
-        elif config.secret.startswith("q:"):
-            secret = _decode_qubit(config.secret)
-        else:
-            secret = _qss_probe(rng)
-        return qss_run(secret, rng, mu=config.mu, nu=config.nu, forced=one,
-                       cheat=cheat, config=config)
-    if config.protocol == "qds":
-        bits = [int(c) for c in config.secret]
-        return qds_run(bits, rng, mu=config.mu, nu=config.nu, forced=forced,
-                       cheat=cheat, config=config)
-    if config.protocol == "mpsc":
-        parts = config.inputs.split(",")
-        if len(parts) != 3:
-            raise ValueError("mpsc needs inputs like 10,01,11")
-        charlie = None if parts[2] == "--" else TwoBits.parse(parts[2])
-        forced_aa = one[0] if one else None
-        return mpsc_run(TwoBits.parse(parts[0]), TwoBits.parse(parts[1]), charlie,
-                        int(config.secret), rng, mu=config.mu, nu=config.nu,
-                        forced_aa=forced_aa, cheat=cheat, config=config)
-    raise AssertionError("unreachable")
-
-
-def _qss_probe(rng: Rng | None) -> StateVector:
-    if rng is None:
-        return qubit(0.6, 0.8)
-    return rng.derive(99).unit_qubit()
+    return spec.runner(**spec.runner_kwargs(config, rng), rng=rng, cheat=cheat, config=config)
 
 
 def _encode_qubit(state: StateVector) -> str:

@@ -17,7 +17,7 @@ Payloads are hex-encoded UTF-8 so the format survives any payload content.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 FORMAT_VERSION = "PWV1"
 
@@ -81,9 +81,6 @@ class RunConfig:
     @property
     def run_id(self) -> str:
         return hashlib.sha256(self.to_text().encode()).hexdigest()[:12]
-
-    def with_strategy(self, name: str) -> "RunConfig":
-        return replace(self, strategy=name)
 
 
 @dataclass(frozen=True)

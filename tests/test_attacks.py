@@ -243,3 +243,34 @@ def test_run_cell_matches_direct_call():
     via_cell = run_cell(config_for("bc", secret="1"), dict(cell), None, None)
     direct = bc_run(1, None, forced=(TwoBits(1, 0), TwoBits(0, 1)))
     assert via_cell.verdict == direct.verdict
+
+
+def test_forced_qss_cells_run_the_requested_payload(monkeypatch):
+    from bellproto import attacks
+    from bellproto.algebra import pauli_matrix
+    from bellproto.cli import EXIT_OK, main
+    from bellproto.states import StateVector, basis_state, equal_up_to_phase, infer_tau
+
+    secret = "q:0,0,1,0"  # |1>
+    one = basis_state("1").amplitudes
+    config = RunConfig(protocol="qss", mu=1, nu=2, secret=secret, mode="enumerate")
+    for cell in enumeration_cells(config):
+        rec = run_cell(config, {**cell, "reconstruct": False}, None, None)
+        assert rec.config.secret == secret
+        aa, cc = cell["forced"]
+        moved = StateVector(pauli_matrix(infer_tau(aa, cc, 1, 2)) @ one)
+        assert equal_up_to_phase(StateVector(rec.held["bob"][0]), moved)
+
+    records = []
+
+    def recording_run_cell(*args):
+        records.append(run_cell(*args))
+        return records[-1]
+
+    monkeypatch.setattr(attacks, "run_cell", recording_run_cell)
+    argv = ["attack", "--protocol", "qss", "--strategy", "null", "--secret", secret]
+    assert main(argv) == EXIT_OK
+    assert len(records) == 16
+    for rec in records:
+        assert rec.config.secret == secret
+        assert equal_up_to_phase(StateVector(rec.held["bob"][0]), basis_state("1"))

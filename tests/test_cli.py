@@ -1,7 +1,8 @@
-import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import bellproto
 from bellproto.cli import (
@@ -12,16 +13,7 @@ from bellproto.cli import (
     EXIT_REJECT,
     main,
 )
-
-
-def child_env():
-    """Environment for child interpreters: the imported package's absolute
-    ``src`` directory first on PYTHONPATH, so a child runs the checkout under
-    test whatever its working directory and whether or not it is installed."""
-    env = dict(os.environ)
-    src = str(Path(bellproto.__file__).resolve().parent.parent)
-    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
-    return env
+from conftest import child_env
 
 
 def run_cli(*argv, cwd=None):
@@ -172,3 +164,63 @@ def test_reject_exit_code_on_cheating_run():
 
 def test_main_in_process_identities():
     assert main(["identities"]) == EXIT_OK
+
+
+def _edited_transcript(tmp_path, old, new):
+    path = tmp_path / "edited.pwv1"
+    assert main(["run", "--protocol", "bc", "--secret", "1", "--seed", "3",
+                 "--out", str(path)]) == EXIT_OK
+    path.write_text(path.read_text().replace(old, new, 1))
+    return str(path)
+
+
+BAD_INPUTS = {
+    "tpsc-bad-pair": (lambda tmp: ["run", "--protocol", "tpsc", "--inputs", "1x,01",
+                                   "--seed", "1"], EXIT_CONFIG),
+    "mpsc-open-first-pair": (lambda tmp: ["run", "--protocol", "mpsc", "--inputs=--,01,11",
+                                          "--seed", "1"], EXIT_CONFIG),
+    "ot-short-pair": (lambda tmp: ["run", "--protocol", "ot", "--inputs", "0",
+                                   "--seed", "1"], EXIT_CONFIG),
+    "qss-unnormalised": (lambda tmp: ["run", "--protocol", "qss", "--secret", "q:1,0,0,0.5",
+                                      "--seed", "1"], EXIT_CONFIG),
+    "qss-three-amplitudes": (lambda tmp: ["run", "--protocol", "qss", "--secret", "q:1,0,0",
+                                          "--seed", "1"], EXIT_CONFIG),
+    "qss-nan-amplitude": (lambda tmp: ["run", "--protocol", "qss", "--secret", "q:nan,0,0,0",
+                                       "--seed", "1"], EXIT_CONFIG),
+    "qss-enumerate-bad-secret": (lambda tmp: ["run", "--protocol", "qss", "--secret", "2",
+                                              "--seed", "1", "--mode", "enumerate"], EXIT_CONFIG),
+    "negative-seed": (lambda tmp: ["run", "--protocol", "ct", "--seed", "-1"], EXIT_CONFIG),
+    "channel-label": (lambda tmp: ["run", "--protocol", "bc", "--mu", "4", "--seed", "1"],
+                      EXIT_CONFIG),
+    "zero-samples": (lambda tmp: ["attack", "--protocol", "bc", "--strategy", "null",
+                                  "--mode", "sample", "--samples", "0"], EXIT_CONFIG),
+    "attack-negative-seed": (lambda tmp: ["attack", "--protocol", "bc", "--strategy", "null",
+                                          "--mode", "sample", "--seed", "-1"], EXIT_CONFIG),
+    "unknown-strategy": (lambda tmp: ["attack", "--protocol", "ot", "--strategy", "made-up"],
+                         EXIT_CONFIG),
+    "identities-out-missing-dir": (lambda tmp: ["identities", "--out",
+                                                str(tmp / "missing" / "x")], EXIT_IO),
+    "run-out-missing-dir": (lambda tmp: ["run", "--protocol", "bc", "--seed", "1", "--out",
+                                         str(tmp / "missing" / "x")], EXIT_IO),
+    "enumerate-out-missing-dir": (lambda tmp: ["run", "--protocol", "ct", "--seed", "1",
+                                               "--mode", "enumerate", "--out",
+                                               str(tmp / "missing" / "x")], EXIT_IO),
+    "attack-out-missing-dir": (lambda tmp: ["attack", "--protocol", "bc", "--strategy",
+                                            "null", "--out", str(tmp / "missing" / "x")],
+                               EXIT_IO),
+    "replay-unknown-protocol": (lambda tmp: ["replay", _edited_transcript(
+        tmp, "config protocol=bc", "config protocol=zz")], EXIT_IO),
+    "replay-bad-channel": (lambda tmp: ["replay", _edited_transcript(
+        tmp, "config mu=0", "config mu=9")], EXIT_IO),
+    "replay-bad-mode": (lambda tmp: ["replay", _edited_transcript(
+        tmp, "config mode=sample:1", "config mode=forced:zz")], EXIT_IO),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_exits_with_documented_code(case, tmp_path, capsys):
+    argv, code = BAD_INPUTS[case]
+    argv = argv(tmp_path)
+    capsys.readouterr()
+    assert main(argv) == code
+    assert any(line.startswith("error: ") for line in capsys.readouterr().err.splitlines())

@@ -1,0 +1,22 @@
+"""Every demo script runs to completion against the checkout under test."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from conftest import child_env
+
+DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("0*.py"))
+
+
+def test_demos_are_found():
+    assert DEMOS
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
+def test_demo_runs(demo, tmp_path):
+    proc = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True,
+                          cwd=tmp_path, env=child_env())
+    assert proc.returncode == 0, proc.stderr

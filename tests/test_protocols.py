@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -6,15 +7,19 @@ import pytest
 from bellproto.algebra import LABELS, TwoBits, pauli_matrix, x_bit
 from bellproto.protocols import (
     CheatStrategy,
+    ConfigError,
     Deviation,
+    Run,
+    _chain_open,
+    _payload_state,
     bc_run,
-    common_steps,
     ct_run,
     mpsc_run,
     ot_run,
     qds_run,
     qss_run,
     run_from_config,
+    spec_for,
     tpsc_run,
 )
 from bellproto.states import Rng, StateVector, basis_state, equal_up_to_phase, infer_tau
@@ -37,6 +42,14 @@ def oracle_bit(operator_labels, payload_bit):
 
 
 # --- shared opening steps -----------------------------------------------------
+
+
+def common_steps(mu, nu, payload, rng, measure_b=True, *, forced_cc=None, forced_aa=None):
+    """The opening steps every protocol shares, run on their own (three-party cast)."""
+    run = Run(RunConfig(protocol="qss", mu=mu, nu=nu), rng)
+    ctx, _state = _chain_open(run, mu, nu, _payload_state(payload), measure_receiver=measure_b,
+                              forced_cc=forced_cc, forced_aa=forced_aa)
+    return ctx
 
 
 def test_common_steps_identity_cell_keeps_bit():
@@ -403,3 +416,29 @@ def test_run_from_config_round_trip():
 def test_run_from_config_rejects_unknown_protocol():
     with pytest.raises(ValueError):
         run_from_config(RunConfig(protocol="nope", secret="1"))
+
+
+@pytest.mark.parametrize("config, message", [
+    (RunConfig(protocol="ot", secret="0", inputs="--"), "ot takes --inputs as the receiver pair"),
+    (RunConfig(protocol="tpsc", secret="1", inputs="10"), "tpsc needs --inputs like 10,01"),
+    (RunConfig(protocol="mpsc", secret="1", inputs="10,--,11"), "mpsc needs --inputs like"),
+    (RunConfig(protocol="qds", secret="12"), "qds needs --secret as a bit string"),
+    (RunConfig(protocol="bc", secret="q"), "bc needs --secret 0 or 1"),
+    (RunConfig(protocol="qss", secret="x"), "qss needs --secret 0, 1, q"),
+    (RunConfig(protocol="qss", secret="q:1,0,0,1"), "not normalised"),
+    (RunConfig(protocol="bc", secret="0", nu=4), "channel labels must be in 0..3"),
+    (RunConfig(protocol="ct", secret="0", seed=-2), "seed must be >= 0"),
+])
+def test_spec_parse_names_the_bad_value(config, message):
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        spec_for(config.protocol).runner_kwargs(config, None)
+
+
+@pytest.mark.parametrize("protocol, default", [("tpsc", "00,00"), ("mpsc", "00,00,--")])
+def test_empty_inputs_run_as_the_default_inputs(protocol, default):
+    def events(inputs):
+        rec = run_from_config(RunConfig(protocol=protocol, secret="1", inputs=inputs,
+                                        seed=9, mode="sample:1"))
+        return rec.verdict, [(e.step, e.actor, e.action, e.payload) for e in rec.transcript.events]
+
+    assert events("") == events(default)
