@@ -18,10 +18,10 @@ Conventions fixed here and used everywhere else in the package:
   4-dimensional space under the trace inner product Tr(A @ B.T), with
   squared norm 4.
 
-All tables are generated at import time from the matrices themselves and
-cross-checked entry by entry; an inconsistent build raises immediately.
-Everything in this module is immutable after import and safe to share
-across threads.
+The signs of the Bell action and of label composition are frozen as
+literal tables; the identity suite (bell-action-table, compose-table) and
+the tests re-derive every entry from the matrices themselves.  Everything
+in this module is immutable after import and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -187,44 +187,17 @@ def label_from_zx(z: int, x: int) -> int:
     return 2 * z + x
 
 
-def _build_action_table() -> tuple[tuple[SignedLabel, ...], ...]:
-    table = []
-    for rho in LABELS:
-        row = []
-        for mu in LABELS:
-            out = _OMEGA_INT[rho] @ _BELL_INT[mu]
-            target = rho ^ mu
-            ref = _BELL_INT[target]
-            if np.array_equal(out, ref):
-                row.append(SignedLabel(target, 1))
-            elif np.array_equal(out, -ref):
-                row.append(SignedLabel(target, -1))
-            else:  # pragma: no cover - build-time self check
-                raise RuntimeError(f"pair action table inconsistent at {(rho, mu)}")
-        table.append(tuple(row))
-    return tuple(table)
+# Signs of the two label products; the label part is always the XOR.
+# omega(rho) @ Bell(mu) = sign * Bell(rho ^ mu): index 4*rho + mu
+_ACTION_SIGNS = "+++++++++-+--+-+"
+# pauli(a) @ pauli(b) = sign * pauli(a ^ b): index 4*a + b
+_COMPOSE_SIGNS = "++++++--++++++--"
 
 
-def _build_compose_table() -> tuple[tuple[SignedLabel, ...], ...]:
-    table = []
-    for a in LABELS:
-        row = []
-        for b in LABELS:
-            prod = _PAULI_INT[a] @ _PAULI_INT[b]
-            target = a ^ b
-            ref = _PAULI_INT[target]
-            if np.array_equal(prod, ref):
-                row.append(SignedLabel(target, 1))
-            elif np.array_equal(prod, -ref):
-                row.append(SignedLabel(target, -1))
-            else:  # pragma: no cover - build-time self check
-                raise RuntimeError(f"compose table inconsistent at {(a, b)}")
-        table.append(tuple(row))
-    return tuple(table)
-
-
-_ACTION_TABLE = _build_action_table()
-_COMPOSE_TABLE = _build_compose_table()
+def _signed_xor(signs: str, a: int, b: int) -> SignedLabel:
+    _check_label(a)
+    _check_label(b)
+    return SignedLabel(a ^ b, 1 if signs[4 * a + b] == "+" else -1)
 
 
 def apply_omega_to_bell(rho: int, mu: int) -> SignedLabel:
@@ -235,16 +208,12 @@ def apply_omega_to_bell(rho: int, mu: int) -> SignedLabel:
     phase +1.  Off-diagonal phases are not all +1 and are tabulated here
     exactly.
     """
-    _check_label(rho)
-    _check_label(mu)
-    return _ACTION_TABLE[rho][mu]
+    return _signed_xor(_ACTION_SIGNS, rho, mu)
 
 
 def pauli_compose(a: int, b: int) -> SignedLabel:
     """Signed label of the matrix product pauli(a) @ pauli(b)."""
-    _check_label(a)
-    _check_label(b)
-    return _COMPOSE_TABLE[a][b]
+    return _signed_xor(_COMPOSE_SIGNS, a, b)
 
 
 def pauli_compose_sequence(labels) -> SignedLabel:
@@ -260,32 +229,3 @@ def pauli_transpose_phase(label: int) -> int:
     """Sign s with pauli(label).T == s * pauli(label); -1 only for label 3."""
     _check_label(label)
     return -1 if label == 3 else 1
-
-
-def _self_test() -> None:
-    ident = np.eye(2, dtype=np.int64)
-    for lab in LABELS:
-        if not np.array_equal(_PAULI_INT[lab] @ _PAULI_INT[lab].T, ident):
-            raise RuntimeError("pauli matrices are not orthogonal")
-        if not np.array_equal(_OMEGA_INT[lab], np.kron(ident, _PAULI_INT[lab])):
-            raise RuntimeError("pair operators do not factor as I (x) pauli")
-    for a in LABELS:
-        for b in LABELS:
-            if omega_inner(a, b) != (4 if a == b else 0):
-                raise RuntimeError("pair operator basis is not orthonormal")
-    total = sum(_OMEGA_INT[lab] @ _OMEGA_INT[lab].T for lab in LABELS)
-    if not np.array_equal(total, 4 * np.eye(4, dtype=np.int64)):
-        raise RuntimeError("pair operator completeness sum failed")
-    for lab in LABELS:
-        if _ACTION_TABLE[lab][lab] != SignedLabel(0, 1):
-            raise RuntimeError("diagonal Bell action does not collapse to label 0")
-    for z in (0, 1):
-        for x in (0, 1):
-            prod = np.linalg.matrix_power(_PAULI_INT[2], z) @ np.linalg.matrix_power(
-                _PAULI_INT[1], x
-            )
-            if not np.array_equal(prod, _PAULI_INT[label_from_zx(z, x)]):
-                raise RuntimeError("z/x exponent encoding inconsistent")
-
-
-_self_test()

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -86,129 +86,73 @@ class SecurityReport:
         return "\n".join(lines) + "\n"
 
 
+# The enumerated adversary family, one row per attack: protocol, name,
+# cheating party, hook step, deviation kind, variant values (None for a
+# single variant, or "position" for one per qds message bit), the bound its
+# report must meet (an exact detection fraction, or a float ceiling on the
+# captured state's distance from maximally mixed) and a note.
+_FAMILY = (
+    ("bc", "reveal-flip", "alice", "reveal", "flip_secret", None, Fraction(1),
+     "reveal a flipped commitment, outcome pair announced honestly"),
+    # every substitution that changes the announced X bit; the Z-only mask
+    # is a separate entry because it is physically unobservable
+    ("bc", "aa-substitute", "alice", "reveal", "xor_aa", (0b01, 0b11), Fraction(1),
+     "announce an outcome pair with a substituted X bit"),
+    ("bc", "aa-phase-substitute", "alice", "reveal", "xor_aa", (0b10,), Fraction(0),
+     "Z-only substitution; a global phase on the commitment qubit, "
+     "undetectable by any measurement and logged as phase_unverified"),
+    ("bc", "withhold-reveal", "alice", "reveal", "withhold", None, Fraction(1),
+     "never reveal; rejected as an incomplete transcript"),
+    ("ct", "fixed-qubit", "bob", "transform", "fresh_qubit", (0, 1), Fraction(1, 2),
+     "announce a fixed basis state instead of the re-keyed payload; "
+     "per cell exactly one of the two sender inputs rejects"),
+    ("ct", "wrong-rekey", "bob", "transform", "substitute_label", LABELS, Fraction(1, 2),
+     "apply a fixed operator instead of the relay-outcome key; caught "
+     "exactly when its X exponent disagrees (Z-only errors are phase)"),
+    ("qds", "message-flip", "bob", "forward", "flip_message", "position", Fraction(1),
+     "receiver flips one message bit before forwarding"),
+    ("qds", "reveal-flip", "alice", "reveal", "flip_message", "position", Fraction(1),
+     "sender reveals a different message than committed"),
+    ("qss", "charlie-skip-bsm", "charlie", "relay_bsm", "skip", None, 1e-12,
+     "relay withholds its measurement to capture the payload; without "
+     "the sender share its captured state averages to the maximally "
+     "mixed state"),
+    *((proto, "null", "-", None, None, None, Fraction(0),
+       "no deviation; must reproduce the honest run exactly") for proto in PROTOCOLS),
+)
+
+
 @dataclass(frozen=True)
 class CatalogEntry:
     """A named attack, its variants, and the bound the report must meet."""
 
     protocol: str
     name: str
-    metric: str  # detection | mixedness | none
+    target: str
+    step: str | None
+    kind: str | None
+    values: tuple | str | None
     expected: object  # Fraction for detection, float ceiling for mixedness
-    variants: Callable[[RunConfig], Sequence[CheatStrategy]]
-    note: str = ""
+    note: str
+
+    @property
+    def metric(self) -> str:
+        return "mixedness" if isinstance(self.expected, float) else "detection"
+
+    def variants(self, config: RunConfig) -> list[CheatStrategy]:
+        """One strategy per variant value (per message position for qds)."""
+        if self.step is None:
+            return [CheatStrategy(self.name, self.target, {})]
+        if self.values is None:
+            return [CheatStrategy(self.name, self.target, {self.step: Deviation(self.kind)})]
+        values = range(max(1, len(config.secret))) if self.values == "position" else self.values
+        return [CheatStrategy(f"{self.name}[{v}]", self.target,
+                              {self.step: Deviation(self.kind, v)}) for v in values]
 
 
-def _single(strategy: CheatStrategy):
-    return lambda config: [strategy]
-
-
-def _bc_aa_variants(config: RunConfig):
-    # every substitution that changes the announced X bit; the Z-only mask
-    # is a separate catalog entry because it is physically unobservable
-    return [
-        CheatStrategy(f"aa-substitute[{mask:02b}]", "alice",
-                      {"reveal": Deviation("xor_aa", mask)})
-        for mask in (0b01, 0b11)
-    ]
-
-
-def _bc_phase_variants(config: RunConfig):
-    return [CheatStrategy("aa-phase-substitute", "alice",
-                          {"reveal": Deviation("xor_aa", 0b10)})]
-
-
-def _qds_flip_variants(config: RunConfig):
-    k = max(1, len(config.secret))
-    return [
-        CheatStrategy(f"message-flip[{i}]", "bob",
-                      {"forward": Deviation("flip_message", i)})
-        for i in range(k)
-    ]
-
-
-def _qds_reveal_variants(config: RunConfig):
-    k = max(1, len(config.secret))
-    return [
-        CheatStrategy(f"reveal-flip[{i}]", "alice",
-                      {"reveal": Deviation("flip_message", i)})
-        for i in range(k)
-    ]
-
-
-def _ct_fresh_variants(config: RunConfig):
-    return [
-        CheatStrategy(f"fixed-qubit[{b}]", "bob",
-                      {"transform": Deviation("fresh_qubit", b)})
-        for b in (0, 1)
-    ]
-
-
-def _ct_wrong_label_variants(config: RunConfig):
-    return [
-        CheatStrategy(f"wrong-rekey[{m}]", "bob",
-                      {"transform": Deviation("substitute_label", m)})
-        for m in LABELS
-    ]
-
-
-CATALOG: dict[tuple[str, str], CatalogEntry] = {}
-
-
-def _register(entry: CatalogEntry) -> None:
-    CATALOG[(entry.protocol, entry.name)] = entry
-
-
-_register(CatalogEntry(
-    "bc", "reveal-flip", "detection", Fraction(1),
-    _single(CheatStrategy("reveal-flip", "alice", {"reveal": Deviation("flip_secret")})),
-    note="reveal a flipped commitment, outcome pair announced honestly",
-))
-_register(CatalogEntry(
-    "bc", "aa-substitute", "detection", Fraction(1), _bc_aa_variants,
-    note="announce an outcome pair with a substituted X bit",
-))
-_register(CatalogEntry(
-    "bc", "aa-phase-substitute", "detection", Fraction(0), _bc_phase_variants,
-    note="Z-only substitution; a global phase on the commitment qubit, "
-         "undetectable by any measurement and logged as phase_unverified",
-))
-_register(CatalogEntry(
-    "bc", "withhold-reveal", "detection", Fraction(1),
-    _single(CheatStrategy("withhold-reveal", "alice", {"reveal": Deviation("withhold")})),
-    note="never reveal; rejected as an incomplete transcript",
-))
-_register(CatalogEntry(
-    "ct", "fixed-qubit", "detection", Fraction(1, 2), _ct_fresh_variants,
-    note="announce a fixed basis state instead of the re-keyed payload; "
-         "per cell exactly one of the two sender inputs rejects",
-))
-_register(CatalogEntry(
-    "ct", "wrong-rekey", "detection", Fraction(1, 2), _ct_wrong_label_variants,
-    note="apply a fixed operator instead of the relay-outcome key; caught "
-         "exactly when its X exponent disagrees (Z-only errors are phase)",
-))
-_register(CatalogEntry(
-    "qds", "message-flip", "detection", Fraction(1), _qds_flip_variants,
-    note="receiver flips one message bit before forwarding",
-))
-_register(CatalogEntry(
-    "qds", "reveal-flip", "detection", Fraction(1), _qds_reveal_variants,
-    note="sender reveals a different message than committed",
-))
-_register(CatalogEntry(
-    "qss", "charlie-skip-bsm", "mixedness", 1e-12,
-    _single(CheatStrategy("charlie-skip-bsm", "charlie",
-                          {"relay_bsm": Deviation("skip")})),
-    note="relay withholds its measurement to capture the payload; without "
-         "the sender share its captured state averages to the maximally "
-         "mixed state",
-))
-for _proto in PROTOCOLS:
-    _register(CatalogEntry(
-        _proto, "null", "detection", Fraction(0),
-        _single(CheatStrategy("null", "-", {})),
-        note="no deviation; must reproduce the honest run exactly",
-    ))
+CATALOG: dict[tuple[str, str], CatalogEntry] = {
+    (row[0], row[1]): CatalogEntry(*row) for row in _FAMILY
+}
 
 
 def strategies_for(protocol: str) -> list[str]:
@@ -281,7 +225,7 @@ def run_strategy(config: RunConfig, name: str,
 
 
 def _note(entry: CatalogEntry) -> str:
-    return f"{entry.note}; {SCOPE_NOTE}" if entry.note else SCOPE_NOTE
+    return f"{entry.note}; {SCOPE_NOTE}"
 
 
 def _evaluate_capture(config: RunConfig, entry: CatalogEntry,
@@ -303,14 +247,11 @@ def _evaluate_capture(config: RunConfig, entry: CatalogEntry,
 
 
 def expected_bound_met(report: SecurityReport, entry: CatalogEntry) -> bool:
-    if entry.metric == "detection":
-        if report.detection is not None:
-            return report.detection == entry.expected
-        target = float(entry.expected)
-        return abs(report.estimate - target) <= max(report.interval, 1e-9)
     if entry.metric == "mixedness":
         return report.state_distance is not None and report.state_distance <= entry.expected
-    return True
+    if report.detection is not None:
+        return report.detection == entry.expected
+    return abs(report.estimate - float(entry.expected)) <= max(report.interval, 1e-9)
 
 
 # --- observer views and hiding ----------------------------------------------

@@ -11,13 +11,15 @@ plus 2 for configuration/usage errors and 4 for I/O problems, each with one
 ``error:`` line on stderr.  Exit 2 covers an unknown protocol, strategy or
 fault, a malformed ``--secret`` (including ``q:`` amplitudes that are not
 four numbers or not normalised) or ``--inputs``, a channel label outside
-0..3, a negative ``--seed`` and ``--samples`` below 1.  Exit 4 covers a file
-that cannot be read or written (any ``--out``) and a transcript that does
-not parse or whose configuration no protocol accepts.  Without ``--inputs``
-tpsc runs with ``00,00`` and mpsc with ``00,00,--`` (the relay's pair left
-to its Bell outcome).  Every subcommand is deterministic given its flags;
-sampled modes require an explicit ``--seed``.  Enumeration cells run in a
-fixed serial order, so outputs are byte-stable.
+0..3, a negative ``--seed``, ``--samples`` below 1 and ``attack --mode
+sample`` without ``--seed``.  Exit 4 covers a file that cannot be read or
+written (any ``--out``) and a transcript that is not UTF-8, does not parse
+or has a configuration no protocol accepts.  Without ``--inputs`` tpsc runs
+with ``00,00`` and mpsc with ``00,00,--`` (the relay's pair left to its Bell
+outcome).  Every subcommand is deterministic given its flags: ``run`` and
+``attack --mode sample`` require an explicit ``--seed``, while ``attack``
+enumeration draws nothing and needs none.  Enumeration cells run in a fixed
+serial order, so outputs are byte-stable.
 """
 
 from __future__ import annotations
@@ -149,6 +151,10 @@ def cmd_attack(args) -> int:
                           f"(known: {known})")
     if args.samples < 1:
         raise ConfigError("--samples must be >= 1")
+    if args.seed is None:
+        if args.mode == "sample":
+            raise ConfigError("--mode sample needs an explicit --seed")
+        args.seed = 0  # enumeration draws nothing
     config = _config(args, args.mode, args.strategy)
     report = run_strategy(config, args.strategy, mode=args.mode,
                           trials=args.samples, seed=args.seed)
@@ -159,13 +165,13 @@ def cmd_attack(args) -> int:
 
 
 def cmd_replay(args) -> int:
-    original = Path(args.transcript).read_text()
     try:
+        original = Path(args.transcript).read_text()
         config, _events = parse_transcript(original)
         if config.strategy:
             return _error("transcripts of strategy runs are not replayable here", EXIT_CONFIG)
         record = run_from_config(config)
-    except ValueError as exc:  # malformed, or a configuration no protocol accepts
+    except ValueError as exc:  # not UTF-8, malformed, or a configuration no protocol accepts
         return _error(exc, EXIT_IO)
     regenerated = record.transcript.to_text()
     if regenerated == original:
@@ -215,7 +221,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_att.add_argument("--inputs", default="")
     p_att.add_argument("--mode", choices=("enumerate", "sample"), default="enumerate")
     p_att.add_argument("--samples", type=int, default=10_000)
-    p_att.add_argument("--seed", type=int, default=0)
+    p_att.add_argument("--seed", type=int, default=None,
+                       help="required with --mode sample")
     p_att.add_argument("--out", default=None)
     p_att.set_defaults(func=cmd_attack)
 

@@ -92,13 +92,10 @@ class Verdict:
 class SharedContext:
     """State of the world after the shared opening steps."""
 
-    mu: int
-    nu: int
     cc: TwoBits | None
     aa: TwoBits
     psi_prime_bit: int | None
     register: StateVector
-    transcript: Transcript
 
 
 @dataclass
@@ -282,7 +279,7 @@ def _chain_open(run: Run, mu: int, nu: int, payload: StateVector, *,
     if measure_receiver and not skip_relay:
         bit, state = measure_qubit(state, 4, run.born)
         run.local("3", receiver, "measure_moved", f"bit={bit}")
-    ctx = SharedContext(mu, nu, cc, aa, bit, state, run.transcript)
+    ctx = SharedContext(cc, aa, bit, state)
     return ctx, state
 
 
@@ -405,11 +402,7 @@ def ot_run(secret: int, bob_message: TwoBits | None = None, rng: Rng | None = No
         run, mu, nu, _payload_state(secret),
         measure_receiver=True, forced_cc=bob_message, forced_aa=forced_aa,
     )
-    dev = run.deviation("transform")
-    if dev is not None and dev.kind == "substitute_label":
-        state = apply_pauli(state, int(dev.value), 4)
-    else:
-        state = apply_pauli(state, ctx.cc.label, 4)
+    state = apply_pauli(state, ctx.cc.label, 4)
     run.local("4", "bob", "rekey", "label=private")
     run.send_qubit("4", "bob", "alice", "send_function_state")
 
@@ -563,7 +556,6 @@ def qss_run(secret, rng: Rng | None = None, *, mu: int = 0, nu: int = 0,
 
 def qds_run(message: Sequence[int], rng: Rng | None = None, *, mu: int = 0, nu: int = 0,
             forced=None, cheat: CheatStrategy | None = None,
-            split_exchange: bool = True,
             config: RunConfig | None = None) -> RunRecord:
     """Digital signature of a bit string, one chain instance per bit.
 
@@ -606,16 +598,8 @@ def qds_run(message: Sequence[int], rng: Rng | None = None, *, mu: int = 0, nu: 
         twin_bits.append(twin_bit)
 
     # split exchange of the two signature shares, ordering hidden from the sender
-    if split_exchange:
-        to_relay = sorted(
-            i for i in range(k) if run.shared_rng.bit() == 1
-        )
-        to_receiver = sorted(
-            i for i in range(k) if run.shared_rng.bit() == 1
-        )
-    else:
-        to_relay = list(range(k))
-        to_receiver = list(range(k))
+    to_relay = [i for i in range(k) if run.shared_rng.bit() == 1]
+    to_receiver = [i for i in range(k) if run.shared_rng.bit() == 1]
     run.tell("6", "bob", "charlie", "share_moved_bits",
              f"positions={to_relay} bits={[moved_bits[i] for i in to_relay]}")
     run.tell("6", "charlie", "bob", "share_relay_pairs",
@@ -623,14 +607,10 @@ def qds_run(message: Sequence[int], rng: Rng | None = None, *, mu: int = 0, nu: 
 
     dev = run.deviation("reveal")
     reveal_msg = list(message)
-    reveal_aa = list(aa_list)
     if dev is not None and dev.kind == "flip_message":
         reveal_msg[int(dev.value)] ^= 1
-    if dev is not None and dev.kind == "xor_aa":
-        pos, mask = dev.value
-        reveal_aa[pos] = reveal_aa[pos] ^ TwoBits.from_label(int(mask))
     run.tell("reveal", "alice", "bob", "reveal_message",
-             f"bits={reveal_msg} aa={[str(a) for a in reveal_aa]}")
+             f"bits={reveal_msg} aa={[str(a) for a in aa_list]}")
 
     missing_b = [i for i in range(k) if i not in to_receiver]
     if missing_b:
@@ -638,7 +618,7 @@ def qds_run(message: Sequence[int], rng: Rng | None = None, *, mu: int = 0, nu: 
                  f"positions={missing_b} pairs={[str(cc_list[i]) for i in missing_b]}")
     bob_bad = [
         i for i in range(k)
-        if moved_bits[i] != reveal_msg[i] ^ x_bit(infer_tau(reveal_aa[i], cc_list[i], mu, nu))
+        if moved_bits[i] != reveal_msg[i] ^ x_bit(infer_tau(aa_list[i], cc_list[i], mu, nu))
     ]
     run.values["bob_failed_positions"] = bob_bad
     if bob_bad:
@@ -650,12 +630,11 @@ def qds_run(message: Sequence[int], rng: Rng | None = None, *, mu: int = 0, nu: 
     run.values["bob"] = bob_verdict
 
     forward_msg = list(reveal_msg)
-    forward_aa = list(reveal_aa)
     fdev = run.deviation("forward")
     if fdev is not None and fdev.kind == "flip_message":
         forward_msg[int(fdev.value)] ^= 1
     run.tell("forward", "bob", "charlie", "forward_message",
-             f"bits={forward_msg} aa={[str(a) for a in forward_aa]}")
+             f"bits={forward_msg} aa={[str(a) for a in aa_list]}")
 
     missing_c = [i for i in range(k) if i not in to_relay]
     if missing_c:
@@ -663,8 +642,8 @@ def qds_run(message: Sequence[int], rng: Rng | None = None, *, mu: int = 0, nu: 
                  f"positions={missing_c} bits={[moved_bits[i] for i in missing_c]}")
     charlie_bad = [
         i for i in range(k)
-        if twin_bits[i] != forward_msg[i] ^ forward_aa[i].lo
-        or moved_bits[i] != forward_msg[i] ^ x_bit(infer_tau(forward_aa[i], cc_list[i], mu, nu))
+        if twin_bits[i] != forward_msg[i] ^ aa_list[i].lo
+        or moved_bits[i] != forward_msg[i] ^ x_bit(infer_tau(aa_list[i], cc_list[i], mu, nu))
     ]
     run.values["charlie_failed_positions"] = charlie_bad
     if charlie_bad:

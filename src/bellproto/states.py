@@ -45,14 +45,6 @@ TOL_EQ = 1e-12
 TOL_PSD = 1e-10
 _PROB_FLOOR = 1e-12
 
-CHAIN_PAYLOAD = 0
-CHAIN_SENDER_HALF = 1
-CHAIN_RELAY_MU_HALF = 2
-CHAIN_RELAY_NU_HALF = 3
-CHAIN_RECEIVER_HALF = 4
-CHAIN_SENDER_PAIR = (CHAIN_PAYLOAD, CHAIN_SENDER_HALF)
-CHAIN_RELAY_PAIR = (CHAIN_RELAY_MU_HALF, CHAIN_RELAY_NU_HALF)
-
 
 class MeasurementError(ValueError):
     """Raised when a forced outcome has (numerically) zero probability."""
@@ -65,8 +57,6 @@ class Rng:
     Derived streams (:meth:`derive`) are independent and reproducible,
     keyed by (seed, index); concurrent trials should each own one.
     """
-
-    algorithm = "pcg64"
 
     def __init__(self, seed: int, _spawn_key: tuple[int, ...] = ()):
         self.seed = int(seed)
@@ -231,6 +221,23 @@ def _checked_pair(state: StateVector, pair: tuple[int, int]) -> tuple[int, int]:
     return (i, j)
 
 
+def _choose_outcome(probs: np.ndarray, rng: Rng | None,
+                    force: int | TwoBits | None, what: str) -> int:
+    """The forced outcome (which must be possible), else the certain one,
+    else a Born draw from ``rng``."""
+    if force is not None:
+        index = force.label if isinstance(force, TwoBits) else int(force)
+        if probs[index] < _PROB_FLOOR:
+            raise MeasurementError(f"{what} {index} has probability {probs[index]:.3e}")
+        return index
+    if probs.max() > 1.0 - _PROB_FLOOR:
+        # deterministic outcome: no randomness consumed, keeps streams stable
+        return int(probs.argmax())
+    if rng is None:
+        raise ValueError("either rng or force is required")
+    return rng.choose(probs)
+
+
 def bsm(
     state: StateVector,
     pair: tuple[int, int],
@@ -249,17 +256,7 @@ def bsm(
     n = state.n_qubits
     comp = _pair_components(state.amplitudes, n, pair)
     probs = np.einsum("ij,ij->i", comp, comp.conj()).real
-    if force is not None:
-        label = force.label if isinstance(force, TwoBits) else int(force)
-        if probs[label] < _PROB_FLOOR:
-            raise MeasurementError(f"outcome {label} has probability {probs[label]:.3e}")
-    elif probs.max() > 1.0 - _PROB_FLOOR:
-        # deterministic outcome: no randomness consumed, keeps streams stable
-        label = int(probs.argmax())
-    else:
-        if rng is None:
-            raise ValueError("either rng or force is required")
-        label = rng.choose(probs)
+    label = _choose_outcome(probs, rng, force, "outcome")
     rest = comp[label] / np.sqrt(probs[label])
     post = np.outer(bell_vector(label), rest).reshape((2, 2) + (2,) * (n - 2))
     post = np.moveaxis(post, (0, 1), pair).reshape(-1)
@@ -278,16 +275,7 @@ def measure_qubit(
         raise IndexError(f"wire {wire} out of range")
     t = np.moveaxis(state.amplitudes.reshape((2,) * n), wire, 0).reshape(2, -1)
     probs = np.einsum("ij,ij->i", t, t.conj()).real
-    if force is not None:
-        bit = int(force)
-        if probs[bit] < _PROB_FLOOR:
-            raise MeasurementError(f"bit {bit} has probability {probs[bit]:.3e}")
-    elif probs.max() > 1.0 - _PROB_FLOOR:
-        bit = int(probs.argmax())
-    else:
-        if rng is None:
-            raise ValueError("either rng or force is required")
-        bit = rng.choose(probs)
+    bit = _choose_outcome(probs, rng, force, "bit")
     kept = np.zeros_like(t)
     kept[bit] = t[bit] / np.sqrt(probs[bit])
     post = np.moveaxis(kept.reshape((2,) * n), 0, wire).reshape(-1)

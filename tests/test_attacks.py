@@ -113,6 +113,28 @@ def test_unknown_strategy_raises():
         run_strategy(config_for("bc"), "does-not-exist")
 
 
+def _events(record):
+    return [(ev.step, ev.actor, ev.action, ev.payload) for ev in record.transcript.events]
+
+
+def test_every_catalog_variant_reaches_its_hook():
+    # a variant whose hook step or deviation kind no runner reads leaves every
+    # cell honest; for aa-phase-substitute (expected detection 0) only this
+    # test would notice
+    for (protocol, name), entry in sorted(CATALOG.items()):
+        if name == "null":
+            continue
+        config = config_for(protocol)
+        cells = list(enumeration_cells(config))
+        honest = [_events(run_cell(config, dict(cell), None, None)) for cell in cells]
+        for cheat in entry.variants(config):
+            changed = sum(
+                _events(run_cell(config, dict(cell), cheat, None)) != events
+                for cell, events in zip(cells, honest)
+            )
+            assert changed > 0, cheat.name
+
+
 def test_every_report_carries_the_scope_note():
     for name in strategies_for("bc"):
         report = run_strategy(config_for("bc"), name)

@@ -174,6 +174,12 @@ def _edited_transcript(tmp_path, old, new):
     return str(path)
 
 
+def _binary_file(tmp_path):
+    path = tmp_path / "bin.pwv1"
+    path.write_bytes(b"\xff\xfe\x00bad")
+    return str(path)
+
+
 BAD_INPUTS = {
     "tpsc-bad-pair": (lambda tmp: ["run", "--protocol", "tpsc", "--inputs", "1x,01",
                                    "--seed", "1"], EXIT_CONFIG),
@@ -196,6 +202,9 @@ BAD_INPUTS = {
                                   "--mode", "sample", "--samples", "0"], EXIT_CONFIG),
     "attack-negative-seed": (lambda tmp: ["attack", "--protocol", "bc", "--strategy", "null",
                                           "--mode", "sample", "--seed", "-1"], EXIT_CONFIG),
+    "attack-sample-without-seed": (lambda tmp: ["attack", "--protocol", "bc", "--strategy",
+                                                "null", "--mode", "sample", "--samples", "5"],
+                                   EXIT_CONFIG),
     "unknown-strategy": (lambda tmp: ["attack", "--protocol", "ot", "--strategy", "made-up"],
                          EXIT_CONFIG),
     "identities-out-missing-dir": (lambda tmp: ["identities", "--out",
@@ -214,6 +223,7 @@ BAD_INPUTS = {
         tmp, "config mu=0", "config mu=9")], EXIT_IO),
     "replay-bad-mode": (lambda tmp: ["replay", _edited_transcript(
         tmp, "config mode=sample:1", "config mode=forced:zz")], EXIT_IO),
+    "replay-not-utf8": (lambda tmp: ["replay", _binary_file(tmp)], EXIT_IO),
 }
 
 
