@@ -52,10 +52,10 @@ rec = ct_run(0, Rng(99))
 print(f"sampled toss (seed 99): coin={rec.values['coin']}, verdict={rec.verdict.outcome}\n")
 
 print("== oblivious transfer ==")
-rec = ot_run(1, TwoBits(1, 0), Rng(13))
+rec = ot_run(1, Rng(13), forced=(None, TwoBits(1, 0)))
 show(rec, "transfer run; receiver message/signature pair is its relay outcome")
 views = {
-    ot_run(1, cc, None, forced_aa=TwoBits(0, 1)).view("alice")
+    ot_run(1, None, forced=(TwoBits(0, 1), cc)).view("alice")
     for cc in ALL_PAIRS
 }
 print(f"\ndistinct sender views across all four receiver pairs: {len(views)}")

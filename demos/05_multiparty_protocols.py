@@ -50,8 +50,8 @@ print("receiver, so neither side can rewrite history alone.\n")
 print("== three-party computation ==")
 outcomes = {}
 for a_lab, b_lab in itertools.product(range(4), repeat=2):
-    rec = mpsc_run(TwoBits.from_label(a_lab), TwoBits.from_label(b_lab),
-                   TwoBits(1, 1), 1, None, forced_aa=TwoBits(0, 1), masks=(0, 0, 0))
+    rec = mpsc_run(TwoBits.from_label(a_lab), TwoBits.from_label(b_lab), 1, None,
+                   forced=(TwoBits(0, 1), TwoBits(1, 1)), masks=(0, 0, 0))
     outcomes[(a_lab, b_lab)] = rec.verdict.value
 print("announced f over all sender/receiver inputs (relay input fixed at 11):")
 for a_lab in range(4):
@@ -59,6 +59,6 @@ for a_lab in range(4):
     print(f"  sender label {a_lab}: {row}")
 print("columns with equal signature bits agree: f sees only the x bits.")
 
-rec = mpsc_run(TwoBits(1, 0), TwoBits(0, 1), None, 0, Rng(15))
+rec = mpsc_run(TwoBits(1, 0), TwoBits(0, 1), 0, Rng(15))
 print(f"\nsampled run: relay pair={rec.values['relay_pair']} f={rec.verdict.value} "
       f"verdict={rec.verdict.outcome}")

@@ -31,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import LABELS, TwoBits, pauli_matrix
+from .algebra import LABELS, pauli_matrix
 from .states import (
     DensityMatrix,
     Rng,
@@ -40,7 +40,7 @@ from .states import (
     qubit,
     trace_distance,
 )
-from .protocols import PROTOCOLS, CheatStrategy, Deviation, RunRecord, spec_for
+from .protocols import _ALL_PAIRS, PROTOCOLS, CheatStrategy, Deviation, RunRecord, spec_for
 from .transcript import RunConfig
 
 SCOPE_NOTE = (
@@ -48,8 +48,6 @@ SCOPE_NOTE = (
     "(per-step operator substitutions, classical bit flips, skips, withholds); "
     "adversaries with entangled ancillas or cross-run memory are out of scope"
 )
-
-_ALL_PAIRS = tuple(TwoBits.from_label(lab) for lab in LABELS)
 
 
 @dataclass(frozen=True)
@@ -316,14 +314,9 @@ def view_distance(protocol: str, observer: str, *, vary: str,
 
 def _view_config(protocol: str, kwargs: dict) -> RunConfig:
     """Build the enumeration config for view comparisons."""
-    known = {
-        "secret": str(kwargs.get("secret", 0)),
-        "inputs": kwargs.get("inputs", ""),
-        "mu": kwargs.get("mu", 0),
-        "nu": kwargs.get("nu", 0),
-        "k": kwargs.get("k", 1),
-    }
-    return RunConfig(protocol=protocol, mode="enumerate", **known)
+    return spec_for(protocol).config(
+        secret=str(kwargs.get("secret", 0)), inputs=kwargs.get("inputs", ""),
+        mu=kwargs.get("mu", 0), nu=kwargs.get("nu", 0), mode="enumerate")
 
 
 # --- one-time-pad certification ----------------------------------------------

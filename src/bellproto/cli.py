@@ -11,15 +11,17 @@ plus 2 for configuration/usage errors and 4 for I/O problems, each with one
 ``error:`` line on stderr.  Exit 2 covers an unknown protocol, strategy or
 fault, a malformed ``--secret`` (including ``q:`` amplitudes that are not
 four numbers or not normalised) or ``--inputs``, a channel label outside
-0..3, a negative ``--seed``, ``--samples`` below 1 and ``attack --mode
-sample`` without ``--seed``.  Exit 4 covers a file that cannot be read or
-written (any ``--out``) and a transcript that is not UTF-8, does not parse
-or has a configuration no protocol accepts.  Without ``--inputs`` tpsc runs
-with ``00,00`` and mpsc with ``00,00,--`` (the relay's pair left to its Bell
-outcome).  Every subcommand is deterministic given its flags: ``run`` and
-``attack --mode sample`` require an explicit ``--seed``, while ``attack``
-enumeration draws nothing and needs none.  Enumeration cells run in a fixed
-serial order, so outputs are byte-stable.
+0..3, a value the protocol never reads (``--inputs`` for bc/ct/qss/qds, a
+non-zero ``--mu``/``--nu`` for ct/ot), a negative ``--seed``, ``--samples``
+below 1 and ``attack --mode sample`` without ``--seed``.  Exit 4 covers a
+file that cannot be read or written (any ``--out``) and a transcript that
+is not UTF-8, does not parse or has a configuration no protocol accepts.
+Without ``--inputs`` tpsc runs with ``00,00`` and mpsc with ``00,00,--``
+(the relay's pair left to its Bell outcome).  Every subcommand is
+deterministic given its flags: ``run`` and ``attack --mode sample`` require
+an explicit ``--seed``, while ``attack`` enumeration draws nothing and needs
+none.  Enumeration cells run in a fixed serial order, so outputs are
+byte-stable.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from .attacks import (
     strategies_for,
 )
 from .identities import format_suite, run_identity_suite
-from .protocols import PROTOCOLS, ConfigError, run_from_config, spec_for
+from .protocols import PROTOCOLS, ConfigError, cell_label, run_from_config, spec_for
 from .transcript import FORMAT_VERSION, RunConfig, first_divergence, parse_transcript
 
 EXIT_OK = 0
@@ -79,27 +81,6 @@ def _config(args, mode: str, strategy: str = "") -> RunConfig:
     return config
 
 
-def _cell_description(cell: dict) -> str:
-    parts = []
-    if "forced" in cell:
-        forced = cell["forced"]
-        if isinstance(forced, list):
-            forced = forced[0]
-        aa, cc = forced
-        parts.append(f"aa={aa}")
-        if cc is not None:
-            parts.append(f"cc={cc}")
-    if "forced_aa" in cell:
-        parts.append(f"aa={cell['forced_aa']}")
-    if "bob_message" in cell:
-        parts.append(f"cc={cell['bob_message']}")
-    if "charlie_input" in cell:
-        parts.append(f"cc={cell['charlie_input']}")
-    if "masks" in cell:
-        parts.append("masks=" + "".join(str(m) for m in cell["masks"]))
-    return " ".join(parts)
-
-
 def _enumerate_rows(config: RunConfig) -> tuple[list[str], bool]:
     row_extra = spec_for(config.protocol).row_extra
     rows = []
@@ -107,7 +88,7 @@ def _enumerate_rows(config: RunConfig) -> tuple[list[str], bool]:
     for cell in enumeration_cells(config):
         rec = run_cell(config, cell, None, None)
         verdict = rec.verdict
-        row = f"{_cell_description(cell)} verdict={verdict.outcome}"
+        row = f"{cell_label(cell)} verdict={verdict.outcome}"
         if verdict.accepted and verdict.value:
             row += f" value={verdict.value}"
         row += row_extra(rec)

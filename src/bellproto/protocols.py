@@ -11,7 +11,11 @@ parties.
 Every run is driven either by sampled Bell outcomes (seeded, reproducible)
 or by forced outcomes (post-selection; every Bell outcome here has
 probability exactly 1/4, so forcing is sound and lets the verification
-suites enumerate the full outcome space instead of sampling it).  All
+suites enumerate the full outcome space instead of sampling it).  Every
+runner forces a cell the same way, ``forced=(aa, cc)``: the sender's and
+the relay's outcome pairs, either of which may be None (drawn).  For ot
+and mpsc ``cc`` is the receiver's or the relay's input pair; qds takes one
+cell per chain, and tpsc and mpsc also take their private ``masks``.  All
 classical and quantum traffic is logged to a transcript with per-event
 visibility, from which each party's view is reconstructed for the
 information-hiding checks.
@@ -26,7 +30,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -187,22 +191,12 @@ def _payload_state(secret) -> StateVector:
     raise ValueError(f"secret must be a bit or a 1-qubit state, got {secret!r}")
 
 
-def _forced_pair(forced) -> tuple[TwoBits | None, TwoBits | None]:
-    if forced is None:
-        return None, None
-    aa, cc = forced
-    return aa, cc
-
-
 def _mode_string(forced) -> str:
     if forced is None:
         return "sample:1"
     cells = forced if isinstance(forced, list) else [forced]
-    parts = []
-    for cell in cells:
-        aa, cc = _forced_pair(cell)
-        parts.append(f"{aa if aa is not None else '--'}:{cc if cc is not None else '--'}")
-    return "forced:" + ",".join(parts)
+    return "forced:" + ",".join(
+        f"{aa if aa is not None else '--'}:{cc if cc is not None else '--'}" for aa, cc in cells)
 
 
 def parse_forced(mode: str):
@@ -216,6 +210,16 @@ def parse_forced(mode: str):
         cc = None if cc_s == "--" else TwoBits.parse(cc_s)
         cells.append((aa, cc))
     return cells
+
+
+def cell_label(cell: dict) -> str:
+    """Enumeration-table label of a forced cell: ``aa=.. cc=.. masks=..``."""
+    forced = cell["forced"]
+    aa, cc = forced[0] if isinstance(forced, list) else forced
+    parts = [f"aa={aa}"] + ([f"cc={cc}"] if cc is not None else [])
+    if "masks" in cell:
+        parts.append("masks=" + "".join(map(str, cell["masks"])))
+    return " ".join(parts)
 
 
 def _make_config(protocol, mu, nu, secret, inputs, k, rng, forced, cheat) -> RunConfig:
@@ -233,8 +237,7 @@ def _make_config(protocol, mu, nu, secret, inputs, k, rng, forced, cheat) -> Run
 
 
 def _chain_open(run: Run, mu: int, nu: int, payload: StateVector, *,
-                measure_receiver: bool,
-                forced_cc: TwoBits | None, forced_aa: TwoBits | None,
+                measure_receiver: bool, forced=None,
                 nu_secret_of: str | None = None,
                 sender_pre_label: int | None = None,
                 skip_relay: bool = False):
@@ -245,14 +248,17 @@ def _chain_open(run: Run, mu: int, nu: int, payload: StateVector, *,
        payload) measures (0, 1), moving the payload to the receiver wire,
     3. the receiver measures its wire when the payload is classical.
 
-    Returns (context, register).  ``nu_secret_of`` restricts who sees the
-    receiver-side channel label.  ``skip_relay`` models a relay that
-    withholds its measurement: the sender's measurement then moves the
-    payload onto the relay's wire 2 instead of the receiver's wire 4.
+    Returns (context, register).  ``forced`` is the (aa, cc) cell to force;
+    it, or either half, may be None (drawn from the Born rule).
+    ``nu_secret_of`` restricts who sees the receiver-side channel label.
+    ``skip_relay`` models a relay that withholds its measurement: the
+    sender's measurement then moves the payload onto the relay's wire 2
+    instead of the receiver's wire 4.
     """
     sender = run.cast["A"]
     receiver = run.cast["B"]
     relay = run.cast["C"]
+    forced_aa, forced_cc = forced or (None, None)
     state = chain_register(mu, nu, payload)
     run.announce("setup", sender, "channel_sender_relay", f"mu={mu}")
     if nu_secret_of is None:
@@ -297,13 +303,12 @@ def bc_run(secret: int, rng: Rng | None = None, *, mu: int = 0, nu: int = 0,
     on the revealed (bit, outcome-pair) claim; the Z bit of the claim is a
     global phase on the commitment qubit and is logged as unverifiable.
     """
-    forced_aa, forced_cc = _forced_pair(forced)
     config = config or _make_config("bc", mu, nu, secret, "", 1, rng, forced, cheat)
     run = Run(config, rng, cheat)
     run.local("setup", "alice", "payload", f"bit={secret}")
     ctx, state = _chain_open(
         run, mu, nu, _payload_state(secret),
-        measure_receiver=True, forced_cc=forced_cc, forced_aa=forced_aa,
+        measure_receiver=True, forced=forced,
         nu_secret_of="bob",
     )
     # commitment twin: the payload bit masked by the sender's outcome pair
@@ -348,13 +353,12 @@ def ct_run(secret: int, rng: Rng | None = None, *, forced=None,
     the measurement randomness.
     """
     mu = nu = 0
-    forced_aa, forced_cc = _forced_pair(forced)
     config = config or _make_config("ct", mu, nu, secret, "", 1, rng, forced, cheat)
     run = Run(config, rng, cheat)
     run.local("setup", "alice", "payload", f"bit={secret}")
     ctx, state = _chain_open(
         run, mu, nu, _payload_state(secret),
-        measure_receiver=True, forced_cc=forced_cc, forced_aa=forced_aa,
+        measure_receiver=True, forced=forced,
     )
     dev = run.deviation("transform")
     if dev is not None and dev.kind == "fresh_qubit":
@@ -380,27 +384,27 @@ def ct_run(secret: int, rng: Rng | None = None, *, forced=None,
     return run.record(run.verdict("alice", Verdict("reject", reason="invalid")))
 
 
-def ot_run(secret: int, bob_message: TwoBits | None = None, rng: Rng | None = None, *,
-           forced_aa: TwoBits | None = None, cheat: CheatStrategy | None = None,
+def ot_run(secret: int, rng: Rng | None = None, *, forced=None,
+           cheat: CheatStrategy | None = None,
            config: RunConfig | None = None) -> RunRecord:
     """Oblivious transfer flavour of the coin-toss dataflow.
 
     The announced state travels privately to the sender.  The receiver's
-    (message, signature) pair is realised by its relay outcome (forcing
-    it selects the cell in enumerate mode) and rides the Z exponent of
-    the re-keying operator, so the sender's verified view is identical for
-    both message values and the sender learns the message with probability
-    no better than a blind guess.
+    (message, signature) pair is realised by its relay outcome ``cc``
+    (``forced[1]``; forcing it selects the receiver's input) and rides the
+    Z exponent of the re-keying operator, so the sender's verified view is
+    identical for both message values and the sender learns the message
+    with probability no better than a blind guess.
     """
     mu = nu = 0
-    forced = None if bob_message is None and forced_aa is None else (forced_aa, bob_message)
+    bob_message = forced[1] if forced else None
     inputs = str(bob_message) if bob_message is not None else ""
     config = config or _make_config("ot", mu, nu, secret, inputs, 1, rng, forced, cheat)
     run = Run(config, rng, cheat)
     run.local("setup", "alice", "payload", f"bit={secret}")
     ctx, state = _chain_open(
         run, mu, nu, _payload_state(secret),
-        measure_receiver=True, forced_cc=bob_message, forced_aa=forced_aa,
+        measure_receiver=True, forced=forced,
     )
     state = apply_pauli(state, ctx.cc.label, 4)
     run.local("4", "bob", "rekey", "label=private")
@@ -436,7 +440,6 @@ def tpsc_run(alice_input: TwoBits, bob_input: TwoBits, public_bit: int,
     """
     inputs = f"{alice_input},{bob_input}"
     config = config or _make_config("tpsc", mu, nu, public_bit, inputs, 1, rng, forced, cheat)
-    forced_aa, forced_cc = _forced_pair(forced)
     run = Run(config, rng, cheat)
     mask_a, mask_b = masks if masks is not None else (
         run.party_rng["alice"].bit(), run.party_rng["bob"].bit())
@@ -446,7 +449,7 @@ def tpsc_run(alice_input: TwoBits, bob_input: TwoBits, public_bit: int,
     run.local("2", "alice", "mask_choice", f"mask={mask_a}")
     ctx, state = _chain_open(
         run, mu, nu, _payload_state(public_bit),
-        measure_receiver=False, forced_cc=forced_cc, forced_aa=forced_aa,
+        measure_receiver=False, forced=forced,
         sender_pre_label=label_a,
     )
     # the sender's outcome-keyed copy of her masked input, sent alongside
@@ -507,7 +510,6 @@ def qss_run(secret, rng: Rng | None = None, *, mu: int = 0, nu: int = 0,
     payload = _payload_state(secret)
     classical = not isinstance(secret, StateVector)
     secret_text = str(secret) if classical else _encode_qubit(payload)
-    forced_aa, forced_cc = _forced_pair(forced)
     config = config or _make_config("qss", mu, nu, secret_text, "", 1, rng, forced, cheat)
     run = Run(config, rng, cheat)
     run.local("setup", "alice", "payload", f"value={secret_text}")
@@ -516,7 +518,7 @@ def qss_run(secret, rng: Rng | None = None, *, mu: int = 0, nu: int = 0,
     skip = dev is not None and dev.kind == "skip"
     ctx, state = _chain_open(
         run, mu, nu, payload,
-        measure_receiver=False, forced_cc=forced_cc, forced_aa=forced_aa,
+        measure_receiver=False, forced=forced,
         skip_relay=skip,
     )
     run.tell("auth", "bob", "alice", "ack_holding_qubit", "token")
@@ -583,11 +585,8 @@ def qds_run(message: Sequence[int], rng: Rng | None = None, *, mu: int = 0, nu: 
     moved_bits: list[int] = []
     twin_bits: list[int] = []
     for i, bit in enumerate(message):
-        forced_aa, forced_cc = _forced_pair(forced_cells[i])
-        ctx, state = _chain_open(
-            run, mu, nu, _payload_state(bit),
-            measure_receiver=True, forced_cc=forced_cc, forced_aa=forced_aa,
-        )
+        ctx, state = _chain_open(run, mu, nu, _payload_state(bit),
+                                 measure_receiver=True, forced=forced_cells[i])
         aa_list.append(ctx.aa)
         cc_list.append(ctx.cc)
         moved_bits.append(ctx.psi_prime_bit)
@@ -656,23 +655,22 @@ def qds_run(message: Sequence[int], rng: Rng | None = None, *, mu: int = 0, nu: 
     return run.record(overall)
 
 
-def mpsc_run(alice_input: TwoBits, bob_input: TwoBits,
-             charlie_input: TwoBits | None, public_bit: int,
+def mpsc_run(alice_input: TwoBits, bob_input: TwoBits, public_bit: int,
              rng: Rng | None = None, *, mu: int = 0, nu: int = 0,
-             forced_aa: TwoBits | None = None,
-             masks: tuple[int, int, int] | None = None,
+             forced=None, masks: tuple[int, int, int] | None = None,
              cheat: CheatStrategy | None = None,
              config: RunConfig | None = None) -> RunRecord:
     """Three-party computation over a public payload bit.
 
     The relay's (message, signature) input is realised by its own Bell
-    outcome (forced in enumerate mode).  The sender announces her outcome
-    pair immediately; the output bit is announced by the relay, everyone
-    announces signature bits and every party verifies the announced output
-    against the X-parity relation it implies.
+    outcome ``cc`` (``forced[1]``; forcing it selects the relay's input).
+    The sender announces her outcome pair immediately; the output bit is
+    announced by the relay, everyone announces signature bits and every
+    party verifies the announced output against the X-parity relation it
+    implies.
     """
+    charlie_input = forced[1] if forced else None
     inputs = f"{alice_input},{bob_input},{charlie_input if charlie_input else '--'}"
-    forced = None if forced_aa is None and charlie_input is None else (forced_aa, charlie_input)
     config = config or _make_config("mpsc", mu, nu, public_bit, inputs, 1, rng, forced, cheat)
     run = Run(config, rng, cheat)
     mask_a, mask_b, mask_c = masks if masks is not None else (
@@ -684,7 +682,7 @@ def mpsc_run(alice_input: TwoBits, bob_input: TwoBits,
     run.local("2", "alice", "mask_choice", f"mask={mask_a}")
     ctx, state = _chain_open(
         run, mu, nu, _payload_state(public_bit),
-        measure_receiver=False, forced_cc=charlie_input, forced_aa=forced_aa,
+        measure_receiver=False, forced=forced,
         sender_pre_label=label_a,
     )
     run.announce("2", "alice", "announce_sender_pair", f"aa={ctx.aa}")
@@ -726,7 +724,6 @@ def mpsc_run(alice_input: TwoBits, bob_input: TwoBits,
 # --- protocol specs: one description per protocol ------------------------------
 
 _ALL_PAIRS = tuple(TwoBits.from_label(lab) for lab in LABELS)
-_OUTCOME_CELLS = tuple(itertools.product(_ALL_PAIRS, repeat=2))
 _TWO_PARTY = {"A": "alice", "B": "bob", "C": "bob"}
 _THREE_PARTY = {"A": "alice", "B": "bob", "C": "charlie"}
 _QSS_SECRET_HELP = ("qss needs --secret 0, 1, q (seeded random qubit) or "
@@ -739,17 +736,19 @@ class ProtocolSpec:
 
     Who plays each station, how a configuration becomes runner arguments
     (``parse``, which raises ConfigError with a user-facing message on a bad
-    value), which forced cells exhaust its outcome space (``cells``, given
-    the parsed arguments) and what its enumeration table rows add.
+    value), which configuration fields it never reads (``ignores``; they
+    must stay unset), how many private mask bits its forced cells fix and
+    what its enumeration table rows add.
     """
 
     name: str
     cast: Mapping[str, str]
     parse: Callable[[RunConfig, Rng | None], dict]
-    cells: Callable[[dict], Iterable[dict]]
     row_extra: Callable[[RunRecord], str] = lambda record: ""
     default_inputs: str = ""
     k_from_secret: bool = False  # qds runs one chain per message bit
+    masks: int = 0
+    ignores: tuple[str, ...] = ()
 
     @property
     def runner(self) -> Callable[..., RunRecord]:
@@ -769,9 +768,27 @@ class ProtocolSpec:
             raise ConfigError("channel labels must be in 0..3")
         if config.seed < 0:
             raise ConfigError("seed must be >= 0")
+        for field in self.ignores:
+            if getattr(config, field):
+                raise ConfigError(f"{self.name} does not use --{field} "
+                                  f"(got {getattr(config, field)!r})")
         if not config.inputs and self.default_inputs:
             config = replace(config, inputs=self.default_inputs)
         return self.parse(config, rng)
+
+    def cells(self, kwargs: dict) -> Iterator[dict]:
+        """Runner kwargs of every forced cell, given the parsed arguments.
+
+        The order is aa, then cc, then the masks.  A cc the parsed ``forced``
+        already fixes (ot's receiver pair, mpsc's relay pair) stays pinned;
+        qds forces the same pair on every chain.
+        """
+        fixed = None if self.k_from_secret else kwargs["forced"]
+        ccs = _ALL_PAIRS if fixed is None or fixed[1] is None else (fixed[1],)
+        for aa, cc in itertools.product(_ALL_PAIRS, ccs):
+            forced = [(aa, cc)] * len(kwargs["message"]) if self.k_from_secret else (aa, cc)
+            for masks in itertools.product((0, 1), repeat=self.masks):
+                yield {"forced": forced, "masks": masks} if masks else {"forced": forced}
 
 
 def _bit_secret(config: RunConfig) -> int:
@@ -818,14 +835,16 @@ def _qss_secret(config: RunConfig, rng: Rng | None):
     raise ConfigError(_QSS_SECRET_HELP)
 
 
+def _cell_or_none(aa: TwoBits | None, cc: TwoBits | None):
+    """The forced cell (aa, cc); None, a sampled run, when neither half is fixed."""
+    return None if aa is None and cc is None else (aa, cc)
+
+
 def _ot_args(config: RunConfig, rng: Rng | None) -> dict:
-    forced_aa, forced_cc = _first_forced(config) or (None, None)
-    bob_message = forced_cc
-    if bob_message is None and config.inputs:
-        [bob_message] = _pairs(config.inputs, 1,
-                               "ot takes --inputs as the receiver pair, e.g. 01")
-    return {"secret": _bit_secret(config), "bob_message": bob_message,
-            "forced_aa": forced_aa}
+    aa, cc = _first_forced(config) or (None, None)
+    if cc is None and config.inputs:
+        [cc] = _pairs(config.inputs, 1, "ot takes --inputs as the receiver pair, e.g. 01")
+    return {"secret": _bit_secret(config), "forced": _cell_or_none(aa, cc)}
 
 
 def _tpsc_args(config: RunConfig, rng: Rng | None) -> dict:
@@ -846,44 +865,9 @@ def _mpsc_args(config: RunConfig, rng: Rng | None) -> dict:
     alice, bob, charlie = _pairs(config.inputs, 3,
                                  "mpsc needs --inputs like 10,01,11 (one pair per party)",
                                  open_last=True)
-    one = _first_forced(config)
-    return {"alice_input": alice, "bob_input": bob, "charlie_input": charlie,
-            "public_bit": _bit_secret(config), "mu": config.mu, "nu": config.nu,
-            "forced_aa": one[0] if one else None}
-
-
-def _outcome_cells(kwargs: dict):
-    for cell in _OUTCOME_CELLS:
-        yield {"forced": cell}
-
-
-def _ot_cells(kwargs: dict):
-    # an explicit receiver pair pins that axis
-    fixed = kwargs["bob_message"]
-    for aa in _ALL_PAIRS:
-        for cc in ([fixed] if fixed is not None else _ALL_PAIRS):
-            yield {"forced_aa": aa, "bob_message": cc}
-
-
-def _tpsc_cells(kwargs: dict):
-    for cell in _OUTCOME_CELLS:
-        for masks in itertools.product((0, 1), repeat=2):
-            yield {"forced": cell, "masks": masks}
-
-
-def _qds_cells(kwargs: dict):
-    k = len(kwargs["message"])
-    for cell in _OUTCOME_CELLS:
-        yield {"forced": [cell] * k}
-
-
-def _mpsc_cells(kwargs: dict):
-    # an explicit relay pair pins that axis
-    fixed = kwargs["charlie_input"]
-    for aa in _ALL_PAIRS:
-        for cc in ([fixed] if fixed is not None else _ALL_PAIRS):
-            for masks in itertools.product((0, 1), repeat=3):
-                yield {"forced_aa": aa, "charlie_input": cc, "masks": masks}
+    aa, _cc = _first_forced(config) or (None, None)
+    return {"alice_input": alice, "bob_input": bob, "public_bit": _bit_secret(config),
+            "mu": config.mu, "nu": config.nu, "forced": _cell_or_none(aa, charlie)}
 
 
 def _output_extra(record: RunRecord) -> str:
@@ -893,21 +877,22 @@ def _output_extra(record: RunRecord) -> str:
 SPECS: dict[str, ProtocolSpec] = {spec.name: spec for spec in (
     ProtocolSpec("bc", _TWO_PARTY,
                  lambda c, rng: {"secret": _bit_secret(c), **_chain_args(c)},
-                 _outcome_cells),
+                 ignores=("inputs",)),
+    # ct and ot run over the publicly fixed chain (0, 0)
     ProtocolSpec("ct", _TWO_PARTY,
                  lambda c, rng: {"secret": _bit_secret(c), "forced": _first_forced(c)},
-                 _outcome_cells,
-                 row_extra=lambda record: f" coin={record.values['coin']}"),
-    ProtocolSpec("ot", _TWO_PARTY, _ot_args, _ot_cells),
-    ProtocolSpec("tpsc", _TWO_PARTY, _tpsc_args, _tpsc_cells,
-                 row_extra=_output_extra, default_inputs="00,00"),
+                 row_extra=lambda record: f" coin={record.values['coin']}",
+                 ignores=("mu", "nu", "inputs")),
+    ProtocolSpec("ot", _TWO_PARTY, _ot_args, ignores=("mu", "nu")),
+    ProtocolSpec("tpsc", _TWO_PARTY, _tpsc_args,
+                 row_extra=_output_extra, default_inputs="00,00", masks=2),
     ProtocolSpec("qss", _THREE_PARTY,
                  lambda c, rng: {"secret": _qss_secret(c, rng), **_chain_args(c)},
-                 _outcome_cells,
-                 row_extra=lambda record: f" fidelity={record.values['fidelity']:.12f}"),
-    ProtocolSpec("qds", _THREE_PARTY, _qds_args, _qds_cells, k_from_secret=True),
-    ProtocolSpec("mpsc", _THREE_PARTY, _mpsc_args, _mpsc_cells,
-                 row_extra=_output_extra, default_inputs="00,00,--"),
+                 row_extra=lambda record: f" fidelity={record.values['fidelity']:.12f}",
+                 ignores=("inputs",)),
+    ProtocolSpec("qds", _THREE_PARTY, _qds_args, k_from_secret=True, ignores=("inputs",)),
+    ProtocolSpec("mpsc", _THREE_PARTY, _mpsc_args,
+                 row_extra=_output_extra, default_inputs="00,00,--", masks=3),
 )}
 
 PROTOCOLS = tuple(SPECS)

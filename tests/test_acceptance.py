@@ -152,7 +152,7 @@ def test_c5_honest_completeness_exhaustive():
         for aa, cc in ALL_CELLS:
             assert bc_run(secret, None, forced=(aa, cc)).verdict.accepted
             assert ct_run(secret, None, forced=(aa, cc)).verdict.accepted
-            assert ot_run(secret, cc, None, forced_aa=aa).verdict.accepted
+            assert ot_run(secret, None, forced=(aa, cc)).verdict.accepted
             assert qss_run(secret, None, forced=(aa, cc)).verdict.accepted
             runs += 4
     for public in (0, 1):
@@ -172,8 +172,8 @@ def test_c5_honest_completeness_exhaustive():
         for a_lab, b_lab, c_lab in itertools.product(LABELS, repeat=3):
             for aa in ALL_PAIRS:
                 rec = mpsc_run(TwoBits.from_label(a_lab), TwoBits.from_label(b_lab),
-                               TwoBits.from_label(c_lab), public, None,
-                               forced_aa=aa, masks=(0, 1, 1))
+                               public, None, forced=(aa, TwoBits.from_label(c_lab)),
+                               masks=(0, 1, 1))
                 assert rec.verdict.accepted
                 runs += 1
     report(f"C5 honest completeness on 100% of {runs} enumerated runs")
@@ -290,7 +290,7 @@ def test_c9_computation_agreement_with_oracle():
             b_in = TwoBits.from_label(b_lab)
             c_in = TwoBits.from_label(c_lab)
             for aa in ALL_PAIRS:
-                rec = mpsc_run(a_in, b_in, c_in, public, None, forced_aa=aa,
+                rec = mpsc_run(a_in, b_in, public, None, forced=(aa, c_in),
                                masks=(1, 1, 0))
                 tau = infer_tau(aa, c_in, 0, 0)
                 expected = oracle_bit(

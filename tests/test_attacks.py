@@ -15,7 +15,7 @@ from bellproto.attacks import (
     strategies_for,
     view_distance,
 )
-from bellproto.protocols import bc_run
+from bellproto.protocols import bc_run, spec_for
 from bellproto.transcript import RunConfig
 
 
@@ -251,13 +251,37 @@ def test_pad_validates_arguments():
 # --- enumeration plumbing ----------------------------------------------------------
 
 
+CELL_CASES = (  # protocol, inputs, the cc its inputs pin (or None), cell count
+    ("bc", "", None, 16),
+    ("ct", "", None, 16),
+    ("ot", "", None, 16),
+    ("ot", "10", "10", 4),
+    ("tpsc", "10,01", None, 64),
+    ("qss", "", None, 16),
+    ("qds", "", None, 16),
+    ("mpsc", "10,01,11", "11", 32),
+    ("mpsc", "10,01,--", None, 128),
+)
+
+
 def test_enumeration_cell_counts():
-    assert len(list(enumeration_cells(config_for("bc")))) == 16
-    assert len(list(enumeration_cells(config_for("tpsc")))) == 64
-    assert len(list(enumeration_cells(config_for("mpsc")))) == 32  # relay pair pinned by inputs
-    open_relay = config_for("mpsc", inputs="10,01,--")
-    assert len(list(enumeration_cells(open_relay))) == 128
-    assert len(list(enumeration_cells(config_for("qds")))) == 16
+    for protocol, inputs, pinned, count in CELL_CASES:
+        spec = spec_for(protocol)
+        cells = list(enumeration_cells(config_for(protocol, inputs=inputs)))
+        assert len(cells) == count, protocol
+        keys = set()
+        for cell in cells:
+            forced = cell["forced"]
+            pairs = forced if isinstance(forced, list) else [forced]
+            assert len(set(pairs)) == 1  # qds forces the same pair on every chain
+            aa, cc = pairs[0]
+            assert aa is not None and cc is not None
+            if pinned is not None:
+                assert cc == TwoBits.parse(pinned)
+            masks = cell.get("masks", ())
+            assert len(masks) == spec.masks
+            keys.add((aa, cc, masks))
+        assert len(keys) == count, f"{protocol} repeats a cell"
 
 
 def test_run_cell_matches_direct_call():

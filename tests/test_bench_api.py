@@ -1,0 +1,40 @@
+"""The benchmark's calls into bellproto still work.
+
+``bench/workloads.py`` drives the package through names the rest of the
+suite does not pin (``attacks._view_config``, ``enumeration_cells``,
+``run_cell``, the CLI flags it builds), so a change that breaks one of
+them would otherwise show only as a failed benchmark run.  Each workload
+runs one tiny pass here and must report no failed check.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from conftest import child_env
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+@pytest.fixture
+def workloads(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    import workloads
+
+    return workloads
+
+
+@pytest.mark.parametrize("name", ("enumerate-sweep", "sample-replay"))
+def test_in_process_workload_pass_has_no_failed_check(workloads, name, tmp_path):
+    ops = workloads.Ops()
+    result = workloads.make(name, 1, True, tmp_path, child_env()).run_pass(0, ops)
+    assert result.units > 0
+    assert ops.attempted > 0 and ops.failed == 0
+
+
+def test_cli_mix_commands_pass_in_process_for_every_protocol(workloads, tmp_path):
+    mix = workloads.make("cli-mix", 1, True, tmp_path, child_env())
+    ops = workloads.Ops()
+    for index in range(mix.cycle):  # one pass per protocol
+        mix.trace_pass(index, ops)
+    assert ops.attempted > 0 and ops.failed == 0

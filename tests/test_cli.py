@@ -166,9 +166,9 @@ def test_main_in_process_identities():
     assert main(["identities"]) == EXIT_OK
 
 
-def _edited_transcript(tmp_path, old, new):
+def _edited_transcript(tmp_path, old, new, protocol="bc"):
     path = tmp_path / "edited.pwv1"
-    assert main(["run", "--protocol", "bc", "--secret", "1", "--seed", "3",
+    assert main(["run", "--protocol", protocol, "--secret", "1", "--seed", "3",
                  "--out", str(path)]) == EXIT_OK
     path.write_text(path.read_text().replace(old, new, 1))
     return str(path)
@@ -224,6 +224,23 @@ BAD_INPUTS = {
     "replay-bad-mode": (lambda tmp: ["replay", _edited_transcript(
         tmp, "config mode=sample:1", "config mode=forced:zz")], EXIT_IO),
     "replay-not-utf8": (lambda tmp: ["replay", _binary_file(tmp)], EXIT_IO),
+    # values a protocol never reads are rejected, not written into the transcript
+    "ct-channel-labels": (lambda tmp: ["run", "--protocol", "ct", "--mu", "2", "--nu", "3",
+                                       "--seed", "1"], EXIT_CONFIG),
+    "ot-channel-label": (lambda tmp: ["attack", "--protocol", "ot", "--strategy", "null",
+                                      "--nu", "1"], EXIT_CONFIG),
+    "bc-inputs": (lambda tmp: ["run", "--protocol", "bc", "--inputs", "01", "--seed", "1"],
+                  EXIT_CONFIG),
+    "ct-inputs": (lambda tmp: ["run", "--protocol", "ct", "--inputs", "01", "--seed", "1",
+                               "--mode", "enumerate"], EXIT_CONFIG),
+    "qss-inputs": (lambda tmp: ["attack", "--protocol", "qss", "--strategy", "null",
+                                "--inputs", "01"], EXIT_CONFIG),
+    "qds-inputs": (lambda tmp: ["run", "--protocol", "qds", "--secret", "10", "--inputs", "zz",
+                                "--seed", "1"], EXIT_CONFIG),
+    "replay-ct-channel-label": (lambda tmp: ["replay", _edited_transcript(
+        tmp, "config mu=0", "config mu=2", protocol="ct")], EXIT_IO),
+    "replay-bc-inputs": (lambda tmp: ["replay", _edited_transcript(
+        tmp, "config inputs=", "config inputs=01")], EXIT_IO),
 }
 
 

@@ -44,16 +44,16 @@ def oracle_bit(operator_labels, payload_bit):
 # --- shared opening steps -----------------------------------------------------
 
 
-def common_steps(mu, nu, payload, rng, measure_b=True, *, forced_cc=None, forced_aa=None):
+def common_steps(mu, nu, payload, rng, measure_b=True, *, forced=None):
     """The opening steps every protocol shares, run on their own (three-party cast)."""
     run = Run(RunConfig(protocol="qss", mu=mu, nu=nu), rng)
     ctx, _state = _chain_open(run, mu, nu, _payload_state(payload), measure_receiver=measure_b,
-                              forced_cc=forced_cc, forced_aa=forced_aa)
+                              forced=forced)
     return ctx
 
 
 def test_common_steps_identity_cell_keeps_bit():
-    ctx = common_steps(0, 0, 0, None, True, forced_aa=TwoBits(0, 0), forced_cc=TwoBits(0, 0))
+    ctx = common_steps(0, 0, 0, None, True, forced=(TwoBits(0, 0), TwoBits(0, 0)))
     assert ctx.psi_prime_bit == 0
     assert ctx.aa == TwoBits(0, 0) and ctx.cc == TwoBits(0, 0)
 
@@ -61,7 +61,7 @@ def test_common_steps_identity_cell_keeps_bit():
 @pytest.mark.parametrize("payload_bit", (0, 1))
 def test_common_steps_moved_bit_is_x_parity(payload_bit):
     for aa, cc in ALL_CELLS:
-        ctx = common_steps(0, 0, payload_bit, None, True, forced_aa=aa, forced_cc=cc)
+        ctx = common_steps(0, 0, payload_bit, None, True, forced=(aa, cc))
         tau = infer_tau(aa, cc, 0, 0)
         assert ctx.psi_prime_bit == payload_bit ^ x_bit(tau)
 
@@ -69,7 +69,7 @@ def test_common_steps_moved_bit_is_x_parity(payload_bit):
 def test_common_steps_quantum_payload_all_cells():
     probe = Rng(77).unit_qubit()
     for aa, cc in ALL_CELLS:
-        ctx = common_steps(1, 2, probe, None, False, forced_aa=aa, forced_cc=cc)
+        ctx = common_steps(1, 2, probe, None, False, forced=(aa, cc))
         tau = infer_tau(aa, cc, 1, 2)
         from bellproto.states import extract_qubit
 
@@ -167,7 +167,7 @@ def test_ct_wrong_rekey_caught_exactly_on_x_mismatch():
 @pytest.mark.parametrize("secret", (0, 1))
 def test_ot_honest_accepts_and_recovers(secret):
     for aa, cc in ALL_CELLS:
-        rec = ot_run(secret, cc, None, forced_aa=aa)
+        rec = ot_run(secret, None, forced=(aa, cc))
         assert rec.verdict.accepted
         assert rec.values["recovered"] == secret
         assert rec.values["bob_message"] == cc.hi
@@ -175,7 +175,7 @@ def test_ot_honest_accepts_and_recovers(secret):
 
 
 def test_ot_verdict_does_not_broadcast_recovered_bit():
-    rec = ot_run(1, TwoBits(1, 0), None, forced_aa=TwoBits(0, 1))
+    rec = ot_run(1, None, forced=(TwoBits(0, 1), TwoBits(1, 0)))
     bob_view = rec.view("bob")
     joined = " ".join(payload for _, _, _, payload in bob_view)
     assert "value=received" in joined or "outcome=accept" in joined
@@ -188,7 +188,7 @@ def test_ot_sender_view_is_identical_across_receiver_messages():
         for aa in ALL_PAIRS:
             views = set()
             for cc in ALL_PAIRS:
-                rec = ot_run(secret, cc, None, forced_aa=aa)
+                rec = ot_run(secret, None, forced=(aa, cc))
                 views.add(rec.view("alice"))
             assert len(views) == 1
 
@@ -345,7 +345,7 @@ def test_mpsc_announced_outcome_matches_operator_oracle_all_inputs():
         b_in = TwoBits.from_label(b_lab)
         c_in = TwoBits.from_label(c_lab)
         for aa in ALL_PAIRS:
-            rec = mpsc_run(a_in, b_in, c_in, 1, None, forced_aa=aa, masks=(0, 1, 0))
+            rec = mpsc_run(a_in, b_in, 1, None, forced=(aa, c_in), masks=(0, 1, 0))
             assert rec.verdict.accepted
             applied_a = 2 * (a_in.hi ^ 0) + a_in.lo
             applied_b = 2 * (b_in.hi ^ 1) + b_in.lo
@@ -358,22 +358,22 @@ def test_mpsc_announced_outcome_matches_operator_oracle_all_inputs():
 def test_mpsc_masks_do_not_change_the_outcome():
     outcomes = set()
     for masks in itertools.product((0, 1), repeat=3):
-        rec = mpsc_run(TwoBits(1, 0), TwoBits(0, 1), TwoBits(1, 1), 0, None,
-                       forced_aa=TwoBits(0, 1), masks=masks)
+        rec = mpsc_run(TwoBits(1, 0), TwoBits(0, 1), 0, None,
+                       forced=(TwoBits(0, 1), TwoBits(1, 1)), masks=masks)
         outcomes.add(rec.verdict.value)
     assert len(outcomes) == 1
 
 
 def test_mpsc_nonzero_channels():
     for mu, nu in ((1, 2), (3, 1), (2, 2)):
-        rec = mpsc_run(TwoBits(0, 1), TwoBits(1, 1), TwoBits(0, 0), 1, None,
-                       mu=mu, nu=nu, forced_aa=TwoBits(1, 1), masks=(1, 0, 1))
+        rec = mpsc_run(TwoBits(0, 1), TwoBits(1, 1), 1, None,
+                       mu=mu, nu=nu, forced=(TwoBits(1, 1), TwoBits(0, 0)), masks=(1, 0, 1))
         assert rec.verdict.accepted
 
 
 def test_mpsc_signature_announcements_only():
-    rec = mpsc_run(TwoBits(1, 0), TwoBits(1, 1), TwoBits(0, 1), 0, None,
-                   forced_aa=TwoBits(0, 0), masks=(0, 0, 0))
+    rec = mpsc_run(TwoBits(1, 0), TwoBits(1, 1), 0, None,
+                   forced=(TwoBits(0, 0), TwoBits(0, 1)), masks=(0, 0, 0))
     announcements = [
         p for _, _, a, p in rec.view("alice") if a == "announce_signature"
     ]
@@ -381,7 +381,7 @@ def test_mpsc_signature_announcements_only():
 
 
 def test_mpsc_sampled_charlie_input_comes_from_measurement():
-    rec = mpsc_run(TwoBits(0, 0), TwoBits(0, 0), None, 0, Rng(9))
+    rec = mpsc_run(TwoBits(0, 0), TwoBits(0, 0), 0, Rng(9))
     assert rec.verdict.accepted
     assert rec.values["relay_pair"] in {"00", "01", "10", "11"}
 
@@ -393,7 +393,7 @@ def test_two_party_runs_never_show_relay_pair_to_sender():
     recs = [
         bc_run(1, None, forced=(TwoBits(0, 1), TwoBits(1, 1))),
         ct_run(0, None, forced=(TwoBits(1, 0), TwoBits(0, 1))),
-        ot_run(1, TwoBits(1, 1), None, forced_aa=TwoBits(0, 0)),
+        ot_run(1, None, forced=(TwoBits(0, 0), TwoBits(1, 1))),
         tpsc_run(TwoBits(0, 1), TwoBits(1, 0), 1, None,
                  forced=(TwoBits(1, 1), TwoBits(0, 1)), masks=(0, 1)),
     ]
