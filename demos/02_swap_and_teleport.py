@@ -16,9 +16,9 @@ from bellproto.states import (
     Rng,
     StateVector,
     bell_state,
+    bsm,
     bsm_probabilities,
     chain_register,
-    entanglement_swap,
     extract_qubit,
     fidelity,
     infer_tau,
@@ -26,7 +26,6 @@ from bellproto.states import (
     mixture_density,
     projector,
     reduced_density,
-    teleport,
     trace_distance,
 )
 
@@ -37,7 +36,7 @@ state = make_register([bell_state(1), bell_state(2)])
 print("relay outcome distribution (exactly uniform):",
       bsm_probabilities(state, (1, 2)))
 for outcome in LABELS:
-    _, post = entanglement_swap(state, (1, 2), force=outcome)
+    _, post = bsm(state, (1, 2), force=outcome)
     outer = reduced_density(post, [0, 3])
     swapped = 1 ^ 2 ^ outcome
     dist = trace_distance(outer, projector(bell_state(swapped)))
@@ -48,18 +47,18 @@ print("\n== teleportation over each channel label ==")
 payload = rng.unit_qubit()
 for channel in LABELS:
     state = make_register([payload, bell_state(channel)])
-    outcome, post = teleport(state, 0, (1, 2), rng)
+    outcome, post = bsm(state, (0, 1), rng)
     moved = extract_qubit(post, 2)
     correction = outcome.label ^ channel
     fixed = StateVector(pauli_matrix(correction) @ payload.amplitudes)
-    print(f"  channel {channel}: sampled outcome {outcome.bits}, "
+    print(f"  channel {channel}: sampled outcome {outcome}, "
           f"fidelity after correction {fidelity(moved, fixed):.12f}")
 
 print("\n== what the receiver sees without the outcomes ==")
 moved_states = []
 for outcome in LABELS:
     state = make_register([payload, bell_state(0)])
-    _, post = teleport(state, 0, (1, 2), force=outcome)
+    _, post = bsm(state, (0, 1), force=outcome)
     moved_states.append(extract_qubit(post, 2))
 avg = mixture_density(moved_states, [0.25] * 4)
 print("outcome-averaged receiver state (maximally mixed):")
@@ -69,8 +68,8 @@ print("\n== the full chain: swap, then teleport ==")
 for mu, nu in [(0, 0), (1, 3), (2, 2)]:
     for aa, cc in itertools.product((0, 3), repeat=2):
         state = chain_register(mu, nu, payload)
-        _, state = entanglement_swap(state, (2, 3), force=cc)
-        _, state = teleport(state, 0, (1, 2), force=aa)
+        _, state = bsm(state, (2, 3), force=cc)
+        _, state = bsm(state, (0, 1), force=aa)
         tau = infer_tau(TwoBits.from_label(aa), TwoBits.from_label(cc), mu, nu)
         fixed = StateVector(pauli_matrix(tau) @ payload.amplitudes)
         fid = fidelity(extract_qubit(state, 4), fixed)

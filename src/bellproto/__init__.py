@@ -5,9 +5,9 @@ The package splits into five layers:
 * :mod:`bellproto.algebra` - exact tables for the all-real operator set
   {I, X, Z, ZX}, the four Bell states, their signed composition rules and
   the two-bit encodings.
-* :mod:`bellproto.states` - a dense state-vector engine with Bell-basis
-  measurement, teleportation, entanglement swapping, the exact Bell-sector
-  decompositions, and density-matrix mixing oracles.
+* :mod:`bellproto.states` - a dense state-vector engine whose one Bell-basis
+  measurement does both entanglement swapping and teleportation, the exact
+  Bell-sector decompositions, and density-matrix mixing oracles.
 * :mod:`bellproto.protocols` - seven protocol runtimes over a shared
   five-wire chain: bit commitment (bc), coin tossing (ct), oblivious
   transfer (ot), two-party computation (tpsc), secret sharing (qss),
@@ -33,7 +33,6 @@ from .algebra import (
     pauli_matrix,
 )
 from .states import (
-    BsmOutcome,
     DensityMatrix,
     MeasurementError,
     Rng,
@@ -47,7 +46,6 @@ from .states import (
     decompose_chain,
     decompose_swap,
     decompose_teleport,
-    entanglement_swap,
     extract_qubit,
     fidelity,
     infer_tau,
@@ -57,7 +55,6 @@ from .states import (
     mixture_density,
     qubit,
     reduced_density,
-    teleport,
     trace_distance,
 )
 from .protocols import (

@@ -46,6 +46,7 @@ from .states import (
     make_register,
     mixture_density,
     qubit,
+    wires_first,
 )
 
 _PROBE_SEED = 20240917
@@ -153,12 +154,12 @@ def check_chain_decomposition(fault: str | None = None) -> IdentityCheck:
 
 
 def check_swap_decomposition(fault: str | None = None) -> IdentityCheck:
-    paulis, omegas = _faulted_operators(fault)
+    _paulis, omegas = _faulted_operators(fault)
     worst = 0.0
     for mu, nu in itertools.product(LABELS, repeat=2):
         ref = make_register([bell_state(mu), bell_state(nu)]).amplitudes
         total = np.zeros_like(ref)
-        for _rho, term in decompose_swap(mu, nu, paulis=paulis, omegas=omegas):
+        for _rho, term in decompose_swap(mu, nu, omegas=omegas):
             total += term.amplitudes
         worst = max(worst, float(np.abs(total / 2.0 - ref).max()))
     return IdentityCheck("swap-decomposition", worst, TOL_EQ)
@@ -186,12 +187,8 @@ def exact_bell_distribution(int_amplitudes: np.ndarray, norm_sq: int,
     sqrt(norm_sq) so that they are integers; every Bell projection then
     has a dyadic rational probability computed without rounding.
     """
-    size = int(int_amplitudes.size)
-    n = size.bit_length() - 1
-    t = int_amplitudes.reshape((2,) * n)
-    t = np.moveaxis(t, pair, (0, 1)).reshape(4, -1)
     rows = np.stack([bell_vector_int(m) for m in LABELS])
-    comp = rows @ t  # scaled by sqrt(2) * sqrt(norm_sq)
+    comp = rows @ wires_first(int_amplitudes, pair)  # scaled by sqrt(2) * sqrt(norm_sq)
     return tuple(
         Fraction(int((comp[m].astype(object) ** 2).sum()), 2 * norm_sq)
         for m in LABELS

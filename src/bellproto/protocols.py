@@ -99,7 +99,6 @@ class SharedContext:
     cc: TwoBits | None
     aa: TwoBits
     psi_prime_bit: int | None
-    register: StateVector
 
 
 @dataclass
@@ -270,23 +269,20 @@ def _chain_open(run: Run, mu: int, nu: int, payload: StateVector, *,
     if skip_relay:
         run.local("1", relay, "relay_bsm_skipped", "withheld")
     else:
-        out, state = bsm(state, (2, 3), run.born, force=forced_cc)
-        cc = out.bits
+        cc, state = bsm(state, (2, 3), run.born, force=forced_cc)
         run.local("1", relay, "relay_bsm", f"cc={cc}")
 
     if sender_pre_label is not None:
         state = apply_pauli(state, sender_pre_label, 0)
         run.local("2", sender, "apply_input", "label=private")
-    out, state = bsm(state, (0, 1), run.born, force=forced_aa)
-    aa = out.bits
+    aa, state = bsm(state, (0, 1), run.born, force=forced_aa)
     run.local("2", sender, "sender_bsm", f"aa={aa}")
 
     bit = None
     if measure_receiver and not skip_relay:
         bit, state = measure_qubit(state, 4, run.born)
         run.local("3", receiver, "measure_moved", f"bit={bit}")
-    ctx = SharedContext(cc, aa, bit, state)
-    return ctx, state
+    return SharedContext(cc, aa, bit), state
 
 
 # --- two-party protocols ----------------------------------------------------
@@ -756,11 +752,15 @@ class ProtocolSpec:
         # (a profiler, say) also sees the runs dispatched through the spec
         return globals()[f"{self.name}_run"]
 
+    def chains(self, secret: str) -> int:
+        """The chain count ``k`` a configuration with this secret must carry."""
+        return len(secret) if self.k_from_secret else 1
+
     def config(self, *, secret: str, inputs: str = "", **fields) -> RunConfig:
         """Configuration with the default inputs and the chain count filled in."""
         return RunConfig(protocol=self.name, secret=secret,
                          inputs=inputs or self.default_inputs,
-                         k=len(secret) if self.k_from_secret else 1, **fields)
+                         k=self.chains(secret), **fields)
 
     def runner_kwargs(self, config: RunConfig, rng: Rng | None) -> dict:
         """Keyword arguments of the runner (besides rng, cheat and config)."""
@@ -774,7 +774,11 @@ class ProtocolSpec:
                                   f"(got {getattr(config, field)!r})")
         if not config.inputs and self.default_inputs:
             config = replace(config, inputs=self.default_inputs)
-        return self.parse(config, rng)
+        kwargs = self.parse(config, rng)
+        if config.k != self.chains(config.secret):
+            raise ConfigError(f"{self.name} runs k={self.chains(config.secret)} chains for "
+                              f"secret {config.secret!r}, got k={config.k}")
+        return kwargs
 
     def cells(self, kwargs: dict) -> Iterator[dict]:
         """Runner kwargs of every forced cell, given the parsed arguments.

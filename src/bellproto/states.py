@@ -2,8 +2,9 @@
 
 Wire convention: qubit 0 is the most significant bit of the basis index,
 so ``amplitudes[0b101]`` of a 3-qubit register is the |101> amplitude with
-qubit 0 in state |1>.  Registers are value objects; every operation returns
-a new :class:`StateVector`.
+qubit 0 in state |1>; only :func:`wires_first` and :func:`wires_back` apply
+it.  Registers are value objects; every operation returns a new
+:class:`StateVector`.
 
 The five-wire chain register used by the protocol layer is laid out as
 
@@ -14,7 +15,9 @@ The five-wire chain register used by the protocol layer is laid out as
     wire 4  receiver half of the relay-receiver Bell pair
 
 so the relay measures the adjacent pair (2, 3) and the sender measures
-(0, 1).
+(0, 1).  Both are the one Bell measurement :func:`bsm`: at the relay it
+swaps the entanglement onto the outer wires, at the sender it teleports
+the payload to the receiver.
 
 Tolerances are fixed package-wide: state equality and trace checks at
 1e-12, positive-semidefiniteness slack at 1e-10.  All comparisons between
@@ -103,9 +106,6 @@ class StateVector:
     def n_qubits(self) -> int:
         return self.amplitudes.size.bit_length() - 1
 
-    def tensor(self) -> np.ndarray:
-        return self.amplitudes.reshape((2,) * self.n_qubits)
-
     def __eq__(self, other) -> bool:  # exact equality; use equal_up_to_phase for states
         return isinstance(other, StateVector) and np.array_equal(
             self.amplitudes, other.amplitudes
@@ -153,21 +153,30 @@ def chain_register(mu: int, nu: int, payload: StateVector) -> StateVector:
     return make_register([payload, bell_state(mu), bell_state(nu)])
 
 
-def _apply_single(amps: np.ndarray, n: int, mat: np.ndarray, wire: int) -> np.ndarray:
-    t = amps.reshape((2,) * n)
-    t = np.tensordot(mat, t, axes=([1], [wire]))
-    return np.moveaxis(t, 0, wire).reshape(-1)
+def wires_first(amps: np.ndarray, wires: Sequence[int]) -> np.ndarray:
+    """Amplitudes as a (2**k, rest) matrix: row index over the k listed wires
+    in the listed order, column index over the other wires in wire order.
+
+    Raises IndexError for a repeated or out-of-range wire.
+    """
+    n = amps.size.bit_length() - 1
+    if len(set(wires)) != len(wires) or any(not 0 <= w < n for w in wires):
+        raise IndexError(f"wires {list(wires)} invalid for a {n}-qubit register")
+    order = [*wires, *(w for w in range(n) if w not in wires)]
+    return amps.reshape((2,) * n).transpose(order).reshape(1 << len(wires), -1)
 
 
-def apply_matrix(state: StateVector, mat: np.ndarray, wire: int) -> StateVector:
-    if not 0 <= wire < state.n_qubits:
-        raise IndexError(f"wire {wire} out of range for {state.n_qubits} qubits")
-    return StateVector(_apply_single(state.amplitudes, state.n_qubits, np.asarray(mat), wire))
+def wires_back(mat: np.ndarray, wires: Sequence[int]) -> np.ndarray:
+    """Inverse of :func:`wires_first`: the flat amplitude vector in wire order."""
+    n = mat.size.bit_length() - 1
+    order = [*wires, *(w for w in range(n) if w not in wires)]
+    return mat.reshape((2,) * n).transpose(np.argsort(order)).reshape(-1)
 
 
 def apply_pauli(state: StateVector, label: int, wire: int) -> StateVector:
     """Apply the labelled single-qubit operator to one wire."""
-    return apply_matrix(state, pauli_matrix(label), wire)
+    moved = pauli_matrix(label) @ wires_first(state.amplitudes, [wire])
+    return StateVector(wires_back(moved, [wire]))
 
 
 def overlap(a: StateVector, b: StateVector) -> complex:
@@ -185,40 +194,19 @@ def equal_up_to_phase(a: StateVector, b: StateVector, tol: float = TOL_EQ) -> bo
     return bool(abs(abs(overlap(a, b)) - 1.0) <= tol)
 
 
-@dataclass(frozen=True)
-class BsmOutcome:
-    """Result of a Bell-basis measurement of one wire pair."""
-
-    bits: TwoBits
-    pair: tuple[int, int]
-
-    @property
-    def label(self) -> int:
-        return self.bits.label
-
-
+# bras of the measurement bases, one row per outcome; both are real
 _BELL_ROWS = np.stack([bell_vector(m) for m in LABELS])
+_Z_ROWS = np.eye(2)
 
 
-def _pair_components(amps: np.ndarray, n: int, pair: tuple[int, int]) -> np.ndarray:
-    """Rows m = <bell_m| applied to the pair; shape (4, 2**(n-2))."""
-    t = amps.reshape((2,) * n)
-    t = np.moveaxis(t, pair, (0, 1)).reshape(4, -1)
-    return _BELL_ROWS @ t
+def _born(comp: np.ndarray) -> np.ndarray:
+    """Outcome probabilities: the squared norm of each component row."""
+    return np.einsum("ij,ij->i", comp, comp.conj()).real
 
 
 def bsm_probabilities(state: StateVector, pair: tuple[int, int]) -> np.ndarray:
     """Analytic Bell-outcome distribution for a pair, no sampling involved."""
-    comp = _pair_components(state.amplitudes, state.n_qubits, _checked_pair(state, pair))
-    return np.einsum("ij,ij->i", comp, comp.conj()).real
-
-
-def _checked_pair(state: StateVector, pair: tuple[int, int]) -> tuple[int, int]:
-    i, j = pair
-    n = state.n_qubits
-    if i == j or not (0 <= i < n and 0 <= j < n):
-        raise IndexError(f"pair {pair} invalid for a {n}-qubit register")
-    return (i, j)
+    return _born(_BELL_ROWS @ wires_first(state.amplitudes, pair))
 
 
 def _choose_outcome(probs: np.ndarray, rng: Rng | None,
@@ -238,12 +226,24 @@ def _choose_outcome(probs: np.ndarray, rng: Rng | None,
     return rng.choose(probs)
 
 
+def _measure(state: StateVector, wires: Sequence[int], rows: np.ndarray,
+             rng: Rng | None, force: int | TwoBits | None,
+             what: str) -> tuple[int, StateVector]:
+    """Projective measurement of ``wires`` in the real basis ``rows``; the
+    measured wires collapse onto the outcome's basis state."""
+    comp = rows @ wires_first(state.amplitudes, wires)
+    probs = _born(comp)
+    index = _choose_outcome(probs, rng, force, what)
+    post = np.outer(rows[index], comp[index] / np.sqrt(probs[index]))
+    return index, StateVector(wires_back(post, wires))
+
+
 def bsm(
     state: StateVector,
     pair: tuple[int, int],
     rng: Rng | None = None,
     force: int | TwoBits | None = None,
-) -> tuple[BsmOutcome, StateVector]:
+) -> tuple[TwoBits, StateVector]:
     """Bell-basis measurement of a wire pair.
 
     Samples the outcome from the Born distribution using ``rng``, or
@@ -251,16 +251,15 @@ def bsm(
     verification drivers); forcing an outcome of zero probability raises
     :class:`MeasurementError`.  The returned register has the measured
     pair collapsed onto the outcome Bell state.
+
+    At the relay's pair, with Bell pairs mu on (sender, relay) and nu on
+    (relay, receiver), this is entanglement swapping: the outer pair
+    collapses to Bell ``mu ^ nu ^ outcome``.  At (source, near half of a
+    channel Bell(c)) it is teleportation: the far half becomes
+    pauli(outcome ^ c) applied to the source state, up to a global sign.
     """
-    pair = _checked_pair(state, pair)
-    n = state.n_qubits
-    comp = _pair_components(state.amplitudes, n, pair)
-    probs = np.einsum("ij,ij->i", comp, comp.conj()).real
-    label = _choose_outcome(probs, rng, force, "outcome")
-    rest = comp[label] / np.sqrt(probs[label])
-    post = np.outer(bell_vector(label), rest).reshape((2, 2) + (2,) * (n - 2))
-    post = np.moveaxis(post, (0, 1), pair).reshape(-1)
-    return BsmOutcome(TwoBits.from_label(label), pair), StateVector(post)
+    label, post = _measure(state, pair, _BELL_ROWS, rng, force, "outcome")
+    return TwoBits.from_label(label), post
 
 
 def measure_qubit(
@@ -270,46 +269,7 @@ def measure_qubit(
     force: int | None = None,
 ) -> tuple[int, StateVector]:
     """Computational-basis measurement of one wire."""
-    n = state.n_qubits
-    if not 0 <= wire < n:
-        raise IndexError(f"wire {wire} out of range")
-    t = np.moveaxis(state.amplitudes.reshape((2,) * n), wire, 0).reshape(2, -1)
-    probs = np.einsum("ij,ij->i", t, t.conj()).real
-    bit = _choose_outcome(probs, rng, force, "bit")
-    kept = np.zeros_like(t)
-    kept[bit] = t[bit] / np.sqrt(probs[bit])
-    post = np.moveaxis(kept.reshape((2,) * n), 0, wire).reshape(-1)
-    return bit, StateVector(post)
-
-
-def entanglement_swap(
-    state: StateVector,
-    relay_pair: tuple[int, int],
-    rng: Rng | None = None,
-    force: int | TwoBits | None = None,
-) -> tuple[BsmOutcome, StateVector]:
-    """Bell measurement at the relay; leaves the outer wires entangled.
-
-    With Bell pairs mu on (sender, relay) and nu on (relay, receiver), the
-    outer pair collapses to the Bell label ``mu ^ nu ^ outcome``.
-    """
-    return bsm(state, relay_pair, rng, force)
-
-
-def teleport(
-    state: StateVector,
-    source: int,
-    channel_pair: tuple[int, int],
-    rng: Rng | None = None,
-    force: int | TwoBits | None = None,
-) -> tuple[BsmOutcome, StateVector]:
-    """Bell measurement of (source, near channel half).
-
-    The far half becomes pauli(outcome ^ channel_label) applied to the
-    source state, up to a global sign.
-    """
-    near, _far = channel_pair
-    return bsm(state, (source, near), rng, force)
+    return _measure(state, [wire], _Z_ROWS, rng, force, "bit")
 
 
 def infer_tau(aa: TwoBits, cc: TwoBits, mu: int, nu: int) -> int:
@@ -356,15 +316,14 @@ def _chain_sign(mu: int, nu: int, aa: int, cc: int) -> int:
     return _swap_sign(mu, nu, cc) * _teleport_sign(mu ^ nu ^ cc, aa)
 
 
-def _place_pairs(n: int, blocks: Sequence[tuple[Sequence[int], np.ndarray]]) -> np.ndarray:
-    """Tensor 1- and 2-wire blocks into an n-wire vector at given wires."""
+def _place_pairs(blocks: Sequence[tuple[Sequence[int], np.ndarray]]) -> np.ndarray:
+    """Tensor 1- and 2-wire blocks that cover every wire, each at its wires."""
     vec = np.array([1.0 + 0.0j])
     order: list[int] = []
     for wires, block in blocks:
         vec = np.kron(vec, block)
         order.extend(wires)
-    t = vec.reshape((2,) * n)
-    return np.moveaxis(t, range(n), order).reshape(-1)
+    return wires_back(vec, order)
 
 
 def decompose_teleport(
@@ -385,14 +344,12 @@ def decompose_teleport(
         sign = _teleport_sign(channel, aa) * apply_omega_to_bell(tau, channel).phase
         bell_part = sign * (omegas[tau] @ bell_vector(channel))
         moved = paulis[tau] @ payload.amplitudes
-        vec = _place_pairs(3, [((0, 1), bell_part), ((2,), moved)])
+        vec = _place_pairs([((0, 1), bell_part), ((2,), moved)])
         out.append((tau, StateVector(vec)))
     return out
 
 
-def decompose_swap(
-    mu: int, nu: int, paulis=None, omegas=None
-) -> list[tuple[int, StateVector]]:
+def decompose_swap(mu: int, nu: int, omegas=None) -> list[tuple[int, StateVector]]:
     """Exact four-term decomposition of Bell(mu) (x) Bell(nu).
 
     Wires: 0 sender, 1-2 relay, 3 receiver.  Term rho places the relay pair
@@ -410,7 +367,7 @@ def decompose_swap(
         )
         outer = sign * (omegas[rho] @ bell_vector(mu))
         relay = omegas[rho] @ bell_vector(nu)
-        vec = _place_pairs(4, [((0, 3), outer), ((1, 2), relay)])
+        vec = _place_pairs([((0, 3), outer), ((1, 2), relay)])
         out.append((rho, StateVector(vec)))
     return out
 
@@ -443,9 +400,7 @@ def decompose_chain(
             sender = sign * (omegas[tau] @ omegas[rho] @ bell_vector(mu))
             relay = omegas[rho] @ bell_vector(nu)
             moved = paulis[tau] @ payload.amplitudes
-            vec = _place_pairs(
-                5, [((0, 1), sender), ((2, 3), relay), ((4,), moved)]
-            )
+            vec = _place_pairs([((0, 1), sender), ((2, 3), relay), ((4,), moved)])
             out.append((tau, rho, StateVector(vec)))
     return out
 
@@ -550,13 +505,7 @@ def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
 
 def reduced_density(state: StateVector, keep: Sequence[int]) -> DensityMatrix:
     """Partial trace keeping the listed wires (in the listed order)."""
-    n = state.n_qubits
-    keep = list(keep)
-    if len(set(keep)) != len(keep) or any(not 0 <= w < n for w in keep):
-        raise IndexError(f"keep wires {keep} invalid for {n} qubits")
-    drop = [w for w in range(n) if w not in keep]
-    t = state.amplitudes.reshape((2,) * n)
-    t = np.transpose(t, keep + drop).reshape(1 << len(keep), 1 << len(drop))
+    t = wires_first(state.amplitudes, keep)
     return DensityMatrix(t @ t.conj().T)
 
 

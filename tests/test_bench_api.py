@@ -38,3 +38,22 @@ def test_cli_mix_commands_pass_in_process_for_every_protocol(workloads, tmp_path
     for index in range(mix.cycle):  # one pass per protocol
         mix.trace_pass(index, ops)
     assert ops.attempted > 0 and ops.failed == 0
+
+
+ENGINE_NAMES = ("states.bsm", "states.measure_qubit", "states.apply_pauli",
+                "states.extract_qubit", "states.StateVector.__init__")
+
+
+@pytest.mark.parametrize("name", ("enumerate-sweep", "sample-replay"))
+def test_traced_pass_reaches_every_required_engine_name(workloads, name, tmp_path):
+    """The per-layer counters wrap these names; a runtime that stops calling
+    one of them would make ``bench/run.py --trace 1`` read zero for it."""
+    import tracer
+
+    ops = workloads.Ops()
+    workload = workloads.make(name, 1, True, tmp_path, child_env())
+    with tracer.Tracer() as traced:
+        workload.trace_pass(0, ops)
+    counts = traced.counts()
+    assert ops.failed == 0
+    assert [key for key in ENGINE_NAMES if not counts.get(f"{key}.calls")] == []

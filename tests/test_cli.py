@@ -241,6 +241,8 @@ BAD_INPUTS = {
         tmp, "config mu=0", "config mu=2", protocol="ct")], EXIT_IO),
     "replay-bc-inputs": (lambda tmp: ["replay", _edited_transcript(
         tmp, "config inputs=", "config inputs=01")], EXIT_IO),
+    "replay-qds-k": (lambda tmp: ["replay", _edited_transcript(
+        tmp, "config k=1", "config k=9", protocol="qds")], EXIT_IO),
 }
 
 

@@ -3,7 +3,6 @@
 Every example set is derandomized, so a failure reproduces on every run.
 """
 
-import contextlib
 import string
 
 import pytest
@@ -53,7 +52,8 @@ def test_parse_transcript_raises_only_value_error(text):
 def workdir(tmp_path_factory):
     """A scratch directory, made the working directory so default outputs land there."""
     path = tmp_path_factory.mktemp("properties")
-    with contextlib.chdir(path):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.chdir(path)
         yield path
 
 

@@ -22,7 +22,14 @@ from bellproto.protocols import (
     spec_for,
     tpsc_run,
 )
-from bellproto.states import Rng, StateVector, basis_state, equal_up_to_phase, infer_tau
+from bellproto.states import (
+    Rng,
+    StateVector,
+    basis_state,
+    equal_up_to_phase,
+    extract_qubit,
+    infer_tau,
+)
 from bellproto.transcript import RunConfig
 
 ALL_PAIRS = [TwoBits.from_label(t) for t in LABELS]
@@ -69,11 +76,11 @@ def test_common_steps_moved_bit_is_x_parity(payload_bit):
 def test_common_steps_quantum_payload_all_cells():
     probe = Rng(77).unit_qubit()
     for aa, cc in ALL_CELLS:
-        ctx = common_steps(1, 2, probe, None, False, forced=(aa, cc))
+        run = Run(RunConfig(protocol="qss", mu=1, nu=2), None)
+        _ctx, state = _chain_open(run, 1, 2, _payload_state(probe), measure_receiver=False,
+                                  forced=(aa, cc))
         tau = infer_tau(aa, cc, 1, 2)
-        from bellproto.states import extract_qubit
-
-        moved = extract_qubit(ctx.register, 4)
+        moved = extract_qubit(state, 4)
         assert equal_up_to_phase(moved, StateVector(pauli_matrix(tau) @ probe.amplitudes))
 
 
@@ -428,6 +435,8 @@ def test_run_from_config_rejects_unknown_protocol():
     (RunConfig(protocol="qss", secret="q:1,0,0,1"), "not normalised"),
     (RunConfig(protocol="bc", secret="0", nu=4), "channel labels must be in 0..3"),
     (RunConfig(protocol="ct", secret="0", seed=-2), "seed must be >= 0"),
+    (RunConfig(protocol="qds", secret="101", k=9), "qds runs k=3 chains for secret '101'"),
+    (RunConfig(protocol="ct", secret="1", k=2), "ct runs k=1 chains for secret '1', got k=2"),
 ])
 def test_spec_parse_names_the_bad_value(config, message):
     with pytest.raises(ConfigError, match=re.escape(message)):

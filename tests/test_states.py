@@ -15,7 +15,6 @@ from bellproto.states import (
     bsm,
     bsm_probabilities,
     chain_register,
-    entanglement_swap,
     equal_up_to_phase,
     extract_qubit,
     fidelity,
@@ -27,7 +26,6 @@ from bellproto.states import (
     projector,
     qubit,
     reduced_density,
-    teleport,
     trace_distance,
 )
 
@@ -115,7 +113,7 @@ def test_apply_pauli_preserves_norm_and_checks_range():
 
 def test_bsm_on_eigenstate_is_deterministic():
     out, post = bsm(bell_state(0), (0, 1))  # no rng needed: probability 1
-    assert out.bits == TwoBits(0, 0)
+    assert out == TwoBits(0, 0)
     assert np.allclose(post.amplitudes, bell_state(0).amplitudes)
 
 
@@ -159,6 +157,92 @@ def test_bsm_post_state_collapses_pair():
     assert trace_distance(pair, expected) <= 1e-12
 
 
+# --- wire order -------------------------------------------------------------------
+
+
+def kron_operator(block, wires, n):
+    """``block`` on ``wires`` (the first listed wire is the block's most
+    significant index bit), identity elsewhere, as a 2**n matrix summed from
+    np.kron products of single-wire matrix units in wire order."""
+    k = len(wires)
+    full = np.zeros((1 << n, 1 << n), dtype=complex)
+    for row, col in itertools.product(range(1 << k), repeat=2):
+        factors = [np.eye(2)] * n
+        for pos, wire in enumerate(wires):
+            unit = np.zeros((2, 2))
+            unit[(row >> (k - 1 - pos)) & 1, (col >> (k - 1 - pos)) & 1] = 1.0
+            factors[wire] = unit
+        term = factors[0]
+        for factor in factors[1:]:
+            term = np.kron(term, factor)
+        full += block[row, col] * term
+    return full
+
+
+def random_register(seed, n=5):
+    gen = np.random.default_rng(seed)
+    raw = gen.normal(size=1 << n) + 1j * gen.normal(size=1 << n)
+    return StateVector(raw / np.linalg.norm(raw))
+
+
+def test_reversed_non_adjacent_bsm_matches_kron_projectors():
+    state = random_register(41)
+    psi = state.amplitudes
+    probs = bsm_probabilities(state, (3, 1))
+    for label in LABELS:
+        bell = bell_state(label).amplitudes
+        proj = kron_operator(np.outer(bell, bell.conj()), (3, 1), 5)
+        expected_p = float(np.vdot(psi, proj @ psi).real)
+        assert probs[label] == pytest.approx(expected_p, abs=1e-12)
+        out, post = bsm(state, (3, 1), force=label)
+        assert out == TwoBits.from_label(label)
+        assert np.allclose(post.amplitudes, proj @ psi / np.sqrt(expected_p), atol=1e-12)
+
+
+def test_measure_last_wire_matches_kron_projectors():
+    state = random_register(43)
+    psi = state.amplitudes
+    for bit in (0, 1):
+        proj = kron_operator(np.diag([1.0 - bit, bit]), (4,), 5)
+        expected_p = float(np.vdot(psi, proj @ psi).real)
+        got, post = measure_qubit(state, 4, force=bit)
+        assert got == bit
+        assert np.allclose(post.amplitudes, proj @ psi / np.sqrt(expected_p), atol=1e-12)
+
+
+def test_reduced_density_keeps_listed_wire_order():
+    state = random_register(47)
+    psi = state.amplitudes
+    rho = reduced_density(state, [4, 0]).matrix
+    for i, j in itertools.product(range(4), repeat=2):
+        unit = np.zeros((4, 4))
+        unit[j, i] = 1.0  # rho[i, j] = <psi| (|j><i| on wires 4, 0) |psi>
+        expected = np.vdot(psi, kron_operator(unit, (4, 0), 5) @ psi)
+        assert rho[i, j] == pytest.approx(expected, abs=1e-12)
+
+
+def test_apply_pauli_on_every_wire_matches_kron_operator():
+    state = random_register(53)
+    for wire, label in itertools.product(range(5), LABELS):
+        expected = kron_operator(pauli_matrix(label), (wire,), 5) @ state.amplitudes
+        assert np.allclose(apply_pauli(state, label, wire).amplitudes, expected, atol=1e-12)
+
+
+@pytest.mark.parametrize("call", [
+    lambda s: bsm(s, (2, 2), force=0),
+    lambda s: bsm(s, (1, 5), force=0),
+    lambda s: bsm_probabilities(s, (-1, 0)),
+    lambda s: measure_qubit(s, 5, force=0),
+    lambda s: measure_qubit(s, -1, force=0),
+    lambda s: reduced_density(s, [4, 4]),
+    lambda s: reduced_density(s, [0, 7]),
+    lambda s: apply_pauli(s, 1, -1),
+])
+def test_repeated_or_out_of_range_wire_raises_index_error(call):
+    with pytest.raises(IndexError):
+        call(random_register(59))
+
+
 # --- swap and teleport ---------------------------------------------------------
 
 
@@ -168,21 +252,21 @@ def test_swap_outcome_distribution_and_label_rule(mu, nu):
     probs = bsm_probabilities(state, (1, 2))
     assert np.allclose(probs, 0.25, atol=1e-15)
     for outcome in LABELS:
-        out, post = entanglement_swap(state, (1, 2), force=outcome)
+        out, post = bsm(state, (1, 2), force=outcome)
         outer = reduced_density(post, [0, 3])
         assert trace_distance(outer, projector(bell_state(mu ^ nu ^ outcome))) <= 1e-12
 
 
 def test_swap_identity_channels_outcome_zero_gives_label_zero():
     state = make_register([bell_state(0), bell_state(0)])
-    out, post = entanglement_swap(state, (1, 2), force=0)
+    out, post = bsm(state, (1, 2), force=0)
     assert trace_distance(reduced_density(post, [0, 3]), projector(bell_state(0))) <= 1e-12
 
 
 def test_teleport_zero_over_identity_channel():
     state = make_register([basis_state("0"), bell_state(0)])
-    out, post = teleport(state, 0, (1, 2), force=0)
-    assert out.bits == TwoBits(0, 0)
+    out, post = bsm(state, (0, 1), force=0)
+    assert out == TwoBits(0, 0)
     far = extract_qubit(post, 2)
     assert equal_up_to_phase(far, basis_state("0"))
 
@@ -192,7 +276,7 @@ def test_teleport_moves_payload_with_labelled_correction(channel):
     for probe in random_qubits(17, 3):
         state = make_register([probe, bell_state(channel)])
         for outcome in LABELS:
-            _, post = teleport(state, 0, (1, 2), force=outcome)
+            _, post = bsm(state, (0, 1), force=outcome)
             far = extract_qubit(post, 2)
             expected = StateVector(pauli_matrix(outcome ^ channel) @ probe.amplitudes)
             assert equal_up_to_phase(far, expected)
@@ -203,7 +287,7 @@ def test_teleport_outcome_average_is_maximally_mixed():
         state = make_register([probe, bell_state(0)])
         far_states = []
         for outcome in LABELS:
-            _, post = teleport(state, 0, (1, 2), force=outcome)
+            _, post = bsm(state, (0, 1), force=outcome)
             far_states.append(extract_qubit(post, 2))
         dm = mixture_density(far_states, [0.25] * 4)
         assert is_maximally_mixed(dm, tol=1e-12)
@@ -223,8 +307,8 @@ def test_infer_tau_matches_forced_simulation(mu, nu):
     probe = random_qubits(31, 1)[0]
     for aa, cc in itertools.product(LABELS, repeat=2):
         state = chain_register(mu, nu, probe)
-        _, state = entanglement_swap(state, (2, 3), force=cc)
-        _, state = teleport(state, 0, (1, 2), force=aa)
+        _, state = bsm(state, (2, 3), force=cc)
+        _, state = bsm(state, (0, 1), force=aa)
         moved = extract_qubit(state, 4)
         tau = infer_tau(TwoBits.from_label(aa), TwoBits.from_label(cc), mu, nu)
         assert equal_up_to_phase(
