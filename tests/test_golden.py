@@ -1,4 +1,4 @@
-"""Golden corpus: sha256 digests of transcripts, tables and reports.
+"""Golden corpus: sha256 digests of transcripts, tables, reports and demo output.
 
 Each group below renders a fixed set of outputs, and the test compares the
 sha256 of their concatenation with the digest recorded in ``golden.sha256``.
@@ -15,6 +15,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -25,6 +26,7 @@ from bellproto import cli
 from bellproto.attacks import CATALOG, enumeration_cells, run_cell, run_strategy
 from bellproto.protocols import run_from_config
 from bellproto.transcript import RunConfig
+from conftest import child_env
 
 CORPUS = Path(__file__).with_name("golden.sha256")
 SEEDS = range(50)
@@ -200,11 +202,30 @@ def _report_groups():
                        config, name, mode="sample", trials=16, seed=3).to_text()])
 
 
+# --- demo scripts: stdout of each demos/0*.py in a fresh interpreter -----------
+
+DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("0*.py"))
+
+
+def _demo_stdout(demo: Path) -> list[str]:
+    with tempfile.TemporaryDirectory() as tmp:
+        proc = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True,
+                              cwd=tmp, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    return [proc.stdout]
+
+
+def _demo_groups():
+    for demo in DEMOS:
+        yield f"demo {demo.name}", lambda demo=demo: _demo_stdout(demo)
+
+
 def groups():
     yield from _sampled_groups()
     yield from _forced_groups()
     yield from _cli_groups()
     yield from _report_groups()
+    yield from _demo_groups()
 
 
 def digest(texts: list[str]) -> str:
