@@ -20,7 +20,7 @@ secret = Rng(3).unit_qubit()
 rec = qss_run(secret, Rng(4))
 print(f"reconstruction fidelity with both shares: {rec.values['fidelity']:.12f}")
 
-rec = qss_run(1, None, forced=(TwoBits(1, 0), TwoBits(0, 1)), shares="bob_alone")
+rec = qss_run(1, None, forced=(TwoBits(1, 0), TwoBits(0, 1)), reconstruct=False)
 print(f"one share only: verdict={rec.verdict.outcome} reason={rec.verdict.reason}")
 
 holdings = []

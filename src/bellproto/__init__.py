@@ -61,7 +61,6 @@ from .protocols import (
     CheatStrategy,
     Deviation,
     RunRecord,
-    SharedContext,
     Verdict,
     bc_run,
     ct_run,

@@ -87,15 +87,8 @@ def _enumerate_rows(config: RunConfig) -> tuple[list[str], bool]:
     all_accept = True
     for cell in enumeration_cells(config):
         rec = run_cell(config, cell, None, None)
-        verdict = rec.verdict
-        row = f"{cell_label(cell)} verdict={verdict.outcome}"
-        if verdict.accepted and verdict.value:
-            row += f" value={verdict.value}"
-        row += row_extra(rec)
-        if verdict.reason:
-            row += f" reason={verdict.reason}"
-        rows.append(row)
-        all_accept &= verdict.accepted
+        rows.append(f"{cell_label(cell)} {rec.verdict.line(row_extra(rec))}")
+        all_accept &= rec.verdict.accepted
     return rows, all_accept
 
 
@@ -112,12 +105,7 @@ def cmd_run(args) -> int:
     config = _config(args, "sample:1")
     record = run_from_config(config)
     verdict = record.verdict
-    line = f"{config.protocol} verdict={verdict.outcome}"
-    if verdict.value:
-        line += f" value={verdict.value}"
-    if verdict.reason:
-        line += f" reason={verdict.reason}"
-    print(line)
+    print(f"{config.protocol} {verdict.line()}")
     out_path = args.out or f"{config.protocol}-seed{config.seed}.pwv1"
     _write_out(out_path, record.transcript.to_text())
     print(f"transcript {out_path}")

@@ -18,7 +18,10 @@ and mpsc ``cc`` is the receiver's or the relay's input pair; qds takes one
 cell per chain, and tpsc and mpsc also take their private ``masks``.  All
 classical and quantum traffic is logged to a transcript with per-event
 visibility, from which each party's view is reconstructed for the
-information-hiding checks.
+information-hiding checks.  The steps the runners repeat are written once
+on :class:`Run`: ``conclude`` announces and records a verdict, ``masks``
+and ``mask`` draw and apply private input masks, and ``twin_bit``
+measures a sender's outcome-keyed twin qubit.
 
 Measured-bit verification can see only the X part of a claimed bit pair:
 the Z exponent of a correction acts as a global phase on basis states, so
@@ -30,6 +33,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
+from functools import reduce
 from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -91,14 +95,10 @@ class Verdict:
     def accepted(self) -> bool:
         return self.outcome == "accept"
 
-
-@dataclass
-class SharedContext:
-    """State of the world after the shared opening steps."""
-
-    cc: TwoBits | None
-    aa: TwoBits
-    psi_prime_bit: int | None
+    def line(self, extra: str = "") -> str:
+        """CLI rendering: ``verdict=.. [value=..]{extra} [reason=..]``."""
+        return (f"verdict={self.outcome}" + (f" value={self.value}" if self.value else "")
+                + extra + (f" reason={self.reason}" if self.reason else ""))
 
 
 @dataclass
@@ -125,7 +125,7 @@ class RunRecord:
 
 
 class Run:
-    """Shared bookkeeping for one protocol execution.
+    """Shared bookkeeping and the steps the runners repeat, for one execution.
 
     The stations' controllers come from the protocol's spec.  When no
     generator is passed (forced-outcome runs), streams fall back to one
@@ -167,6 +167,21 @@ class Run:
     def send_qubit(self, step, frm, to, action, payload="qubit") -> None:
         self.log(step, frm, action, payload, "quantum", _endpoints(frm, to))
 
+    def masks(self, parties: Sequence[str]) -> tuple[int, ...]:
+        """One private mask bit per party, each drawn from that party's stream."""
+        return tuple(self.party_rng[party].bit() for party in parties)
+
+    def mask(self, step: str, party: str, pair: TwoBits, mask: int) -> int:
+        """The label of ``pair`` with its message (Z) bit hidden under ``mask``."""
+        self.local(step, party, "mask_choice", f"mask={mask}")
+        return label_from_zx(pair.hi ^ mask, pair.lo)
+
+    def twin_bit(self, bit: int, *labels: int) -> int:
+        """Measured bit of the basis state ``bit`` keyed by the labelled
+        operators (the rightmost acts first): a sender's twin qubit."""
+        amps = reduce(np.matmul, map(pauli_matrix, labels)) @ basis_state([bit]).amplitudes
+        return measure_qubit(StateVector(amps), 0, self.born)[0]
+
     def verdict(self, actor: str, verdict: Verdict) -> Verdict:
         payload = f"outcome={verdict.outcome} value={verdict.value} reason={verdict.reason}"
         self.announce("verdict", actor, "verdict", payload)
@@ -174,6 +189,12 @@ class Run:
 
     def record(self, verdict: Verdict) -> RunRecord:
         return RunRecord(self.config, verdict, self.transcript, self.held, self.values)
+
+    def conclude(self, party: str, ok: bool, value: str, reason: str) -> RunRecord:
+        """Announce ``party``'s verdict, accept with ``value`` or reject with
+        ``reason``, and close the run on it."""
+        verdict = Verdict("accept", value=value) if ok else Verdict("reject", reason=reason)
+        return self.record(self.verdict(party, verdict))
 
 
 def _endpoints(frm: str, to: str) -> tuple[str, ...]:
@@ -222,17 +243,9 @@ def cell_label(cell: dict) -> str:
 
 
 def _make_config(protocol, mu, nu, secret, inputs, k, rng, forced, cheat) -> RunConfig:
-    return RunConfig(
-        protocol=protocol,
-        mu=mu,
-        nu=nu,
-        secret=str(secret),
-        inputs=inputs,
-        k=k,
-        seed=rng.seed if rng is not None else 0,
-        mode=_mode_string(forced),
-        strategy=cheat.name if cheat else "",
-    )
+    return RunConfig(protocol, mu, nu, str(secret), inputs, k,
+                     seed=rng.seed if rng is not None else 0, mode=_mode_string(forced),
+                     strategy=cheat.name if cheat else "")
 
 
 def _chain_open(run: Run, mu: int, nu: int, payload: StateVector, *,
@@ -247,12 +260,13 @@ def _chain_open(run: Run, mu: int, nu: int, payload: StateVector, *,
        payload) measures (0, 1), moving the payload to the receiver wire,
     3. the receiver measures its wire when the payload is classical.
 
-    Returns (context, register).  ``forced`` is the (aa, cc) cell to force;
-    it, or either half, may be None (drawn from the Born rule).
-    ``nu_secret_of`` restricts who sees the receiver-side channel label.
-    ``skip_relay`` models a relay that withholds its measurement: the
-    sender's measurement then moves the payload onto the relay's wire 2
-    instead of the receiver's wire 4.
+    Returns (aa, cc, moved_bit, register); cc is None when the relay
+    skipped and moved_bit when the receiver did not measure.  ``forced`` is
+    the (aa, cc) cell to force; it, or either half, may be None (drawn from
+    the Born rule).  ``nu_secret_of`` restricts who sees the receiver-side
+    channel label.  ``skip_relay`` models a relay that withholds its
+    measurement: the sender's measurement then moves the payload onto the
+    relay's wire 2 instead of the receiver's wire 4.
     """
     sender = run.cast["A"]
     receiver = run.cast["B"]
@@ -282,7 +296,7 @@ def _chain_open(run: Run, mu: int, nu: int, payload: StateVector, *,
     if measure_receiver and not skip_relay:
         bit, state = measure_qubit(state, 4, run.born)
         run.local("3", receiver, "measure_moved", f"bit={bit}")
-    return SharedContext(cc, aa, bit), state
+    return aa, cc, bit, state
 
 
 # --- two-party protocols ----------------------------------------------------
@@ -302,39 +316,32 @@ def bc_run(secret: int, rng: Rng | None = None, *, mu: int = 0, nu: int = 0,
     config = config or _make_config("bc", mu, nu, secret, "", 1, rng, forced, cheat)
     run = Run(config, rng, cheat)
     run.local("setup", "alice", "payload", f"bit={secret}")
-    ctx, state = _chain_open(
-        run, mu, nu, _payload_state(secret),
-        measure_receiver=True, forced=forced,
-        nu_secret_of="bob",
-    )
+    aa, cc, moved_bit, _state = _chain_open(run, mu, nu, _payload_state(secret),
+                                            measure_receiver=True, forced=forced,
+                                            nu_secret_of="bob")
     # commitment twin: the payload bit masked by the sender's outcome pair
-    twin = StateVector(pauli_matrix(ctx.aa.label) @ basis_state([secret]).amplitudes)
     run.send_qubit("4", "alice", "bob", "send_commit_twin")
-    twin_bit, _ = measure_qubit(twin, 0, run.born)
+    twin_bit = run.twin_bit(secret, aa.label)
     run.local("5", "bob", "measure_commit_twin", f"bit={twin_bit}")
 
     dev = run.deviation("reveal")
     if dev is not None and dev.kind == "withhold":
         run.local("reveal", "alice", "reveal_withheld", "no message")
-        return run.record(run.verdict("bob", Verdict("reject", reason="transcript_incomplete")))
+        return run.conclude("bob", False, "", "transcript_incomplete")
     reveal_bit = secret
-    reveal_aa = ctx.aa
+    reveal_aa = aa
     if dev is not None and dev.kind == "flip_secret":
         reveal_bit ^= 1
     if dev is not None and dev.kind == "xor_aa":
         reveal_aa = reveal_aa ^ TwoBits.from_label(int(dev.value))
     run.tell("reveal", "alice", "bob", "reveal", f"bit={reveal_bit} aa={reveal_aa}")
 
-    tau = infer_tau(reveal_aa, ctx.cc, mu, nu)
+    tau = infer_tau(reveal_aa, cc, mu, nu)
     check_twin = twin_bit == (reveal_bit ^ reveal_aa.lo)
-    check_moved = ctx.psi_prime_bit == (reveal_bit ^ x_bit(tau))
+    check_moved = moved_bit == (reveal_bit ^ x_bit(tau))
     run.local("verify", "bob", "phase_unverified", f"z_claim={reveal_aa.hi}")
-    run.values.update(
-        twin_bit=twin_bit, moved_bit=ctx.psi_prime_bit, cc=str(ctx.cc), aa=str(ctx.aa)
-    )
-    if check_twin and check_moved:
-        return run.record(run.verdict("bob", Verdict("accept", value=str(reveal_bit))))
-    return run.record(run.verdict("bob", Verdict("reject", reason="commit_mismatch")))
+    run.values.update(twin_bit=twin_bit, moved_bit=moved_bit, cc=str(cc), aa=str(aa))
+    return run.conclude("bob", check_twin and check_moved, str(reveal_bit), "commit_mismatch")
 
 
 def ct_run(secret: int, rng: Rng | None = None, *, forced=None,
@@ -352,32 +359,26 @@ def ct_run(secret: int, rng: Rng | None = None, *, forced=None,
     config = config or _make_config("ct", mu, nu, secret, "", 1, rng, forced, cheat)
     run = Run(config, rng, cheat)
     run.local("setup", "alice", "payload", f"bit={secret}")
-    ctx, state = _chain_open(
-        run, mu, nu, _payload_state(secret),
-        measure_receiver=True, forced=forced,
-    )
+    aa, cc, moved_bit, state = _chain_open(run, mu, nu, _payload_state(secret),
+                                           measure_receiver=True, forced=forced)
     dev = run.deviation("transform")
     if dev is not None and dev.kind == "fresh_qubit":
         # receiver discards the moved qubit and injects a fixed basis state
-        state = apply_pauli(state, label_from_zx(0, ctx.psi_prime_bit ^ int(dev.value)), 4)
+        state = apply_pauli(state, label_from_zx(0, moved_bit ^ int(dev.value)), 4)
         run.local("4", "bob", "substitute_qubit", f"bit={int(dev.value)}")
-    elif dev is not None and dev.kind == "substitute_label":
-        state = apply_pauli(state, int(dev.value), 4)
-        run.local("4", "bob", "rekey", "label=private")
     else:
-        state = apply_pauli(state, ctx.cc.label, 4)
+        rekey = int(dev.value) if dev is not None and dev.kind == "substitute_label" else cc.label
+        state = apply_pauli(state, rekey, 4)
         run.local("4", "bob", "rekey", "label=private")
     coin, state = measure_qubit(state, 4, run.born)
     run.announce("4", "bob", "announce_coin", f"coin={coin}")
     run.send_qubit("4", "bob", "alice", "send_coin_state")
 
-    state = apply_pauli(state, ctx.aa.label, 4)
+    state = apply_pauli(state, aa.label, 4)
     recovered, state = measure_qubit(state, 4, run.born)
     run.local("verify", "alice", "unkey_and_measure", f"bit={recovered}")
-    run.values.update(coin=coin, recovered=recovered, aa=str(ctx.aa), cc=str(ctx.cc))
-    if recovered == secret:
-        return run.record(run.verdict("alice", Verdict("accept", value=str(coin))))
-    return run.record(run.verdict("alice", Verdict("reject", reason="invalid")))
+    run.values.update(coin=coin, recovered=recovered, aa=str(aa), cc=str(cc))
+    return run.conclude("alice", recovered == secret, str(coin), "invalid")
 
 
 def ot_run(secret: int, rng: Rng | None = None, *, forced=None,
@@ -398,27 +399,18 @@ def ot_run(secret: int, rng: Rng | None = None, *, forced=None,
     config = config or _make_config("ot", mu, nu, secret, inputs, 1, rng, forced, cheat)
     run = Run(config, rng, cheat)
     run.local("setup", "alice", "payload", f"bit={secret}")
-    ctx, state = _chain_open(
-        run, mu, nu, _payload_state(secret),
-        measure_receiver=True, forced=forced,
-    )
-    state = apply_pauli(state, ctx.cc.label, 4)
+    aa, cc, _moved_bit, state = _chain_open(run, mu, nu, _payload_state(secret),
+                                            measure_receiver=True, forced=forced)
+    state = apply_pauli(state, cc.label, 4)
     run.local("4", "bob", "rekey", "label=private")
     run.send_qubit("4", "bob", "alice", "send_function_state")
 
-    state = apply_pauli(state, ctx.aa.label, 4)
+    state = apply_pauli(state, aa.label, 4)
     recovered, state = measure_qubit(state, 4, run.born)
     run.local("verify", "alice", "unkey_and_measure", f"bit={recovered}")
-    run.values.update(
-        recovered=recovered,
-        bob_message=ctx.cc.hi,
-        bob_signature=ctx.cc.lo,
-        aa=str(ctx.aa),
-    )
+    run.values.update(recovered=recovered, bob_message=cc.hi, bob_signature=cc.lo, aa=str(aa))
     # the sender announces only pass/fail; what she recovered stays local
-    if recovered == secret:
-        return run.record(run.verdict("alice", Verdict("accept", value="received")))
-    return run.record(run.verdict("alice", Verdict("reject", reason="challenge")))
+    return run.conclude("alice", recovered == secret, "received", "challenge")
 
 
 def tpsc_run(alice_input: TwoBits, bob_input: TwoBits, public_bit: int,
@@ -437,45 +429,36 @@ def tpsc_run(alice_input: TwoBits, bob_input: TwoBits, public_bit: int,
     inputs = f"{alice_input},{bob_input}"
     config = config or _make_config("tpsc", mu, nu, public_bit, inputs, 1, rng, forced, cheat)
     run = Run(config, rng, cheat)
-    mask_a, mask_b = masks if masks is not None else (
-        run.party_rng["alice"].bit(), run.party_rng["bob"].bit())
+    mask_a, mask_b = masks if masks is not None else run.masks(("alice", "bob"))
     run.announce("setup", "alice", "public_payload", f"bit={public_bit}")
 
-    label_a = label_from_zx(alice_input.hi ^ mask_a, alice_input.lo)
-    run.local("2", "alice", "mask_choice", f"mask={mask_a}")
-    ctx, state = _chain_open(
-        run, mu, nu, _payload_state(public_bit),
-        measure_receiver=False, forced=forced,
-        sender_pre_label=label_a,
-    )
+    label_a = run.mask("2", "alice", alice_input, mask_a)
+    aa, cc, _none, state = _chain_open(run, mu, nu, _payload_state(public_bit),
+                                       measure_receiver=False, forced=forced,
+                                       sender_pre_label=label_a)
     # the sender's outcome-keyed copy of her masked input, sent alongside
-    twin = StateVector(
-        pauli_matrix(ctx.aa.label) @ pauli_matrix(label_a)
-        @ basis_state([public_bit]).amplitudes
-    )
     run.send_qubit("2", "alice", "bob", "send_input_twin")
 
     moved_bit, state = measure_qubit(state, 4, run.born)
     run.local("3", "bob", "measure_moved", f"bit={moved_bit}")
-    twin_bit, _ = measure_qubit(twin, 0, run.born)
+    twin_bit = run.twin_bit(public_bit, aa.label, label_a)
     run.local("3", "bob", "measure_input_twin", f"bit={twin_bit}")
-    label_b = label_from_zx(bob_input.hi ^ mask_b, bob_input.lo)
-    run.local("3", "bob", "mask_choice", f"mask={mask_b}")
+    label_b = run.mask("3", "bob", bob_input, mask_b)
     state = apply_pauli(state, label_b, 4)
-    state = apply_pauli(state, ctx.cc.label, 4)
+    state = apply_pauli(state, cc.label, 4)
     run.local("3", "bob", "apply_input_and_rekey", "labels=private")
     run.send_qubit("3", "bob", "alice", "return_state")
 
-    state = apply_pauli(state, ctx.aa.label, 4)
+    state = apply_pauli(state, aa.label, 4)
     f_alice, state = measure_qubit(state, 4, run.born)
-    run.announce("4", "alice", "announce_outcome", f"aa={ctx.aa} f={f_alice}")
+    run.announce("4", "alice", "announce_outcome", f"aa={aa} f={f_alice}")
 
     xmn = x_bit(mu) ^ x_bit(nu)
-    f_bob = moved_bit ^ bob_input.lo ^ ctx.cc.lo ^ ctx.aa.lo
+    f_bob = moved_bit ^ bob_input.lo ^ cc.lo ^ aa.lo
     # receiver-side binding: the twin must agree with the moved bit given
     # the announced outcome pair (X parities only, Z is phase)
-    derived_a_sig = moved_bit ^ public_bit ^ ctx.aa.lo ^ ctx.cc.lo ^ xmn
-    check_twin = twin_bit == (public_bit ^ derived_a_sig ^ ctx.aa.lo)
+    derived_a_sig = moved_bit ^ public_bit ^ aa.lo ^ cc.lo ^ xmn
+    check_twin = twin_bit == (public_bit ^ derived_a_sig ^ aa.lo)
     run.local("verify", "bob", "derive_sender_signature", f"bit={derived_a_sig}")
     run.values.update(
         f_alice=f_alice, f_bob=f_bob,
@@ -483,9 +466,7 @@ def tpsc_run(alice_input: TwoBits, bob_input: TwoBits, public_bit: int,
         bob_sig_seen_by_alice=f_alice ^ public_bit ^ alice_input.lo ^ xmn,
         masks=(mask_a, mask_b),
     )
-    if f_alice == f_bob and check_twin:
-        return run.record(run.verdict("bob", Verdict("accept", value=str(f_alice))))
-    return run.record(run.verdict("bob", Verdict("reject", reason="inconsistent_views")))
+    return run.conclude("bob", f_alice == f_bob and check_twin, str(f_alice), "inconsistent_views")
 
 
 # --- multiparty protocols ---------------------------------------------------
@@ -493,7 +474,7 @@ def tpsc_run(alice_input: TwoBits, bob_input: TwoBits, public_bit: int,
 
 def qss_run(secret, rng: Rng | None = None, *, mu: int = 0, nu: int = 0,
             forced=None, cheat: CheatStrategy | None = None,
-            reconstruct: bool = True, shares: str = "both",
+            reconstruct: bool = True,
             config: RunConfig | None = None) -> RunRecord:
     """(2, 2) secret sharing of a bit or qubit across receiver and relay.
 
@@ -501,7 +482,8 @@ def qss_run(secret, rng: Rng | None = None, *, mu: int = 0, nu: int = 0,
     the sender's outcome pair goes to the receiver only, after the
     receiver confirms it holds a qubit, and the relay's outcome pair is
     the second share.  Either share alone leaves the payload maximally
-    mixed; both together invert the correction exactly.
+    mixed; both together invert the correction exactly.  With ``reconstruct=False``
+    the relay keeps its share: the receiver holds its qubit and rejects.
     """
     payload = _payload_state(secret)
     classical = not isinstance(secret, StateVector)
@@ -512,44 +494,33 @@ def qss_run(secret, rng: Rng | None = None, *, mu: int = 0, nu: int = 0,
 
     dev = run.deviation("relay_bsm")
     skip = dev is not None and dev.kind == "skip"
-    ctx, state = _chain_open(
-        run, mu, nu, payload,
-        measure_receiver=False, forced=forced,
-        skip_relay=skip,
-    )
+    aa, cc, _none, state = _chain_open(run, mu, nu, payload, measure_receiver=False,
+                                       forced=forced, skip_relay=skip)
     run.tell("auth", "bob", "alice", "ack_holding_qubit", "token")
-    run.tell("share", "alice", "bob", "send_sender_share", f"aa={ctx.aa}")
+    run.tell("share", "alice", "bob", "send_sender_share", f"aa={aa}")
 
-    if skip:
-        # the sender's measurement moved the payload to the relay's wire
+    if skip:  # the sender's measurement moved the payload to the relay's wire
         run.held["charlie"].append(extract_qubit(state, 2).amplitudes)
-        run.values.update(relay_skipped=True, aa=str(ctx.aa))
-        return run.record(run.verdict("bob", Verdict("reject", reason="insufficient_shares")))
-
-    if not reconstruct:
+        run.values.update(relay_skipped=True, aa=str(aa))
+    elif not reconstruct:
         run.held["bob"].append(extract_qubit(state, 4).amplitudes)
-        run.values.update(aa=str(ctx.aa), cc=str(ctx.cc))
-        return run.record(Verdict("accept", value="unreconstructed"))
+        run.values.update(aa=str(aa), cc=str(cc))
+    if skip or not reconstruct:
+        return run.conclude("bob", False, "", "insufficient_shares")
 
-    if shares != "both":
-        run.held["bob"].append(extract_qubit(state, 4).amplitudes)
-        run.values.update(aa=str(ctx.aa), cc=str(ctx.cc))
-        return run.record(run.verdict(
-            "bob", Verdict("reject", reason="insufficient_shares")))
-
-    run.tell("collaborate", "charlie", "bob", "send_relay_share", f"cc={ctx.cc}")
-    tau = infer_tau(ctx.aa, ctx.cc, mu, nu)
+    run.tell("collaborate", "charlie", "bob", "send_relay_share", f"cc={cc}")
+    tau = infer_tau(aa, cc, mu, nu)
     state = apply_pauli(state, tau, 4)  # self-inverse up to a global sign
     run.local("reconstruct", "bob", "invert_correction", "label=private")
     recovered = extract_qubit(state, 4)
-    fid = fidelity(payload, recovered)
-    run.values.update(fidelity=fid, aa=str(ctx.aa), cc=str(ctx.cc))
+    run.values.update(fidelity=fidelity(payload, recovered), aa=str(aa), cc=str(cc))
     if classical:
-        bit, _ = measure_qubit(recovered, 0, run.born)
-        run.values["bit"] = bit
-        return run.record(run.verdict("bob", Verdict("accept", value=str(bit))))
-    run.held["bob"].append(recovered.amplitudes)
-    return run.record(run.verdict("bob", Verdict("accept", value="qubit")))
+        value, _ = measure_qubit(recovered, 0, run.born)
+        run.values["bit"] = value
+    else:
+        run.held["bob"].append(recovered.amplitudes)
+        value = "qubit"
+    return run.conclude("bob", True, str(value), "")
 
 
 def qds_run(message: Sequence[int], rng: Rng | None = None, *, mu: int = 0, nu: int = 0,
@@ -576,21 +547,18 @@ def qds_run(message: Sequence[int], rng: Rng | None = None, *, mu: int = 0, nu: 
         forced if forced is None else list(forced_cells), cheat)
     run = Run(config, rng, cheat)
 
-    aa_list: list[TwoBits] = []
-    cc_list: list[TwoBits] = []
-    moved_bits: list[int] = []
-    twin_bits: list[int] = []
+    # per position: outcome pairs, moved and twin bits, X bit of the correction
+    aa_list, cc_list, moved_bits, twin_bits, x_corr = [], [], [], [], []
     for i, bit in enumerate(message):
-        ctx, state = _chain_open(run, mu, nu, _payload_state(bit),
-                                 measure_receiver=True, forced=forced_cells[i])
-        aa_list.append(ctx.aa)
-        cc_list.append(ctx.cc)
-        moved_bits.append(ctx.psi_prime_bit)
-        twin = StateVector(pauli_matrix(ctx.aa.label) @ basis_state([bit]).amplitudes)
+        aa, cc, moved_bit, _state = _chain_open(run, mu, nu, _payload_state(bit),
+                                                measure_receiver=True, forced=forced_cells[i])
+        aa_list.append(aa)
+        cc_list.append(cc)
+        moved_bits.append(moved_bit)
+        x_corr.append(x_bit(infer_tau(aa, cc, mu, nu)))
         run.send_qubit("4", "alice", "charlie", "send_signature_twin", f"index={i}")
-        twin_bit, _ = measure_qubit(twin, 0, run.born)
-        run.local("5", "charlie", "measure_signature_twin", f"index={i} bit={twin_bit}")
-        twin_bits.append(twin_bit)
+        twin_bits.append(run.twin_bit(bit, aa.label))
+        run.local("5", "charlie", "measure_signature_twin", f"index={i} bit={twin_bits[i]}")
 
     # split exchange of the two signature shares, ordering hidden from the sender
     to_relay = [i for i in range(k) if run.shared_rng.bit() == 1]
@@ -611,16 +579,12 @@ def qds_run(message: Sequence[int], rng: Rng | None = None, *, mu: int = 0, nu: 
     if missing_b:
         run.tell("verify", "charlie", "bob", "complete_relay_pairs",
                  f"positions={missing_b} pairs={[str(cc_list[i]) for i in missing_b]}")
-    bob_bad = [
-        i for i in range(k)
-        if moved_bits[i] != reveal_msg[i] ^ x_bit(infer_tau(aa_list[i], cc_list[i], mu, nu))
-    ]
+    bob_bad = [i for i in range(k) if moved_bits[i] != reveal_msg[i] ^ x_corr[i]]
     run.values["bob_failed_positions"] = bob_bad
     if bob_bad:
-        bob_verdict = Verdict("reject", reason="repudiation")
-        run.verdict("bob", bob_verdict)
-        run.values.update(bob=bob_verdict, charlie=Verdict("reject", reason="not_reached"))
-        return run.record(bob_verdict)
+        run.values.update(bob=Verdict("reject", reason="repudiation"),
+                          charlie=Verdict("reject", reason="not_reached"))
+        return run.record(run.verdict("bob", run.values["bob"]))
     bob_verdict = Verdict("accept", value="".join(map(str, reveal_msg)))
     run.values["bob"] = bob_verdict
 
@@ -638,17 +602,13 @@ def qds_run(message: Sequence[int], rng: Rng | None = None, *, mu: int = 0, nu: 
     charlie_bad = [
         i for i in range(k)
         if twin_bits[i] != forward_msg[i] ^ aa_list[i].lo
-        or moved_bits[i] != forward_msg[i] ^ x_bit(infer_tau(aa_list[i], cc_list[i], mu, nu))
+        or moved_bits[i] != forward_msg[i] ^ x_corr[i]
     ]
     run.values["charlie_failed_positions"] = charlie_bad
-    if charlie_bad:
-        charlie_verdict = Verdict("reject", reason="forgery")
-    else:
-        charlie_verdict = Verdict("accept", value="".join(map(str, forward_msg)))
-    run.verdict("charlie", charlie_verdict)
-    run.values["charlie"] = charlie_verdict
-    overall = charlie_verdict if not charlie_verdict.accepted else bob_verdict
-    return run.record(overall)
+    charlie_verdict = (Verdict("reject", reason="forgery") if charlie_bad
+                       else Verdict("accept", value="".join(map(str, forward_msg))))
+    run.values["charlie"] = run.verdict("charlie", charlie_verdict)
+    return run.record(bob_verdict if charlie_verdict.accepted else charlie_verdict)
 
 
 def mpsc_run(alice_input: TwoBits, bob_input: TwoBits, public_bit: int,
@@ -669,52 +629,41 @@ def mpsc_run(alice_input: TwoBits, bob_input: TwoBits, public_bit: int,
     inputs = f"{alice_input},{bob_input},{charlie_input if charlie_input else '--'}"
     config = config or _make_config("mpsc", mu, nu, public_bit, inputs, 1, rng, forced, cheat)
     run = Run(config, rng, cheat)
-    mask_a, mask_b, mask_c = masks if masks is not None else (
-        run.party_rng["alice"].bit(), run.party_rng["bob"].bit(),
-        run.party_rng["charlie"].bit())
+    mask_a, mask_b, mask_c = masks if masks is not None else run.masks(
+        ("alice", "bob", "charlie"))
     run.announce("setup", "alice", "public_payload", f"bit={public_bit}")
 
-    label_a = label_from_zx(alice_input.hi ^ mask_a, alice_input.lo)
-    run.local("2", "alice", "mask_choice", f"mask={mask_a}")
-    ctx, state = _chain_open(
-        run, mu, nu, _payload_state(public_bit),
-        measure_receiver=False, forced=forced,
-        sender_pre_label=label_a,
-    )
-    run.announce("2", "alice", "announce_sender_pair", f"aa={ctx.aa}")
+    label_a = run.mask("2", "alice", alice_input, mask_a)
+    aa, cc, _none, state = _chain_open(run, mu, nu, _payload_state(public_bit),
+                                       measure_receiver=False, forced=forced,
+                                       sender_pre_label=label_a)
+    run.announce("2", "alice", "announce_sender_pair", f"aa={aa}")
 
     moved_bit, state = measure_qubit(state, 4, run.born)
     run.local("3", "bob", "measure_moved", f"bit={moved_bit}")
-    label_b = label_from_zx(bob_input.hi ^ mask_b, bob_input.lo)
-    run.local("3", "bob", "mask_choice", f"mask={mask_b}")
-    state = apply_pauli(state, label_b, 4)
+    state = apply_pauli(state, run.mask("3", "bob", bob_input, mask_b), 4)
     run.send_qubit("3", "bob", "charlie", "send_worked_state")
 
-    label_c = label_from_zx(ctx.cc.hi ^ mask_c, ctx.cc.lo)
-    run.local("4", "charlie", "mask_choice", f"mask={mask_c}")
-    state = apply_pauli(state, label_c, 4)
+    state = apply_pauli(state, run.mask("4", "charlie", cc, mask_c), 4)
     f_bit, state = measure_qubit(state, 4, run.born)
     run.announce("4", "charlie", "announce_outcome", f"f={f_bit}")
 
     run.announce("verify", "alice", "announce_signature", f"sig={alice_input.lo}")
     run.announce("verify", "bob", "announce_signature", f"sig={bob_input.lo}")
-    run.announce("verify", "charlie", "announce_signature", f"sig={ctx.cc.lo}")
+    run.announce("verify", "charlie", "announce_signature", f"sig={cc.lo}")
 
     xmn = x_bit(mu) ^ x_bit(nu)
-    expected_f = public_bit ^ alice_input.lo ^ bob_input.lo ^ ctx.aa.lo ^ xmn
+    expected_f = public_bit ^ alice_input.lo ^ bob_input.lo ^ aa.lo ^ xmn
     check_public = f_bit == expected_f
-    check_receiver = moved_bit == (
-        public_bit ^ alice_input.lo ^ ctx.aa.lo ^ ctx.cc.lo ^ xmn)
+    check_receiver = moved_bit == (public_bit ^ alice_input.lo ^ aa.lo ^ cc.lo ^ xmn)
     run.values.update(
         f=f_bit, expected_f=expected_f, moved_bit=moved_bit,
-        relay_pair=str(ctx.cc), aa=str(ctx.aa),
+        relay_pair=str(cc), aa=str(aa),
         masks=(mask_a, mask_b, mask_c),
     )
-    if check_public and check_receiver:
-        return run.record(run.verdict("charlie", Verdict("accept", value=str(f_bit))))
     blamed = "charlie" if not check_public else "alice"
-    return run.record(run.verdict(
-        "charlie", Verdict("reject", reason=f"verification_failed:{blamed}")))
+    return run.conclude("charlie", check_public and check_receiver, str(f_bit),
+                        f"verification_failed:{blamed}")
 
 
 # --- protocol specs: one description per protocol ------------------------------

@@ -516,8 +516,8 @@ def extract_qubit(state: StateVector, wire: int) -> StateVector:
     component made real positive), which is harmless because all state
     comparisons in this package are up to phase.
     """
-    rho = reduced_density(state, [wire]).matrix
-    vals, vecs = np.linalg.eigh(rho)
+    t = wires_first(state.amplitudes, [wire])
+    vals, vecs = np.linalg.eigh(t @ t.conj().T)  # the wire's reduced density matrix
     if vals[-1] < 1.0 - 1e-9:
         raise ValueError(f"wire {wire} is entangled (purity eigenvalue {vals[-1]:.6f})")
     vec = vecs[:, -1]

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 FORMAT_VERSION = "PWV1"
 
 CONFIG_KEYS = ("protocol", "mu", "nu", "secret", "inputs", "k", "seed", "mode", "strategy")
+_INT_KEYS = ("mu", "nu", "k", "seed")
 
 
 @dataclass(frozen=True)
@@ -39,18 +40,7 @@ class RunConfig:
     strategy: str = ""
 
     def to_text(self) -> str:
-        values = {
-            "protocol": self.protocol,
-            "mu": str(self.mu),
-            "nu": str(self.nu),
-            "secret": self.secret,
-            "inputs": self.inputs,
-            "k": str(self.k),
-            "seed": str(self.seed),
-            "mode": self.mode,
-            "strategy": self.strategy,
-        }
-        return "\n".join(f"{k}={values[k]}" for k in CONFIG_KEYS)
+        return "\n".join(f"{key}={getattr(self, key)}" for key in CONFIG_KEYS)
 
     @classmethod
     def from_text(cls, text: str) -> "RunConfig":
@@ -66,17 +56,8 @@ class RunConfig:
         missing = [k for k in CONFIG_KEYS if k not in pairs]
         if missing:
             raise ValueError(f"config is missing keys: {missing}")
-        return cls(
-            protocol=pairs["protocol"],
-            mu=int(pairs["mu"]),
-            nu=int(pairs["nu"]),
-            secret=pairs["secret"],
-            inputs=pairs["inputs"],
-            k=int(pairs["k"]),
-            seed=int(pairs["seed"]),
-            mode=pairs["mode"],
-            strategy=pairs["strategy"],
-        )
+        return cls(**{key: int(pairs[key]) if key in _INT_KEYS else pairs[key]
+                      for key in CONFIG_KEYS})
 
     @property
     def run_id(self) -> str:

@@ -52,33 +52,35 @@ def oracle_bit(operator_labels, payload_bit):
 
 
 def common_steps(mu, nu, payload, rng, measure_b=True, *, forced=None):
-    """The opening steps every protocol shares, run on their own (three-party cast)."""
+    """The opening steps every protocol shares, run on their own (three-party cast).
+
+    Returns (aa, cc, moved_bit)."""
     run = Run(RunConfig(protocol="qss", mu=mu, nu=nu), rng)
-    ctx, _state = _chain_open(run, mu, nu, _payload_state(payload), measure_receiver=measure_b,
-                              forced=forced)
-    return ctx
+    *opened, _state = _chain_open(run, mu, nu, _payload_state(payload),
+                                  measure_receiver=measure_b, forced=forced)
+    return tuple(opened)
 
 
 def test_common_steps_identity_cell_keeps_bit():
-    ctx = common_steps(0, 0, 0, None, True, forced=(TwoBits(0, 0), TwoBits(0, 0)))
-    assert ctx.psi_prime_bit == 0
-    assert ctx.aa == TwoBits(0, 0) and ctx.cc == TwoBits(0, 0)
+    aa, cc, moved_bit = common_steps(0, 0, 0, None, True, forced=(TwoBits(0, 0), TwoBits(0, 0)))
+    assert moved_bit == 0
+    assert aa == TwoBits(0, 0) and cc == TwoBits(0, 0)
 
 
 @pytest.mark.parametrize("payload_bit", (0, 1))
 def test_common_steps_moved_bit_is_x_parity(payload_bit):
     for aa, cc in ALL_CELLS:
-        ctx = common_steps(0, 0, payload_bit, None, True, forced=(aa, cc))
+        _aa, _cc, moved_bit = common_steps(0, 0, payload_bit, None, True, forced=(aa, cc))
         tau = infer_tau(aa, cc, 0, 0)
-        assert ctx.psi_prime_bit == payload_bit ^ x_bit(tau)
+        assert moved_bit == payload_bit ^ x_bit(tau)
 
 
 def test_common_steps_quantum_payload_all_cells():
     probe = Rng(77).unit_qubit()
     for aa, cc in ALL_CELLS:
         run = Run(RunConfig(protocol="qss", mu=1, nu=2), None)
-        _ctx, state = _chain_open(run, 1, 2, _payload_state(probe), measure_receiver=False,
-                                  forced=(aa, cc))
+        *_opened, state = _chain_open(run, 1, 2, _payload_state(probe), measure_receiver=False,
+                                      forced=(aa, cc))
         tau = infer_tau(aa, cc, 1, 2)
         moved = extract_qubit(state, 4)
         assert equal_up_to_phase(moved, StateVector(pauli_matrix(tau) @ probe.amplitudes))
@@ -268,8 +270,13 @@ def test_qss_quantum_secret_reconstruction():
 
 
 def test_qss_single_share_is_rejected():
-    rec = qss_run(1, None, forced=(TwoBits(0, 1), TwoBits(1, 1)), shares="bob_alone")
+    rec = qss_run(1, None, forced=(TwoBits(0, 1), TwoBits(1, 1)), reconstruct=False)
+    assert not rec.verdict.accepted
     assert rec.verdict.reason == "insufficient_shares"
+    announced = ("verdict", "bob", "verdict", "outcome=reject value= reason=insufficient_shares")
+    for party in ("bob", "charlie"):
+        assert rec.view(party)[-1] == announced
+    assert [amps.shape for amps in rec.held["bob"]] == [(2,)]
 
 
 def test_qss_receiver_share_alone_is_maximally_mixed():
