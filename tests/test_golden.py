@@ -1,4 +1,4 @@
-"""Golden corpus: sha256 digests of transcripts, tables, reports and demo output.
+"""Golden corpus: sha256 digests of transcripts, tables, reports, view distances and demo output.
 
 Each group below renders a fixed set of outputs, and the test compares the
 sha256 of their concatenation with the digest recorded in ``golden.sha256``.
@@ -23,7 +23,7 @@ from pathlib import Path
 import pytest
 
 from bellproto import cli
-from bellproto.attacks import CATALOG, enumeration_cells, run_cell, run_strategy
+from bellproto.attacks import CATALOG, enumeration_cells, run_cell, run_strategy, view_distance
 from bellproto.protocols import run_from_config
 from bellproto.transcript import RunConfig
 from conftest import child_env
@@ -202,6 +202,37 @@ def _report_groups():
                        config, name, mode="sample", trials=16, seed=3).to_text()])
 
 
+# --- observer views: repr of view_distance, non-zero ones included -------------
+
+_KEEP_SHARE = {"runner_kwargs": {"reconstruct": False}}
+VIEWS = (  # protocol, observer, view_distance keywords
+    ("bc", "bob", dict(vary="secret", values=(0, 1))),
+    ("bc", "bob", dict(vary="secret", values=(0, 1), cut_step="reveal")),
+    ("ot", "bob", dict(vary="secret", values=(0, 1))),
+    ("ot", "alice", dict(vary="secret", values=(0, 1))),
+    ("tpsc", "alice", dict(vary="inputs", values=("10,00", "10,10"), fixed={"secret": 1})),
+    ("tpsc", "alice", dict(vary="inputs", values=("10,00", "10,01"), fixed={"secret": 1})),
+    ("tpsc", "bob", dict(vary="inputs", values=("00,01", "10,01"), fixed={"secret": 1})),
+    ("mpsc", "alice", dict(vary="inputs", values=("10,01,11", "10,11,11"),
+                           fixed={"secret": 1})),
+    ("mpsc", "charlie", dict(vary="inputs", values=("00,01,11", "10,01,11"),
+                             fixed={"secret": 1})),
+    ("qss", "bob", dict(vary="secret", values=(0, 1), fixed=_KEEP_SHARE)),
+    ("qss", "charlie", dict(vary="secret", values=(0, 1), fixed=_KEEP_SHARE)),
+    ("qss", "bob", dict(vary="secret", values=("q:1,0,0,0", "q:0,0,1,0"))),
+    ("qss", "bob", dict(vary="secret", values=("q:0.6,0,0.8,0", "q:0,0,1,0"))),
+    ("qss", "bob", dict(vary="secret", values=("q:0.6,0,0.8,0", "q:0,0,1,0"),
+                        fixed=_KEEP_SHARE)),
+    ("qds", "bob", dict(vary="secret", values=("10", "11"))),
+)
+
+
+def _view_texts() -> list[str]:
+    return [f"{protocol} {observer} {kwargs!r} "
+            f"{view_distance(protocol, observer, **kwargs)!r}"
+            for protocol, observer, kwargs in VIEWS]
+
+
 # --- demo scripts: stdout of each demos/0*.py in a fresh interpreter -----------
 
 DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("0*.py"))
@@ -225,6 +256,7 @@ def groups():
     yield from _forced_groups()
     yield from _cli_groups()
     yield from _report_groups()
+    yield "views", _view_texts
     yield from _demo_groups()
 
 
