@@ -26,11 +26,11 @@ print(f"one share only: verdict={rec.verdict.outcome} reason={rec.verdict.reason
 holdings = []
 for cc in ALL_PAIRS:
     rec = qss_run(secret, None, forced=(TwoBits(1, 0), cc), reconstruct=False)
-    holdings.append(StateVector(rec.held["bob"][0]))
+    holdings.append(StateVector(rec.held["bob"]))
 avg = mixture_density(holdings, [0.25] * 4)
 print("receiver share averaged over the relay share it lacks:")
 print(np.round(avg.matrix, 12))
-print(f"maximally mixed: {is_maximally_mixed(avg, tol=1e-12)}\n")
+print(f"maximally mixed: {is_maximally_mixed(avg)}\n")
 
 print("== digital signature of a 4-bit message ==")
 rec = qds_run([1, 0, 1, 1], Rng(8))

@@ -16,6 +16,10 @@ Two measurable quantities back the security claims:
   values, where a view is the joint object (classical observations,
   held quantum states) accumulated over the hidden randomness.
 
+Both the hiding distances and the capture check (a cheater's captured
+qubit against I/2) go through one accumulator, :func:`_views`, and one
+trace distance, :func:`_trace_distance`.
+
 One physical caveat is first-class here: the Z half of an announced bit
 pair acts as a global phase on basis states, so no measured-bit check can
 see it.  Strategies that lie only in that unobservable coordinate are kept
@@ -27,20 +31,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .algebra import LABELS, pauli_matrix
-from .states import (
-    DensityMatrix,
-    Rng,
-    StateVector,
-    mixture_density,
-    qubit,
-    trace_distance,
+from .states import TOL_EQ, Rng, qubit
+from .protocols import (
+    _ALL_PAIRS,
+    PROTOCOLS,
+    CheatStrategy,
+    ConfigError,
+    Deviation,
+    RunRecord,
+    spec_for,
 )
-from .protocols import _ALL_PAIRS, PROTOCOLS, CheatStrategy, Deviation, RunRecord, spec_for
 from .transcript import RunConfig
 
 SCOPE_NOTE = (
@@ -181,15 +186,20 @@ def run_strategy(config: RunConfig, name: str,
     variant and reports the exact detection fraction (or, for capture
     strategies, the trace distance of the captured average state from the
     maximally mixed state).  ``sample`` Monte-Carlo estimates the same
-    detection probability with a seeded generator.
+    detection probability with a seeded generator; a capture strategy has
+    no sampled form and raises :class:`ConfigError` there.
     """
     key = (config.protocol, name)
     if key not in CATALOG:
         raise KeyError(f"no strategy {name!r} for protocol {config.protocol!r}")
+    if mode not in ("enumerate", "sample"):
+        raise ValueError(f"mode must be enumerate or sample, got {mode!r}")
     entry = CATALOG[key]
     variants = list(entry.variants(config))
 
     if entry.metric == "mixedness":
+        if mode != "enumerate":
+            raise ConfigError(f"{name} is a capture strategy and runs in enumerate mode only")
         return _evaluate_capture(config, entry, variants[0])
 
     if mode == "enumerate":
@@ -205,21 +215,19 @@ def run_strategy(config: RunConfig, name: str,
             cells=cells, rejected=rejected,
             detection=Fraction(rejected, cells), note=_note(entry),
         )
-    if mode == "sample":
-        rng = Rng(seed)
-        rejected = 0
-        for t in range(trials):
-            cheat = variants[t % len(variants)]
-            rec = run_cell(config, {}, cheat, rng.derive(t))
-            rejected += 0 if rec.verdict.accepted else 1
-        p = rejected / trials
-        half_width = 3.0 * np.sqrt(max(p * (1 - p), 1e-12) / trials)
-        return SecurityReport(
-            strategy=name, protocol=config.protocol, mode=f"sample:{trials}",
-            cells=trials, rejected=rejected, estimate=p, interval=half_width,
-            note=_note(entry),
-        )
-    raise ValueError(f"mode must be enumerate or sample, got {mode!r}")
+    rng = Rng(seed)
+    rejected = 0
+    for t in range(trials):
+        cheat = variants[t % len(variants)]
+        rec = run_cell(config, {}, cheat, rng.derive(t))
+        rejected += 0 if rec.verdict.accepted else 1
+    p = rejected / trials
+    half_width = 3.0 * np.sqrt(max(p * (1 - p), 1e-12) / trials)
+    return SecurityReport(
+        strategy=name, protocol=config.protocol, mode=f"sample:{trials}",
+        cells=trials, rejected=rejected, estimate=p, interval=half_width,
+        note=_note(entry),
+    )
 
 
 def _note(entry: CatalogEntry) -> str:
@@ -228,19 +236,19 @@ def _note(entry: CatalogEntry) -> str:
 
 def _evaluate_capture(config: RunConfig, entry: CatalogEntry,
                       cheat: CheatStrategy) -> SecurityReport:
-    """Average the cheater's captured state over the randomness it cannot see."""
-    states = []
-    for aa in _ALL_PAIRS:
-        rec = run_cell(config, {"forced": (aa, None)}, cheat, None)
-        captured = rec.held["charlie"]
-        if len(captured) != 1:
-            raise RuntimeError("capture strategy did not leave a captured qubit")
-        states.append(StateVector(captured[0]))
-    avg = mixture_density(states, [0.25] * 4)
-    dist = trace_distance(avg, DensityMatrix(np.eye(2) / 2))
+    """Average the cheater's captured qubit over the sender outcomes it
+    cannot see, and measure its distance from the maximally mixed state."""
+    records = [run_cell(config, {"forced": (aa, None)}, cheat, None) for aa in _ALL_PAIRS]
+    if any(cheat.target not in rec.held for rec in records):
+        raise RuntimeError("capture strategy did not leave a captured qubit")
+    views = _views(records, cheat.target, 1 / len(records))
+    if len(views) != 1:
+        raise RuntimeError(f"capture cells gave the cheater {len(views)} views, not one")
+    [avg] = views.values()
     return SecurityReport(
         strategy=cheat.name, protocol=config.protocol, mode="enumerate",
-        cells=len(states), state_distance=dist, note=_note(entry),
+        cells=len(records), state_distance=_trace_distance(avg, np.eye(2) / 2),
+        note=_note(entry),
     )
 
 
@@ -255,15 +263,29 @@ def expected_bound_met(report: SecurityReport, entry: CatalogEntry) -> bool:
 # --- observer views and hiding ----------------------------------------------
 
 
-def _observer_object(rec: RunRecord, observer: str, cut_step: str | None):
-    view = rec.view(observer, cut_step=cut_step)
-    held = rec.held.get(observer, [])
-    if held:
-        vec = held[0]
-        for extra in held[1:]:
-            vec = np.kron(vec, extra)
-        return view, np.outer(vec, vec.conj())
-    return view, None
+_NOTHING_HELD = np.ones((1, 1))
+
+
+def _views(records: Iterable[RunRecord], observer: str, weight: float,
+           cut_step: str | None = None) -> dict[tuple, np.ndarray]:
+    """Each distinct view of ``observer`` with its summed weighted state.
+
+    The state of one record is the projector of the qubit the observer
+    holds, or the 1x1 matrix [[1.0]] when it holds none, so a classical
+    view's state is its probability.
+    """
+    out: dict[tuple, np.ndarray] = {}
+    for rec in records:
+        view = rec.view(observer, cut_step=cut_step)
+        vec = rec.held.get(observer)
+        state = weight * (_NOTHING_HELD if vec is None else np.outer(vec, vec.conj()))
+        out[view] = out[view] + state if view in out else state
+    return out
+
+
+def _trace_distance(a, b) -> float:
+    """Half the trace norm of ``a - b``; either side may be 0 (a missing view)."""
+    return 0.5 * float(np.abs(np.linalg.eigvalsh(a - b)).sum())
 
 
 def view_distance(protocol: str, observer: str, *, vary: str,
@@ -280,36 +302,15 @@ def view_distance(protocol: str, observer: str, *, vary: str,
     """
     fixed = dict(fixed or {})
     runner_kwargs = fixed.pop("runner_kwargs", {})
-    accumulators: list[dict] = [{}, {}]
-    for side, value in enumerate(values):
-        kwargs = dict(fixed)
-        kwargs[vary] = value
-        config = _view_config(protocol, kwargs)
+    sides = []
+    for value in values:
+        config = _view_config(protocol, {**fixed, vary: value})
         cells = list(enumeration_cells(config))
-        weight = 1.0 / len(cells)
-        for cell in cells:
-            merged = dict(cell)
-            merged.update(runner_kwargs)
-            rec = run_cell(config, merged, None, None)
-            view, density = _observer_object(rec, observer, cut_step)
-            slot = accumulators[side].setdefault(view, {"w": 0.0, "rho": None})
-            slot["w"] += weight
-            if density is not None:
-                slot["rho"] = density * weight if slot["rho"] is None else slot["rho"] + density * weight
-    total = 0.0
-    for view in set(accumulators[0]) | set(accumulators[1]):
-        a = accumulators[0].get(view)
-        b = accumulators[1].get(view)
-        rho_a = a["rho"] if a else None
-        rho_b = b["rho"] if b else None
-        if rho_a is None and rho_b is None:
-            total += abs((a["w"] if a else 0.0) - (b["w"] if b else 0.0))
-        else:
-            dim = rho_a.shape[0] if rho_a is not None else rho_b.shape[0]
-            da = rho_a if rho_a is not None else np.zeros((dim, dim))
-            db = rho_b if rho_b is not None else np.zeros((dim, dim))
-            total += float(np.abs(np.linalg.eigvalsh(da - db)).sum())
-    return 0.5 * total
+        records = (run_cell(config, {**cell, **runner_kwargs}, None, None) for cell in cells)
+        sides.append(_views(records, observer, 1.0 / len(cells), cut_step))
+    a, b = sides
+    return sum(_trace_distance(a.get(view, 0.0), b.get(view, 0.0))
+               for view in set(a) | set(b))
 
 
 def _view_config(protocol: str, kwargs: dict) -> RunConfig:
@@ -329,8 +330,7 @@ _TOMOGRAPHIC_INPUTS = (
 )
 
 
-def otp_certify(labels: Sequence[int], probs: Sequence[float],
-                tol: float = 1e-12) -> bool:
+def otp_certify(labels: Sequence[int], probs: Sequence[float]) -> bool:
     """Whether a weighted operator set is a perfect single-qubit pad.
 
     Requires both the completeness sum (sum of p * U U^T equal to the
@@ -343,12 +343,12 @@ def otp_certify(labels: Sequence[int], probs: Sequence[float],
     probs = [float(p) for p in probs]
     if len(labels) != len(probs) or not labels:
         raise ValueError("labels and probs must be equal-length and non-empty")
-    if abs(sum(probs) - 1.0) > tol:
+    if abs(sum(probs) - 1.0) > TOL_EQ:
         raise ValueError(f"probabilities sum to {sum(probs)}")
     complete = sum(
         p * pauli_matrix(lab) @ pauli_matrix(lab).T for lab, p in zip(labels, probs)
     )
-    if np.max(np.abs(complete - np.eye(2))) > tol:
+    if np.max(np.abs(complete - np.eye(2))) > TOL_EQ:
         return False
     for probe in _TOMOGRAPHIC_INPUTS:
         out = sum(
@@ -356,6 +356,6 @@ def otp_certify(labels: Sequence[int], probs: Sequence[float],
                          (pauli_matrix(lab) @ probe.amplitudes).conj())
             for lab, p in zip(labels, probs)
         )
-        if np.max(np.abs(out - np.eye(2) / 2)) > tol:
+        if np.max(np.abs(out - np.eye(2) / 2)) > TOL_EQ:
             return False
     return True

@@ -13,9 +13,11 @@ fault, a malformed ``--secret`` (including ``q:`` amplitudes that are not
 four numbers or not normalised) or ``--inputs``, a channel label outside
 0..3, a value the protocol never reads (``--inputs`` for bc/ct/qss/qds, a
 non-zero ``--mu``/``--nu`` for ct/ot), a negative ``--seed``, ``--samples``
-below 1 and ``attack --mode sample`` without ``--seed``.  Exit 4 covers a
-file that cannot be read or written (any ``--out``) and a transcript that
-is not UTF-8, does not parse or has a configuration no protocol accepts.
+below 1, ``attack --mode sample`` without ``--seed`` and ``attack --mode
+sample`` for the capture strategy, which runs enumerated only.  Exit 4
+covers a file that cannot be read or written (any ``--out``) and a
+transcript that is not UTF-8, does not parse or has a configuration no
+protocol accepts.
 Without ``--inputs`` tpsc runs with ``00,00`` and mpsc with ``00,00,--``
 (the relay's pair left to its Bell outcome).  Every subcommand is
 deterministic given its flags: ``run`` and ``attack --mode sample`` require

@@ -72,14 +72,13 @@ def _probes(count: int = 6) -> list[StateVector]:
 
 
 def _faulted_operators(fault: str | None):
-    paulis = [pauli_matrix(t).copy() for t in LABELS]
+    """The omega table, with the named fault injected."""
     omegas = [omega_matrix(t).copy() for t in LABELS]
     if fault is None:
-        return paulis, omegas
+        return omegas
     if fault == "omega-sign":
-        omegas[3] = omegas[3].copy()
         omegas[3][1, 0] = -omegas[3][1, 0]
-        return paulis, omegas
+        return omegas
     raise ValueError(f"unknown fault {fault!r} (try omega-sign)")
 
 
@@ -139,14 +138,13 @@ def check_compose_table() -> IdentityCheck:
 
 
 def check_chain_decomposition(fault: str | None = None) -> IdentityCheck:
-    paulis, omegas = _faulted_operators(fault)
+    omegas = _faulted_operators(fault)
     worst = 0.0
     for mu, nu in itertools.product(LABELS, repeat=2):
         for probe in _probes(3):
             ref = chain_register(mu, nu, probe).amplitudes
             total = np.zeros_like(ref)
-            for _tau, _rho, term in decompose_chain(mu, nu, probe,
-                                                    paulis=paulis, omegas=omegas):
+            for _tau, _rho, term in decompose_chain(mu, nu, probe, omegas=omegas):
                 total += term.amplitudes
             worst = max(worst, float(np.abs(total / 4.0 - ref).max()))
     return IdentityCheck("chain-decomposition", worst, TOL_EQ,
@@ -154,7 +152,7 @@ def check_chain_decomposition(fault: str | None = None) -> IdentityCheck:
 
 
 def check_swap_decomposition(fault: str | None = None) -> IdentityCheck:
-    _paulis, omegas = _faulted_operators(fault)
+    omegas = _faulted_operators(fault)
     worst = 0.0
     for mu, nu in itertools.product(LABELS, repeat=2):
         ref = make_register([bell_state(mu), bell_state(nu)]).amplitudes
@@ -166,14 +164,13 @@ def check_swap_decomposition(fault: str | None = None) -> IdentityCheck:
 
 
 def check_teleport_decomposition(fault: str | None = None) -> IdentityCheck:
-    paulis, omegas = _faulted_operators(fault)
+    omegas = _faulted_operators(fault)
     worst = 0.0
     for channel in LABELS:
         for probe in _probes(3):
             ref = make_register([probe, bell_state(channel)]).amplitudes
             total = np.zeros_like(ref)
-            for _tau, term in decompose_teleport(channel, probe,
-                                                 paulis=paulis, omegas=omegas):
+            for _tau, term in decompose_teleport(channel, probe, omegas=omegas):
                 total += term.amplitudes
             worst = max(worst, float(np.abs(total / 2.0 - ref).max()))
     return IdentityCheck("teleport-decomposition", worst, TOL_EQ)

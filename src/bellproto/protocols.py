@@ -58,6 +58,7 @@ from .transcript import RunConfig, Transcript
 _STREAM_BORN = 0
 _STREAM_PARTY = {"alice": 1, "bob": 2, "charlie": 3}
 _STREAM_SHARED = 9
+_STREAM_SECRET = 99
 
 
 class ConfigError(ValueError):
@@ -79,7 +80,6 @@ class CheatStrategy:
     name: str
     target: str
     hooks: Mapping[str, Deviation]
-    note: str = ""
 
     def deviation(self, step: str) -> Deviation | None:
         return self.hooks.get(step)
@@ -103,10 +103,14 @@ class Verdict:
 
 @dataclass
 class RunRecord:
+    """What one execution leaves: its verdict, its transcript, the qubit each
+    party still holds at the end (``held``: party to amplitudes; a party
+    holding nothing has no key) and the runner's named ``values``."""
+
     config: RunConfig
     verdict: Verdict
     transcript: Transcript
-    held: dict[str, list[np.ndarray]]
+    held: dict[str, np.ndarray]
     values: dict[str, object]
 
     def view(self, controller: str, cut_step: str | None = None) -> tuple:
@@ -130,7 +134,8 @@ class Run:
     The stations' controllers come from the protocol's spec.  When no
     generator is passed (forced-outcome runs), streams fall back to one
     keyed by the config seed, so a replay driven purely by the recorded
-    configuration reproduces masks and share splits exactly.
+    configuration reproduces masks and share splits exactly.  Besides the
+    Born stream, each stream is derived where it is drawn from.
     """
 
     def __init__(self, config: RunConfig, rng: Rng | None,
@@ -140,13 +145,9 @@ class Run:
         self.controllers = tuple(sorted(set(self.cast.values())))
         self.transcript = Transcript(config)
         self.cheat = cheat
-        base = rng if rng is not None else Rng(config.seed)
-        self.born = base.derive(_STREAM_BORN)
-        self.party_rng = {
-            name: base.derive(idx) for name, idx in _STREAM_PARTY.items()
-        }
-        self.shared_rng = base.derive(_STREAM_SHARED)
-        self.held: dict[str, list[np.ndarray]] = {c: [] for c in self.controllers}
+        self.base = rng if rng is not None else Rng(config.seed)
+        self.born = self.base.derive(_STREAM_BORN)
+        self.held: dict[str, np.ndarray] = {}
         self.values: dict[str, object] = {}
 
     def deviation(self, step: str) -> Deviation | None:
@@ -169,7 +170,7 @@ class Run:
 
     def masks(self, parties: Sequence[str]) -> tuple[int, ...]:
         """One private mask bit per party, each drawn from that party's stream."""
-        return tuple(self.party_rng[party].bit() for party in parties)
+        return tuple(self.base.derive(_STREAM_PARTY[party]).bit() for party in parties)
 
     def mask(self, step: str, party: str, pair: TwoBits, mask: int) -> int:
         """The label of ``pair`` with its message (Z) bit hidden under ``mask``."""
@@ -484,6 +485,11 @@ def qss_run(secret, rng: Rng | None = None, *, mu: int = 0, nu: int = 0,
     the second share.  Either share alone leaves the payload maximally
     mixed; both together invert the correction exactly.  With ``reconstruct=False``
     the relay keeps its share: the receiver holds its qubit and rejects.
+
+    The record's ``held`` keeps the qubit a party is left with: the
+    receiver's, when it keeps the uncorrected one (``reconstruct=False``)
+    or recovers a quantum secret, and the relay's, when it skips its
+    measurement (the ``relay_bsm`` skip) and captures the payload.
     """
     payload = _payload_state(secret)
     classical = not isinstance(secret, StateVector)
@@ -500,10 +506,10 @@ def qss_run(secret, rng: Rng | None = None, *, mu: int = 0, nu: int = 0,
     run.tell("share", "alice", "bob", "send_sender_share", f"aa={aa}")
 
     if skip:  # the sender's measurement moved the payload to the relay's wire
-        run.held["charlie"].append(extract_qubit(state, 2).amplitudes)
+        run.held["charlie"] = extract_qubit(state, 2).amplitudes
         run.values.update(relay_skipped=True, aa=str(aa))
     elif not reconstruct:
-        run.held["bob"].append(extract_qubit(state, 4).amplitudes)
+        run.held["bob"] = extract_qubit(state, 4).amplitudes
         run.values.update(aa=str(aa), cc=str(cc))
     if skip or not reconstruct:
         return run.conclude("bob", False, "", "insufficient_shares")
@@ -518,7 +524,7 @@ def qss_run(secret, rng: Rng | None = None, *, mu: int = 0, nu: int = 0,
         value, _ = measure_qubit(recovered, 0, run.born)
         run.values["bit"] = value
     else:
-        run.held["bob"].append(recovered.amplitudes)
+        run.held["bob"] = recovered.amplitudes
         value = "qubit"
     return run.conclude("bob", True, str(value), "")
 
@@ -561,8 +567,9 @@ def qds_run(message: Sequence[int], rng: Rng | None = None, *, mu: int = 0, nu: 
         run.local("5", "charlie", "measure_signature_twin", f"index={i} bit={twin_bits[i]}")
 
     # split exchange of the two signature shares, ordering hidden from the sender
-    to_relay = [i for i in range(k) if run.shared_rng.bit() == 1]
-    to_receiver = [i for i in range(k) if run.shared_rng.bit() == 1]
+    shared = run.base.derive(_STREAM_SHARED)
+    to_relay = [i for i in range(k) if shared.bit() == 1]
+    to_receiver = [i for i in range(k) if shared.bit() == 1]
     run.tell("6", "bob", "charlie", "share_moved_bits",
              f"positions={to_relay} bits={[moved_bits[i] for i in to_relay]}")
     run.tell("6", "charlie", "bob", "share_relay_pairs",
@@ -779,7 +786,7 @@ def _qss_secret(config: RunConfig, rng: Rng | None):
     if text in ("0", "1"):
         return int(text)
     if text == "q":
-        return rng.derive(99).unit_qubit() if rng is not None else qubit(0.6, 0.8j)
+        return rng.derive(_STREAM_SECRET).unit_qubit() if rng is not None else qubit(0.6, 0.8j)
     if text.startswith("q:"):
         try:
             return _decode_qubit(text)

@@ -187,11 +187,11 @@ def fidelity(a: StateVector, b: StateVector) -> float:
     return float(abs(overlap(a, b)) ** 2)
 
 
-def equal_up_to_phase(a: StateVector, b: StateVector, tol: float = TOL_EQ) -> bool:
-    """State equality modulo a global phase: | <a|b> | == 1 within tol."""
+def equal_up_to_phase(a: StateVector, b: StateVector) -> bool:
+    """State equality modulo a global phase: | <a|b> | == 1 within TOL_EQ."""
     if a.n_qubits != b.n_qubits:
         return False
-    return bool(abs(abs(overlap(a, b)) - 1.0) <= tol)
+    return bool(abs(abs(overlap(a, b)) - 1.0) <= TOL_EQ)
 
 
 # bras of the measurement bases, one row per outcome; both are real
@@ -327,23 +327,22 @@ def _place_pairs(blocks: Sequence[tuple[Sequence[int], np.ndarray]]) -> np.ndarr
 
 
 def decompose_teleport(
-    channel: int, payload: StateVector, paulis=None, omegas=None
+    channel: int, payload: StateVector, omegas=None
 ) -> list[tuple[int, StateVector]]:
     """Exact four-term decomposition of payload (x) Bell(channel).
 
     Term tau lives on wires (0,1)=Bell sector, wire 2 = moved payload; the
-    terms, each weighted 1/2, sum to the input product state.  ``paulis``
-    and ``omegas`` override the operator tables (used by the identity
-    suite's fault injection) at the cost of exactness.
+    terms, each weighted 1/2, sum to the input product state.  ``omegas``
+    overrides the operator table (used by the identity suite's fault
+    injection) at the cost of exactness.
     """
-    paulis = paulis or [pauli_matrix(t) for t in LABELS]
     omegas = omegas or [omega_matrix(t) for t in LABELS]
     out = []
     for tau in LABELS:
         aa = tau ^ channel
         sign = _teleport_sign(channel, aa) * apply_omega_to_bell(tau, channel).phase
         bell_part = sign * (omegas[tau] @ bell_vector(channel))
-        moved = paulis[tau] @ payload.amplitudes
+        moved = pauli_matrix(tau) @ payload.amplitudes
         vec = _place_pairs([((0, 1), bell_part), ((2,), moved)])
         out.append((tau, StateVector(vec)))
     return out
@@ -373,7 +372,7 @@ def decompose_swap(mu: int, nu: int, omegas=None) -> list[tuple[int, StateVector
 
 
 def decompose_chain(
-    mu: int, nu: int, payload: StateVector, paulis=None, omegas=None
+    mu: int, nu: int, payload: StateVector, omegas=None
 ) -> list[tuple[int, int, StateVector]]:
     """Exact sixteen-term decomposition of the five-wire chain register.
 
@@ -382,10 +381,10 @@ def decompose_chain(
     in sector ``tau ^ rho ^ mu``, the relay pair in ``rho ^ nu`` and the
     receiver wire carrying pauli(tau) applied to the payload.
     """
-    paulis = paulis or [pauli_matrix(t) for t in LABELS]
     omegas = omegas or [omega_matrix(t) for t in LABELS]
     out = []
     for tau in LABELS:
+        moved = pauli_matrix(tau) @ payload.amplitudes
         for rho in LABELS:
             aa = tau ^ rho ^ mu
             cc = rho ^ nu
@@ -399,7 +398,6 @@ def decompose_chain(
             )
             sender = sign * (omegas[tau] @ omegas[rho] @ bell_vector(mu))
             relay = omegas[rho] @ bell_vector(nu)
-            moved = paulis[tau] @ payload.amplitudes
             vec = _place_pairs([((0, 1), sender), ((2, 3), relay), ((4,), moved)])
             out.append((tau, rho, StateVector(vec)))
     return out
@@ -491,10 +489,10 @@ def mixture_density(states: Sequence[StateVector], probs: Sequence[float]) -> De
     return DensityMatrix(acc)
 
 
-def is_maximally_mixed(dm: DensityMatrix, tol: float = TOL_EQ) -> bool:
-    """True when the matrix is entrywise within tol of I / 2**n."""
+def is_maximally_mixed(dm: DensityMatrix) -> bool:
+    """True when the matrix is entrywise within TOL_EQ of I / 2**n."""
     dim = dm.matrix.shape[0]
-    return bool(np.max(np.abs(dm.matrix - np.eye(dim) / dim)) <= tol)
+    return bool(np.max(np.abs(dm.matrix - np.eye(dim) / dim)) <= TOL_EQ)
 
 
 def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:

@@ -134,7 +134,7 @@ def test_c4_uniformity_mixedness_and_pad():
         assert np.abs(dm.matrix - np.eye(4) / 4).max() <= TOL
     for probe in seeded_payloads(20, seed=13):
         parts = [StateVector(pauli_matrix(t) @ probe.amplitudes) for t in LABELS]
-        assert is_maximally_mixed(mixture_density(parts, [0.25] * 4), tol=TOL)
+        assert is_maximally_mixed(mixture_density(parts, [0.25] * 4))
 
     certified = [
         subset

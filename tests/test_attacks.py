@@ -15,7 +15,7 @@ from bellproto.attacks import (
     strategies_for,
     view_distance,
 )
-from bellproto.protocols import bc_run, spec_for
+from bellproto.protocols import ConfigError, bc_run, spec_for
 from bellproto.transcript import RunConfig
 
 
@@ -139,6 +139,15 @@ def test_every_report_carries_the_scope_note():
     for name in strategies_for("bc"):
         report = run_strategy(config_for("bc"), name)
         assert "enumerated deviation family" in report.note
+
+
+def test_capture_strategy_runs_in_enumerate_mode_only():
+    config = config_for("qss")
+    with pytest.raises(ConfigError, match="enumerate mode only"):
+        run_strategy(config, "charlie-skip-bsm", mode="sample", trials=4, seed=3)
+    for name in ("charlie-skip-bsm", "null"):
+        with pytest.raises(ValueError, match="mode must be enumerate or sample"):
+            run_strategy(config, name, mode="exhaustive")
 
 
 # --- hiding suite -------------------------------------------------------------
@@ -305,7 +314,7 @@ def test_forced_qss_cells_run_the_requested_payload(monkeypatch):
         assert rec.config.secret == secret
         aa, cc = cell["forced"]
         moved = StateVector(pauli_matrix(infer_tau(aa, cc, 1, 2)) @ one)
-        assert equal_up_to_phase(StateVector(rec.held["bob"][0]), moved)
+        assert equal_up_to_phase(StateVector(rec.held["bob"]), moved)
 
     records = []
 
@@ -319,4 +328,4 @@ def test_forced_qss_cells_run_the_requested_payload(monkeypatch):
     assert len(records) == 16
     for rec in records:
         assert rec.config.secret == secret
-        assert equal_up_to_phase(StateVector(rec.held["bob"][0]), basis_state("1"))
+        assert equal_up_to_phase(StateVector(rec.held["bob"]), basis_state("1"))

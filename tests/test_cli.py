@@ -207,6 +207,9 @@ BAD_INPUTS = {
                                    EXIT_CONFIG),
     "unknown-strategy": (lambda tmp: ["attack", "--protocol", "ot", "--strategy", "made-up"],
                          EXIT_CONFIG),
+    "capture-strategy-sampled": (lambda tmp: ["attack", "--protocol", "qss", "--strategy",
+                                              "charlie-skip-bsm", "--mode", "sample",
+                                              "--seed", "3"], EXIT_CONFIG),
     "identities-out-missing-dir": (lambda tmp: ["identities", "--out",
                                                 str(tmp / "missing" / "x")], EXIT_IO),
     "run-out-missing-dir": (lambda tmp: ["run", "--protocol", "bc", "--seed", "1", "--out",

@@ -290,7 +290,7 @@ def test_teleport_outcome_average_is_maximally_mixed():
             _, post = bsm(state, (0, 1), force=outcome)
             far_states.append(extract_qubit(post, 2))
         dm = mixture_density(far_states, [0.25] * 4)
-        assert is_maximally_mixed(dm, tol=1e-12)
+        assert is_maximally_mixed(dm)
 
 
 # --- the correction lookup ------------------------------------------------------
@@ -354,7 +354,7 @@ def test_is_maximally_mixed():
     assert not is_maximally_mixed(projector(basis_state("0")))
     for probe in random_qubits(41, 5):
         parts = [StateVector(pauli_matrix(t) @ probe.amplitudes) for t in LABELS]
-        assert is_maximally_mixed(mixture_density(parts, [0.25] * 4), tol=1e-12)
+        assert is_maximally_mixed(mixture_density(parts, [0.25] * 4))
 
 
 def test_density_matrix_validation():
