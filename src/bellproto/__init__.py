@@ -4,7 +4,7 @@ The package splits into five layers:
 
 * :mod:`bellproto.algebra` - exact tables for the all-real operator set
   {I, X, Z, ZX}, the four Bell states, their signed composition rules and
-  the two-bit encodings.
+  the bit pair :class:`TwoBits`.
 * :mod:`bellproto.states` - a dense state-vector engine whose one Bell-basis
   measurement does both entanglement swapping and teleportation, the exact
   Bell-sector decompositions, and density-matrix mixing oracles.
@@ -13,10 +13,10 @@ The package splits into five layers:
   transfer (ot), two-party computation (tpsc), secret sharing (qss),
   digital signatures (qds) and three-party computation (mpsc).
 * :mod:`bellproto.attacks` - a concrete cheating-strategy catalog, exact
-  enumeration of detection probabilities, observer-view trace distances
-  and one-time-pad certification.
+  enumeration of detection probabilities and observer-view trace distances.
 * :mod:`bellproto.cli` - the ``bellproto`` command-line driver, plus
-  :mod:`bellproto.identities` backing its identity suite.
+  :mod:`bellproto.identities` backing its identity suite, one-time-pad
+  certification included.
 """
 
 from .algebra import (
@@ -24,8 +24,6 @@ from .algebra import (
     TwoBits,
     apply_omega_to_bell,
     bell_vector,
-    decode_two_bits,
-    encode_two_bits,
     label_from_zx,
     omega_inner,
     omega_matrix,
@@ -71,7 +69,7 @@ from .protocols import (
     run_from_config,
     tpsc_run,
 )
-from .attacks import SecurityReport, otp_certify, run_strategy, view_distance
+from .attacks import SecurityReport, run_strategy, view_distance
 from .transcript import RunConfig, Transcript, first_divergence, parse_transcript
 
 __version__ = "0.1.0"

@@ -41,6 +41,7 @@ class TwoBits(NamedTuple):
 
     @property
     def label(self) -> int:
+        """Operator label of the pair: 00->I, 01->X, 10->Z, 11->ZX."""
         return 2 * self.hi + self.lo
 
     @classmethod
@@ -157,24 +158,6 @@ def x_bit(label: int) -> int:
     return label & 1
 
 
-def z_bit(label: int) -> int:
-    """Z exponent of a label (its high bit)."""
-    _check_label(label)
-    return (label >> 1) & 1
-
-
-def encode_two_bits(bits: TwoBits) -> int:
-    """Bit pair -> operator label: 00->I, 01->X, 10->Z, 11->ZX."""
-    _check_bit(bits.hi)
-    _check_bit(bits.lo)
-    return bits.label
-
-
-def decode_two_bits(label: int) -> TwoBits:
-    """Operator label -> bit pair; inverse of :func:`encode_two_bits`."""
-    return TwoBits.from_label(label)
-
-
 def label_from_zx(z: int, x: int) -> int:
     """Label of the product Z^z @ X^x (phase exactly +1).
 
@@ -223,9 +206,3 @@ def pauli_compose_sequence(labels) -> SignedLabel:
         step = pauli_compose(out.label, lab)
         out = SignedLabel(step.label, out.phase * step.phase)
     return out
-
-
-def pauli_transpose_phase(label: int) -> int:
-    """Sign s with pauli(label).T == s * pauli(label); -1 only for label 3."""
-    _check_label(label)
-    return -1 if label == 3 else 1

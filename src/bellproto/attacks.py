@@ -4,9 +4,12 @@ Strategies are concrete per-step deviations: substitute an operator label,
 flip a classical bit, skip a measurement, withhold a message.  The
 evaluator either enumerates every Bell-outcome cell and strategy-internal
 choice (all outcomes have probability exactly 1/4, so cell weights are
-exact rationals) or Monte-Carlo samples with a seed.  Every report states
-explicitly that its bounds cover this enumerable family only; adversaries
-with entangled ancillas or cross-run quantum memory are out of scope.
+exact rationals) or Monte-Carlo samples with a seed.  For qds, which runs
+one chain per message bit, enumeration forces the same (aa, cc) on all k
+chains: its 16 cells are the diagonal of the 16^k product.  Every report
+states explicitly that its bounds cover this enumerable family only;
+adversaries with entangled ancillas or cross-run quantum memory are out of
+scope.
 
 Two measurable quantities back the security claims:
 
@@ -31,12 +34,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
-from .algebra import LABELS, pauli_matrix
-from .states import TOL_EQ, Rng, qubit
+from .algebra import LABELS
+from .states import Rng
 from .protocols import (
     _ALL_PAIRS,
     PROTOCOLS,
@@ -318,44 +321,3 @@ def _view_config(protocol: str, kwargs: dict) -> RunConfig:
     return spec_for(protocol).config(
         secret=str(kwargs.get("secret", 0)), inputs=kwargs.get("inputs", ""),
         mu=kwargs.get("mu", 0), nu=kwargs.get("nu", 0), mode="enumerate")
-
-
-# --- one-time-pad certification ----------------------------------------------
-
-_TOMOGRAPHIC_INPUTS = (
-    qubit(1, 0),
-    qubit(0, 1),
-    qubit(1 / np.sqrt(2), 1 / np.sqrt(2)),
-    qubit(1 / np.sqrt(2), 1j / np.sqrt(2)),
-)
-
-
-def otp_certify(labels: Sequence[int], probs: Sequence[float]) -> bool:
-    """Whether a weighted operator set is a perfect single-qubit pad.
-
-    Requires both the completeness sum (sum of p * U U^T equal to the
-    identity, automatic for unitaries) and that the induced mixture sends
-    a tomographically complete input set to the maximally mixed state.
-    The complex-axis probe matters: {I, ZX} passes every real-amplitude
-    input and fails only there.
-    """
-    labels = list(labels)
-    probs = [float(p) for p in probs]
-    if len(labels) != len(probs) or not labels:
-        raise ValueError("labels and probs must be equal-length and non-empty")
-    if abs(sum(probs) - 1.0) > TOL_EQ:
-        raise ValueError(f"probabilities sum to {sum(probs)}")
-    complete = sum(
-        p * pauli_matrix(lab) @ pauli_matrix(lab).T for lab, p in zip(labels, probs)
-    )
-    if np.max(np.abs(complete - np.eye(2))) > TOL_EQ:
-        return False
-    for probe in _TOMOGRAPHIC_INPUTS:
-        out = sum(
-            p * np.outer(pauli_matrix(lab) @ probe.amplitudes,
-                         (pauli_matrix(lab) @ probe.amplitudes).conj())
-            for lab, p in zip(labels, probs)
-        )
-        if np.max(np.abs(out - np.eye(2) / 2)) > TOL_EQ:
-            return False
-    return True

@@ -16,8 +16,9 @@ non-zero ``--mu``/``--nu`` for ct/ot), a negative ``--seed``, ``--samples``
 below 1, ``attack --mode sample`` without ``--seed`` and ``attack --mode
 sample`` for the capture strategy, which runs enumerated only.  Exit 4
 covers a file that cannot be read or written (any ``--out``) and a
-transcript that is not UTF-8, does not parse or has a configuration no
-protocol accepts.
+transcript that is not UTF-8, does not parse, has a configuration no
+protocol accepts or names a strategy (its config records the cheater's
+name, not its hooks, so it cannot be re-run).
 Without ``--inputs`` tpsc runs with ``00,00`` and mpsc with ``00,00,--``
 (the relay's pair left to its Bell outcome).  Every subcommand is
 deterministic given its flags: ``run`` and ``attack --mode sample`` require
@@ -139,10 +140,8 @@ def cmd_replay(args) -> int:
     try:
         original = Path(args.transcript).read_text()
         config, _events = parse_transcript(original)
-        if config.strategy:
-            return _error("transcripts of strategy runs are not replayable here", EXIT_CONFIG)
         record = run_from_config(config)
-    except ValueError as exc:  # not UTF-8, malformed, or a configuration no protocol accepts
+    except ValueError as exc:  # not UTF-8, malformed, or a config run_from_config rejects
         return _error(exc, EXIT_IO)
     regenerated = record.transcript.to_text()
     if regenerated == original:

@@ -13,10 +13,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
 
-from . import attacks
 from .algebra import (
     LABELS,
     TwoBits,
@@ -43,6 +43,7 @@ from .states import (
     decompose_teleport,
     extract_qubit,
     infer_tau,
+    is_maximally_mixed,
     make_register,
     mixture_density,
     qubit,
@@ -248,11 +249,35 @@ def check_teleport_mixedness() -> IdentityCheck:
                          note="outcome-averaged moved qubit is I/2")
 
 
+_TOMOGRAPHIC_INPUTS = (
+    qubit(1, 0),
+    qubit(0, 1),
+    qubit(1 / np.sqrt(2), 1 / np.sqrt(2)),
+    qubit(1 / np.sqrt(2), 1j / np.sqrt(2)),
+)
+
+
+def otp_certify(labels: Sequence[int], probs: Sequence[float]) -> bool:
+    """Whether a weighted operator set is a perfect single-qubit pad.
+
+    The private-quantum-channel criterion (Ambainis, Mosca, Tapp & de Wolf
+    2000): the induced mixture sends a tomographically complete input set
+    to the maximally mixed state.  The complex-axis probe matters: {I, ZX}
+    passes every real-amplitude input and fails only there.
+    """
+    if len(labels) != len(probs) or not labels:
+        raise ValueError("labels and probs must be equal-length and non-empty")
+    return all(
+        is_maximally_mixed(mixture_density(
+            [StateVector(pauli_matrix(lab) @ probe.amplitudes) for lab in labels], probs))
+        for probe in _TOMOGRAPHIC_INPUTS)
+
+
 def check_pad_certification() -> IdentityCheck:
     wrong = 0
     for r in range(1, 5):
         for subset in itertools.combinations(LABELS, r):
-            cert = attacks.otp_certify(subset, [1.0 / len(subset)] * len(subset))
+            cert = otp_certify(subset, [1.0 / len(subset)] * len(subset))
             should = set(subset) == set(LABELS)
             wrong += int(cert != should)
     return IdentityCheck("pad-certification", float(wrong), 0.0,

@@ -81,9 +81,6 @@ class CheatStrategy:
     target: str
     hooks: Mapping[str, Deviation]
 
-    def deviation(self, step: str) -> Deviation | None:
-        return self.hooks.get(step)
-
 
 @dataclass(frozen=True)
 class Verdict:
@@ -131,27 +128,38 @@ class RunRecord:
 class Run:
     """Shared bookkeeping and the steps the runners repeat, for one execution.
 
-    The stations' controllers come from the protocol's spec.  When no
-    generator is passed (forced-outcome runs), streams fall back to one
-    keyed by the config seed, so a replay driven purely by the recorded
-    configuration reproduces masks and share splits exactly.  Besides the
-    Born stream, each stream is derived where it is drawn from.
+    The stations' controllers come from the protocol's spec.  Without a
+    ``config`` (a replay passes the recorded one), the run's configuration
+    is built from the runner's arguments: the spec's chain count for the
+    secret, the generator's seed (0 without one), the forced cells as
+    ``mode`` and the cheater's name as ``strategy``.  When no generator is
+    passed (forced-outcome runs), streams fall back to one keyed by the
+    config seed, so a replay driven purely by the recorded configuration
+    reproduces masks and share splits exactly.  Besides the Born stream,
+    each stream is derived where it is drawn from.
     """
 
-    def __init__(self, config: RunConfig, rng: Rng | None,
-                 cheat: CheatStrategy | None = None):
-        self.config = config
-        self.cast = dict(SPECS[config.protocol].cast)
+    def __init__(self, protocol: str, rng: Rng | None, cheat: CheatStrategy | None = None,
+                 config: RunConfig | None = None, *, secret="", inputs: str = "",
+                 mu: int = 0, nu: int = 0, forced=None):
+        spec = SPECS[protocol]
+        self.config = config or RunConfig(
+            protocol, mu, nu, str(secret), inputs, spec.chains(str(secret)),
+            seed=rng.seed if rng is not None else 0, mode=_mode_string(forced),
+            strategy=cheat.name if cheat else "")
+        self.cast = spec.cast
         self.controllers = tuple(sorted(set(self.cast.values())))
-        self.transcript = Transcript(config)
+        self.transcript = Transcript(self.config)
         self.cheat = cheat
-        self.base = rng if rng is not None else Rng(config.seed)
+        self.base = rng if rng is not None else Rng(self.config.seed)
         self.born = self.base.derive(_STREAM_BORN)
         self.held: dict[str, np.ndarray] = {}
         self.values: dict[str, object] = {}
 
-    def deviation(self, step: str) -> Deviation | None:
-        return self.cheat.deviation(step) if self.cheat else None
+    def deviation(self, step: str, kind: str) -> Deviation | None:
+        """The cheater's deviation at ``step`` when it is of ``kind``, else None."""
+        dev = self.cheat.hooks.get(step) if self.cheat else None
+        return dev if dev is not None and dev.kind == kind else None
 
     def log(self, step, actor, action, payload, kind, visible) -> None:
         self.transcript.append(step, actor, action, payload, kind, tuple(visible))
@@ -243,12 +251,6 @@ def cell_label(cell: dict) -> str:
     return " ".join(parts)
 
 
-def _make_config(protocol, mu, nu, secret, inputs, k, rng, forced, cheat) -> RunConfig:
-    return RunConfig(protocol, mu, nu, str(secret), inputs, k,
-                     seed=rng.seed if rng is not None else 0, mode=_mode_string(forced),
-                     strategy=cheat.name if cheat else "")
-
-
 def _chain_open(run: Run, mu: int, nu: int, payload: StateVector, *,
                 measure_receiver: bool, forced=None,
                 nu_secret_of: str | None = None,
@@ -314,8 +316,7 @@ def bc_run(secret: int, rng: Rng | None = None, *, mu: int = 0, nu: int = 0,
     on the revealed (bit, outcome-pair) claim; the Z bit of the claim is a
     global phase on the commitment qubit and is logged as unverifiable.
     """
-    config = config or _make_config("bc", mu, nu, secret, "", 1, rng, forced, cheat)
-    run = Run(config, rng, cheat)
+    run = Run("bc", rng, cheat, config, secret=secret, mu=mu, nu=nu, forced=forced)
     run.local("setup", "alice", "payload", f"bit={secret}")
     aa, cc, moved_bit, _state = _chain_open(run, mu, nu, _payload_state(secret),
                                             measure_receiver=True, forced=forced,
@@ -325,16 +326,16 @@ def bc_run(secret: int, rng: Rng | None = None, *, mu: int = 0, nu: int = 0,
     twin_bit = run.twin_bit(secret, aa.label)
     run.local("5", "bob", "measure_commit_twin", f"bit={twin_bit}")
 
-    dev = run.deviation("reveal")
-    if dev is not None and dev.kind == "withhold":
+    if run.deviation("reveal", "withhold"):
         run.local("reveal", "alice", "reveal_withheld", "no message")
         return run.conclude("bob", False, "", "transcript_incomplete")
     reveal_bit = secret
     reveal_aa = aa
-    if dev is not None and dev.kind == "flip_secret":
+    if run.deviation("reveal", "flip_secret"):
         reveal_bit ^= 1
-    if dev is not None and dev.kind == "xor_aa":
-        reveal_aa = reveal_aa ^ TwoBits.from_label(int(dev.value))
+    xor_aa = run.deviation("reveal", "xor_aa")
+    if xor_aa:
+        reveal_aa = reveal_aa ^ TwoBits.from_label(int(xor_aa.value))
     run.tell("reveal", "alice", "bob", "reveal", f"bit={reveal_bit} aa={reveal_aa}")
 
     tau = infer_tau(reveal_aa, cc, mu, nu)
@@ -357,18 +358,18 @@ def ct_run(secret: int, rng: Rng | None = None, *, forced=None,
     the measurement randomness.
     """
     mu = nu = 0
-    config = config or _make_config("ct", mu, nu, secret, "", 1, rng, forced, cheat)
-    run = Run(config, rng, cheat)
+    run = Run("ct", rng, cheat, config, secret=secret, forced=forced)
     run.local("setup", "alice", "payload", f"bit={secret}")
     aa, cc, moved_bit, state = _chain_open(run, mu, nu, _payload_state(secret),
                                            measure_receiver=True, forced=forced)
-    dev = run.deviation("transform")
-    if dev is not None and dev.kind == "fresh_qubit":
+    fresh = run.deviation("transform", "fresh_qubit")
+    if fresh:
         # receiver discards the moved qubit and injects a fixed basis state
-        state = apply_pauli(state, label_from_zx(0, moved_bit ^ int(dev.value)), 4)
-        run.local("4", "bob", "substitute_qubit", f"bit={int(dev.value)}")
+        state = apply_pauli(state, label_from_zx(0, moved_bit ^ int(fresh.value)), 4)
+        run.local("4", "bob", "substitute_qubit", f"bit={int(fresh.value)}")
     else:
-        rekey = int(dev.value) if dev is not None and dev.kind == "substitute_label" else cc.label
+        substitute = run.deviation("transform", "substitute_label")
+        rekey = int(substitute.value) if substitute else cc.label
         state = apply_pauli(state, rekey, 4)
         run.local("4", "bob", "rekey", "label=private")
     coin, state = measure_qubit(state, 4, run.born)
@@ -397,8 +398,7 @@ def ot_run(secret: int, rng: Rng | None = None, *, forced=None,
     mu = nu = 0
     bob_message = forced[1] if forced else None
     inputs = str(bob_message) if bob_message is not None else ""
-    config = config or _make_config("ot", mu, nu, secret, inputs, 1, rng, forced, cheat)
-    run = Run(config, rng, cheat)
+    run = Run("ot", rng, cheat, config, secret=secret, inputs=inputs, forced=forced)
     run.local("setup", "alice", "payload", f"bit={secret}")
     aa, cc, _moved_bit, state = _chain_open(run, mu, nu, _payload_state(secret),
                                             measure_receiver=True, forced=forced)
@@ -428,8 +428,8 @@ def tpsc_run(alice_input: TwoBits, bob_input: TwoBits, public_bit: int,
     the output locally and must agree.
     """
     inputs = f"{alice_input},{bob_input}"
-    config = config or _make_config("tpsc", mu, nu, public_bit, inputs, 1, rng, forced, cheat)
-    run = Run(config, rng, cheat)
+    run = Run("tpsc", rng, cheat, config, secret=public_bit, inputs=inputs, mu=mu, nu=nu,
+              forced=forced)
     mask_a, mask_b = masks if masks is not None else run.masks(("alice", "bob"))
     run.announce("setup", "alice", "public_payload", f"bit={public_bit}")
 
@@ -494,12 +494,10 @@ def qss_run(secret, rng: Rng | None = None, *, mu: int = 0, nu: int = 0,
     payload = _payload_state(secret)
     classical = not isinstance(secret, StateVector)
     secret_text = str(secret) if classical else _encode_qubit(payload)
-    config = config or _make_config("qss", mu, nu, secret_text, "", 1, rng, forced, cheat)
-    run = Run(config, rng, cheat)
+    run = Run("qss", rng, cheat, config, secret=secret_text, mu=mu, nu=nu, forced=forced)
     run.local("setup", "alice", "payload", f"value={secret_text}")
 
-    dev = run.deviation("relay_bsm")
-    skip = dev is not None and dev.kind == "skip"
+    skip = run.deviation("relay_bsm", "skip") is not None
     aa, cc, _none, state = _chain_open(run, mu, nu, payload, measure_receiver=False,
                                        forced=forced, skip_relay=skip)
     run.tell("auth", "bob", "alice", "ack_holding_qubit", "token")
@@ -548,10 +546,8 @@ def qds_run(message: Sequence[int], rng: Rng | None = None, *, mu: int = 0, nu: 
     forced_cells = forced if forced is not None else [None] * k
     if len(forced_cells) != k:
         raise ValueError("forced cell list must match the message length")
-    config = config or _make_config(
-        "qds", mu, nu, "".join(map(str, message)), "", k, rng,
-        forced if forced is None else list(forced_cells), cheat)
-    run = Run(config, rng, cheat)
+    run = Run("qds", rng, cheat, config, secret="".join(map(str, message)), mu=mu, nu=nu,
+              forced=forced if forced is None else list(forced_cells))
 
     # per position: outcome pairs, moved and twin bits, X bit of the correction
     aa_list, cc_list, moved_bits, twin_bits, x_corr = [], [], [], [], []
@@ -575,10 +571,10 @@ def qds_run(message: Sequence[int], rng: Rng | None = None, *, mu: int = 0, nu: 
     run.tell("6", "charlie", "bob", "share_relay_pairs",
              f"positions={to_receiver} pairs={[str(cc_list[i]) for i in to_receiver]}")
 
-    dev = run.deviation("reveal")
+    flip = run.deviation("reveal", "flip_message")
     reveal_msg = list(message)
-    if dev is not None and dev.kind == "flip_message":
-        reveal_msg[int(dev.value)] ^= 1
+    if flip:
+        reveal_msg[int(flip.value)] ^= 1
     run.tell("reveal", "alice", "bob", "reveal_message",
              f"bits={reveal_msg} aa={[str(a) for a in aa_list]}")
 
@@ -596,9 +592,9 @@ def qds_run(message: Sequence[int], rng: Rng | None = None, *, mu: int = 0, nu: 
     run.values["bob"] = bob_verdict
 
     forward_msg = list(reveal_msg)
-    fdev = run.deviation("forward")
-    if fdev is not None and fdev.kind == "flip_message":
-        forward_msg[int(fdev.value)] ^= 1
+    flip = run.deviation("forward", "flip_message")
+    if flip:
+        forward_msg[int(flip.value)] ^= 1
     run.tell("forward", "bob", "charlie", "forward_message",
              f"bits={forward_msg} aa={[str(a) for a in aa_list]}")
 
@@ -634,8 +630,8 @@ def mpsc_run(alice_input: TwoBits, bob_input: TwoBits, public_bit: int,
     """
     charlie_input = forced[1] if forced else None
     inputs = f"{alice_input},{bob_input},{charlie_input if charlie_input else '--'}"
-    config = config or _make_config("mpsc", mu, nu, public_bit, inputs, 1, rng, forced, cheat)
-    run = Run(config, rng, cheat)
+    run = Run("mpsc", rng, cheat, config, secret=public_bit, inputs=inputs, mu=mu, nu=nu,
+              forced=forced)
     mask_a, mask_b, mask_c = masks if masks is not None else run.masks(
         ("alice", "bob", "charlie"))
     run.announce("setup", "alice", "public_payload", f"bit={public_bit}")
@@ -865,11 +861,18 @@ def spec_for(protocol: str) -> ProtocolSpec:
         raise ConfigError(f"unknown protocol {protocol!r}") from None
 
 
-def run_from_config(config: RunConfig, cheat: CheatStrategy | None = None) -> RunRecord:
-    """Execute the protocol a configuration describes, reproducibly."""
+def run_from_config(config: RunConfig) -> RunRecord:
+    """Execute the protocol a configuration describes, reproducibly.
+
+    A configuration naming a strategy is rejected: it records the cheater's
+    name, not its hooks, so it cannot be re-run.
+    """
     spec = spec_for(config.protocol)
+    if config.strategy:
+        raise ConfigError(f"config names strategy {config.strategy!r}; "
+                          "strategy runs are not replayable")
     rng = Rng(config.seed)
-    return spec.runner(**spec.runner_kwargs(config, rng), rng=rng, cheat=cheat, config=config)
+    return spec.runner(**spec.runner_kwargs(config, rng), rng=rng, config=config)
 
 
 def _encode_qubit(state: StateVector) -> str:

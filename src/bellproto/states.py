@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -58,14 +59,21 @@ class Rng:
 
     Identical seeds give identical draw sequences on every platform.
     Derived streams (:meth:`derive`) are independent and reproducible,
-    keyed by (seed, index); concurrent trials should each own one.
+    keyed by (seed, index); concurrent trials should each own one.  The
+    generator is built at the first draw, so a stream that is derived but
+    never drawn from costs no generator.
     """
 
     def __init__(self, seed: int, _spawn_key: tuple[int, ...] = ()):
         self.seed = int(seed)
         self._spawn_key = _spawn_key
-        seq = np.random.SeedSequence(entropy=self.seed, spawn_key=_spawn_key)
-        self._gen = np.random.Generator(np.random.PCG64(seq))
+        if self.seed < 0 or any(key < 0 for key in _spawn_key):
+            raise ValueError("expected non-negative integer")
+
+    @cached_property
+    def _gen(self) -> np.random.Generator:
+        seq = np.random.SeedSequence(entropy=self.seed, spawn_key=self._spawn_key)
+        return np.random.Generator(np.random.PCG64(seq))
 
     def derive(self, index: int) -> "Rng":
         return Rng(self.seed, self._spawn_key + (int(index),))

@@ -22,8 +22,8 @@ from bellproto.algebra import (
     pauli_compose_sequence,
     pauli_matrix,
 )
-from bellproto.attacks import otp_certify, run_strategy, view_distance
-from bellproto.identities import exact_bell_distribution
+from bellproto.attacks import run_strategy, view_distance
+from bellproto.identities import exact_bell_distribution, otp_certify
 from bellproto.protocols import (
     bc_run,
     ct_run,

@@ -9,12 +9,12 @@ from bellproto.attacks import (
     SecurityReport,
     enumeration_cells,
     expected_bound_met,
-    otp_certify,
     run_cell,
     run_strategy,
     strategies_for,
     view_distance,
 )
+from bellproto.identities import otp_certify
 from bellproto.protocols import ConfigError, bc_run, spec_for
 from bellproto.transcript import RunConfig
 

@@ -32,6 +32,16 @@ def test_child_imports_the_package_under_test(tmp_path):
     assert Path(proc.stdout.strip()).resolve() == Path(bellproto.__file__).resolve()
 
 
+def test_bare_import_leaves_identities_unloaded(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, bellproto; print('bellproto.identities' in sys.modules)"],
+        capture_output=True, text=True, cwd=tmp_path, env=child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_identities_pass(tmp_path):
     out_file = tmp_path / "identities.txt"
     proc = run_cli("identities", "--out", str(out_file))
@@ -220,6 +230,8 @@ BAD_INPUTS = {
     "attack-out-missing-dir": (lambda tmp: ["attack", "--protocol", "bc", "--strategy",
                                             "null", "--out", str(tmp / "missing" / "x")],
                                EXIT_IO),
+    "replay-strategy": (lambda tmp: ["replay", _edited_transcript(
+        tmp, "config strategy=", "config strategy=null")], EXIT_IO),
     "replay-unknown-protocol": (lambda tmp: ["replay", _edited_transcript(
         tmp, "config protocol=bc", "config protocol=zz")], EXIT_IO),
     "replay-bad-channel": (lambda tmp: ["replay", _edited_transcript(

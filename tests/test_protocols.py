@@ -55,7 +55,7 @@ def common_steps(mu, nu, payload, rng, measure_b=True, *, forced=None):
     """The opening steps every protocol shares, run on their own (three-party cast).
 
     Returns (aa, cc, moved_bit)."""
-    run = Run(RunConfig(protocol="qss", mu=mu, nu=nu), rng)
+    run = Run("qss", rng, mu=mu, nu=nu)
     *opened, _state = _chain_open(run, mu, nu, _payload_state(payload),
                                   measure_receiver=measure_b, forced=forced)
     return tuple(opened)
@@ -78,7 +78,7 @@ def test_common_steps_moved_bit_is_x_parity(payload_bit):
 def test_common_steps_quantum_payload_all_cells():
     probe = Rng(77).unit_qubit()
     for aa, cc in ALL_CELLS:
-        run = Run(RunConfig(protocol="qss", mu=1, nu=2), None)
+        run = Run("qss", None, mu=1, nu=2)
         *_opened, state = _chain_open(run, 1, 2, _payload_state(probe), measure_receiver=False,
                                       forced=(aa, cc))
         tau = infer_tau(aa, cc, 1, 2)

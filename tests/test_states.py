@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from bellproto.algebra import LABELS, TwoBits, pauli_matrix
+from bellproto.protocols import bc_run
 from bellproto.states import (
     DensityMatrix,
     MeasurementError,
@@ -404,6 +405,39 @@ def test_rng_determinism_and_derivation():
     assert [Rng(99).derive(1).bit() for _ in range(10)] == [
         Rng(99).derive(1).bit() for _ in range(10)
     ]
+
+
+def test_rng_rejects_negative_seed_at_construction():
+    with pytest.raises(ValueError):
+        Rng(-1)
+    with pytest.raises(ValueError):
+        Rng(0).derive(-1)
+
+
+def test_forced_cell_builds_no_generator(monkeypatch):
+    # a fully forced bc cell draws nothing: its base and Born streams stay unbuilt
+    built = []
+    real = np.random.Generator
+    monkeypatch.setattr(np.random, "Generator", lambda bits: built.append(bits) or real(bits))
+    bc_run(1, None, forced=(TwoBits(0, 1), TwoBits(1, 0)))
+    assert built == []
+    Rng(3).bit()
+    assert len(built) == 1
+
+
+@pytest.mark.parametrize("seed", [0, 5, 2**40 + 7])
+def test_lazy_stream_draws_equal_an_eager_generator(seed):
+    probs = [0.1, 0.2, 0.3, 0.4]
+    for key in [(), (0,), (9,), (5, 3)]:
+        eager = np.random.Generator(np.random.PCG64(
+            np.random.SeedSequence(entropy=seed, spawn_key=key)))
+        rng = Rng(seed, key)
+        for _ in range(3):
+            assert rng.choose(probs) == int(eager.choice(4, p=np.asarray(probs) / sum(probs)))
+            assert rng.bit() == int(eager.integers(0, 2))
+            raw = eager.normal(size=2) + 1j * eager.normal(size=2)
+            assert np.array_equal(rng.unit_qubit().amplitudes,
+                                  StateVector(raw / np.linalg.norm(raw)).amplitudes)
 
 
 def test_measure_qubit_forced_and_deterministic():
