@@ -234,9 +234,11 @@ def parse_forced(mode: str):
         return None
     cells = []
     for part in mode[len("forced:"):].split(","):
-        aa_s, cc_s = part.split(":")
-        aa = None if aa_s == "--" else TwoBits.parse(aa_s)
-        cc = None if cc_s == "--" else TwoBits.parse(cc_s)
+        try:
+            aa, cc = [None if half == "--" else TwoBits.parse(half) for half in part.split(":")]
+        except ValueError:
+            raise ConfigError(f"forced cell {part!r} is not of the form aa:cc "
+                              "(each a bit pair like 01, or --)") from None
         cells.append((aa, cc))
     return cells
 
@@ -767,7 +769,11 @@ def _pairs(inputs: str, count: int, usage: str, open_last: bool = False) -> list
 
 
 def _first_forced(config: RunConfig):
+    """The one forced cell of a single-chain protocol, or None."""
     forced = parse_forced(config.mode)
+    if forced and len(forced) != 1:
+        raise ConfigError(f"{config.protocol} runs one chain and takes one forced cell, "
+                          f"got {len(forced)} in mode {config.mode!r}")
     return forced[0] if forced else None
 
 

@@ -3,8 +3,9 @@
 Wire convention: qubit 0 is the most significant bit of the basis index,
 so ``amplitudes[0b101]`` of a 3-qubit register is the |101> amplitude with
 qubit 0 in state |1>; only :func:`wires_first` and :func:`wires_back` apply
-it.  Registers are value objects; every operation returns a new
-:class:`StateVector`.
+it, each as one gather through a flat index that is built and validated
+once per (register size, wire tuple) and then cached.  Registers are value
+objects; every operation returns a new :class:`StateVector`.
 
 The five-wire chain register used by the protocol layer is laid out as
 
@@ -30,8 +31,9 @@ projector computation.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -51,7 +53,8 @@ _PROB_FLOOR = 1e-12
 
 
 class MeasurementError(ValueError):
-    """Raised when a forced outcome has (numerically) zero probability."""
+    """Raised when a forced outcome is not an outcome of the measurement or
+    has (numerically) zero probability."""
 
 
 class Rng:
@@ -79,10 +82,18 @@ class Rng:
         return Rng(self.seed, self._spawn_key + (int(index),))
 
     def choose(self, probabilities: Sequence[float]) -> int:
-        """Sample an index from an explicit distribution."""
+        """Sample an index from an explicit distribution.
+
+        Reproduces ``Generator.choice(len(p), p=p)`` draw for draw: one
+        uniform draw located in the normalised cumulative distribution.
+        """
         p = np.asarray(probabilities, dtype=float)
         p = p / p.sum()
-        return int(self._gen.choice(len(p), p=p))
+        if p.ndim != 1 or not p.size or not (p >= 0).all():  # also rejects nan
+            raise ValueError(f"not a probability distribution: {probabilities!r}")
+        cdf = p.cumsum()
+        cdf /= cdf[-1]
+        return int(cdf.searchsorted(self._gen.random(), side="right"))
 
     def bit(self) -> int:
         return int(self._gen.integers(0, 2))
@@ -99,11 +110,12 @@ class StateVector:
     amplitudes: np.ndarray
 
     def __init__(self, amplitudes):
-        amps = np.asarray(amplitudes, dtype=np.complex128).reshape(-1).copy()
+        amps = np.array(amplitudes, dtype=np.complex128).reshape(-1)  # always a copy
         n = amps.size.bit_length() - 1
         if amps.size < 2 or amps.size != 1 << n:
             raise ValueError(f"amplitude count must be a power of two >= 2, got {amps.size}")
-        norm = float(np.linalg.norm(amps))
+        re, im = amps.real, amps.imag
+        norm = math.sqrt(re.dot(re) + im.dot(im))  # np.linalg.norm's formula
         if not abs(norm - 1.0) <= 1e-9:  # also rejects nan amplitudes
             raise ValueError(f"state is not normalised (norm {norm})")
         amps /= norm
@@ -150,7 +162,7 @@ def make_register(parts: Iterable[StateVector]) -> StateVector:
         raise ValueError("cannot build a register from an empty part list")
     amps = parts[0].amplitudes
     for p in parts[1:]:
-        amps = np.kron(amps, p.amplitudes)
+        amps = np.multiply.outer(amps, p.amplitudes).reshape(-1)
     return StateVector(amps)
 
 
@@ -161,24 +173,34 @@ def chain_register(mu: int, nu: int, payload: StateVector) -> StateVector:
     return make_register([payload, bell_state(mu), bell_state(nu)])
 
 
+@lru_cache(maxsize=256)
+def _gather(n: int, wires: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Flat index that moves ``wires`` of an n-qubit register to the front,
+    and its inverse.  An invalid wire tuple raises, so it is never cached."""
+    if len(set(wires)) != len(wires) or any(not 0 <= w < n for w in wires):
+        raise IndexError(f"wires {list(wires)} invalid for a {n}-qubit register")
+    order = [*wires, *(w for w in range(n) if w not in wires)]
+    index = np.arange(1 << n).reshape((2,) * n).transpose(order).reshape(-1)
+    inverse = np.argsort(index)
+    index.setflags(write=False)
+    inverse.setflags(write=False)
+    return index, inverse
+
+
 def wires_first(amps: np.ndarray, wires: Sequence[int]) -> np.ndarray:
     """Amplitudes as a (2**k, rest) matrix: row index over the k listed wires
     in the listed order, column index over the other wires in wire order.
 
     Raises IndexError for a repeated or out-of-range wire.
     """
-    n = amps.size.bit_length() - 1
-    if len(set(wires)) != len(wires) or any(not 0 <= w < n for w in wires):
-        raise IndexError(f"wires {list(wires)} invalid for a {n}-qubit register")
-    order = [*wires, *(w for w in range(n) if w not in wires)]
-    return amps.reshape((2,) * n).transpose(order).reshape(1 << len(wires), -1)
+    index, _ = _gather(amps.size.bit_length() - 1, tuple(wires))
+    return amps.reshape(index.size)[index].reshape(1 << len(wires), -1)
 
 
 def wires_back(mat: np.ndarray, wires: Sequence[int]) -> np.ndarray:
     """Inverse of :func:`wires_first`: the flat amplitude vector in wire order."""
-    n = mat.size.bit_length() - 1
-    order = [*wires, *(w for w in range(n) if w not in wires)]
-    return mat.reshape((2,) * n).transpose(np.argsort(order)).reshape(-1)
+    _, inverse = _gather(mat.size.bit_length() - 1, tuple(wires))
+    return mat.reshape(inverse.size)[inverse]
 
 
 def apply_pauli(state: StateVector, label: int, wire: int) -> StateVector:
@@ -223,6 +245,8 @@ def _choose_outcome(probs: np.ndarray, rng: Rng | None,
     else a Born draw from ``rng``."""
     if force is not None:
         index = force.label if isinstance(force, TwoBits) else int(force)
+        if index not in range(len(probs)):
+            raise MeasurementError(f"{what} {index} is not an outcome of this measurement")
         if probs[index] < _PROB_FLOOR:
             raise MeasurementError(f"{what} {index} has probability {probs[index]:.3e}")
         return index
@@ -242,7 +266,7 @@ def _measure(state: StateVector, wires: Sequence[int], rows: np.ndarray,
     comp = rows @ wires_first(state.amplitudes, wires)
     probs = _born(comp)
     index = _choose_outcome(probs, rng, force, what)
-    post = np.outer(rows[index], comp[index] / np.sqrt(probs[index]))
+    post = np.multiply.outer(rows[index], comp[index] / np.sqrt(probs[index]))
     return index, StateVector(wires_back(post, wires))
 
 
@@ -329,7 +353,7 @@ def _place_pairs(blocks: Sequence[tuple[Sequence[int], np.ndarray]]) -> np.ndarr
     vec = np.array([1.0 + 0.0j])
     order: list[int] = []
     for wires, block in blocks:
-        vec = np.kron(vec, block)
+        vec = np.multiply.outer(vec, block).reshape(-1)
         order.extend(wires)
     return wires_back(vec, order)
 

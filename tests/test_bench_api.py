@@ -43,11 +43,20 @@ def test_cli_mix_commands_pass_in_process_for_every_protocol(workloads, tmp_path
 ENGINE_NAMES = ("states.bsm", "states.measure_qubit", "states.apply_pauli",
                 "states.extract_qubit", "states.StateVector.__init__")
 
+# engine calls of one tiny traced pass at seed 1: a faster engine does the same work
+ENGINE_WORK = {
+    "enumerate-sweep": {"states.StateVector.__init__.calls": 10488, "states.bsm.calls": 1796,
+                        "states.Rng.__init__.calls": 1704},
+    "sample-replay": {"states.StateVector.__init__.calls": 438, "states.bsm.calls": 84,
+                      "states.Rng.__init__.calls": 87},
+}
+
 
 @pytest.mark.parametrize("name", ("enumerate-sweep", "sample-replay"))
 def test_traced_pass_reaches_every_required_engine_name(workloads, name, tmp_path):
     """The per-layer counters wrap these names; a runtime that stops calling
-    one of them would make ``bench/run.py --trace 1`` read zero for it."""
+    one of them would make ``bench/run.py --trace 1`` read zero for it, and
+    one that calls them more or less often does different work."""
     import tracer
 
     ops = workloads.Ops()
@@ -57,3 +66,4 @@ def test_traced_pass_reaches_every_required_engine_name(workloads, name, tmp_pat
     counts = traced.counts()
     assert ops.failed == 0
     assert [key for key in ENGINE_NAMES if not counts.get(f"{key}.calls")] == []
+    assert {key: counts.get(key) for key in ENGINE_WORK[name]} == ENGINE_WORK[name]

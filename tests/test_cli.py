@@ -238,6 +238,9 @@ BAD_INPUTS = {
         tmp, "config mu=0", "config mu=9")], EXIT_IO),
     "replay-bad-mode": (lambda tmp: ["replay", _edited_transcript(
         tmp, "config mode=sample:1", "config mode=forced:zz")], EXIT_IO),
+    # a single-chain protocol takes one forced cell, not the first of several
+    "replay-two-forced-cells": (lambda tmp: ["replay", _edited_transcript(
+        tmp, "config mode=sample:1", "config mode=forced:00:01,11:10")], EXIT_IO),
     "replay-not-utf8": (lambda tmp: ["replay", _binary_file(tmp)], EXIT_IO),
     # values a protocol never reads are rejected, not written into the transcript
     "ct-channel-labels": (lambda tmp: ["run", "--protocol", "ct", "--mu", "2", "--nu", "3",

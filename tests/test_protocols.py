@@ -444,6 +444,13 @@ def test_run_from_config_rejects_unknown_protocol():
     (RunConfig(protocol="ct", secret="0", seed=-2), "seed must be >= 0"),
     (RunConfig(protocol="qds", secret="101", k=9), "qds runs k=3 chains for secret '101'"),
     (RunConfig(protocol="ct", secret="1", k=2), "ct runs k=1 chains for secret '1', got k=2"),
+    *((RunConfig(protocol=p, secret="1", inputs=inputs, mode="forced:00:01,11:10"),
+       f"{p} runs one chain and takes one forced cell, got 2")
+      for p, inputs in [("bc", ""), ("ct", ""), ("ot", ""), ("tpsc", "10,01"), ("qss", ""),
+                        ("mpsc", "10,01,11")]),
+    (RunConfig(protocol="bc", secret="1", mode="forced:00"), "'00' is not of the form aa:cc"),
+    (RunConfig(protocol="qds", secret="1", mode="forced:01:10:11"),
+     "'01:10:11' is not of the form aa:cc"),
 ])
 def test_spec_parse_names_the_bad_value(config, message):
     with pytest.raises(ConfigError, match=re.escape(message)):

@@ -28,6 +28,8 @@ from bellproto.states import (
     qubit,
     reduced_density,
     trace_distance,
+    wires_back,
+    wires_first,
 )
 
 INV_SQRT2 = 1 / np.sqrt(2)
@@ -44,6 +46,20 @@ def random_qubits(seed, count):
 def test_basis_state_ordering_qubit0_is_most_significant():
     s = basis_state("10")
     assert np.argmax(np.abs(s.amplitudes)) == 0b10
+
+
+def test_state_vector_divides_by_the_norm_and_copies_its_input():
+    gen = np.random.default_rng(61)
+    for n in (1, 3, 5):
+        unit = gen.normal(size=1 << n) + 1j * gen.normal(size=1 << n)
+        unit /= np.linalg.norm(unit)
+        for raw in (unit, unit * (1 + 3e-10), unit.reshape(2, -1)):
+            raw = raw.copy()
+            state = StateVector(raw)
+            expected = raw.reshape(-1) / np.linalg.norm(raw)
+            assert np.array_equal(state.amplitudes, expected)  # bit for bit
+            raw[...] = 0.0
+            assert np.array_equal(state.amplitudes, expected)  # no aliasing
 
 
 def test_state_vector_rejects_unnormalised_and_bad_sizes():
@@ -222,6 +238,18 @@ def test_reduced_density_keeps_listed_wire_order():
         assert rho[i, j] == pytest.approx(expected, abs=1e-12)
 
 
+def test_wire_gather_equals_the_transpose_definition():
+    for n in range(1, 6):
+        amps = random_register(67 + n, n).amplitudes
+        for k in range(1, min(n, 3) + 1):
+            for wires in itertools.permutations(range(n), k):
+                order = [*wires, *(w for w in range(n) if w not in wires)]
+                expected = amps.reshape((2,) * n).transpose(order).reshape(1 << k, -1)
+                moved = wires_first(amps, wires)
+                assert np.array_equal(moved, expected)
+                assert np.array_equal(wires_back(moved, list(wires)), amps)
+
+
 def test_apply_pauli_on_every_wire_matches_kron_operator():
     state = random_register(53)
     for wire, label in itertools.product(range(5), LABELS):
@@ -240,8 +268,9 @@ def test_apply_pauli_on_every_wire_matches_kron_operator():
     lambda s: apply_pauli(s, 1, -1),
 ])
 def test_repeated_or_out_of_range_wire_raises_index_error(call):
-    with pytest.raises(IndexError):
-        call(random_register(59))
+    for _ in range(2):  # a rejected wire tuple is not cached as valid
+        with pytest.raises(IndexError):
+            call(random_register(59))
 
 
 # --- swap and teleport ---------------------------------------------------------
@@ -407,6 +436,29 @@ def test_rng_determinism_and_derivation():
     ]
 
 
+def test_choose_draws_at_and_ulps_around_a_cdf_boundary_match_choice():
+    # [u, 1 - u] puts the first boundary on the stream's first uniform u; the
+    # nudged pairs move it, and the cumulative sum's last entry, by a few ulps
+    on_boundary = 0
+    for seed in range(20):
+        u = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed))).random()
+        for k, j in itertools.product(range(-4, 5), range(-12, 13)):
+            probs = [u + k * np.spacing(u), (1.0 - u) * (1 + j * 2.0**-52)]
+            p = np.asarray(probs) / np.sum(probs)
+            on_boundary += (k, j) == (0, 0) and (p.cumsum() / p.cumsum()[-1])[0] == u
+            eager = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+            assert Rng(seed).choose(probs) == int(eager.choice(2, p=p))
+    assert on_boundary >= 10
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered in divide")
+@pytest.mark.parametrize("probs", [[0.5, -0.1, 0.6], [0.5, float("nan")], [0.0, 0.0], [],
+                                   [[0.5, 0.5]]])
+def test_choose_rejects_what_is_not_a_distribution(probs):
+    with pytest.raises(ValueError):
+        Rng(1).choose(probs)
+
+
 def test_rng_rejects_negative_seed_at_construction():
     with pytest.raises(ValueError):
         Rng(-1)
@@ -425,6 +477,25 @@ def test_forced_cell_builds_no_generator(monkeypatch):
     assert len(built) == 1
 
 
+def _choice_distributions(seed, count):
+    """Exact quarters, Born-style quarters a few ulps off, skewed and
+    zero-holding distributions, in turn."""
+    gen = np.random.default_rng(seed)
+    ulp = np.spacing(0.25)
+    for i in range(count):
+        kind = i % 4
+        if kind == 0:
+            yield [0.25] * 4
+        elif kind == 1:
+            yield list(0.25 + gen.integers(-3, 4, size=4) * ulp)
+        elif kind == 2:
+            yield list(gen.random(int(gen.integers(2, 9))) ** 6)
+        else:
+            p = gen.random(4)
+            p[gen.integers(0, 4, size=int(gen.integers(1, 4)))] = 0.0
+            yield list(p)
+
+
 @pytest.mark.parametrize("seed", [0, 5, 2**40 + 7])
 def test_lazy_stream_draws_equal_an_eager_generator(seed):
     probs = [0.1, 0.2, 0.3, 0.4]
@@ -432,6 +503,9 @@ def test_lazy_stream_draws_equal_an_eager_generator(seed):
         eager = np.random.Generator(np.random.PCG64(
             np.random.SeedSequence(entropy=seed, spawn_key=key)))
         rng = Rng(seed, key)
+        for dist in _choice_distributions(seed, 300):  # the direct draw is choice's
+            p = np.asarray(dist) / np.sum(dist)
+            assert rng.choose(dist) == int(eager.choice(len(p), p=p))
         for _ in range(3):
             assert rng.choose(probs) == int(eager.choice(4, p=np.asarray(probs) / sum(probs)))
             assert rng.bit() == int(eager.integers(0, 2))
@@ -449,5 +523,8 @@ def test_measure_qubit_forced_and_deterministic():
     assert np.allclose(post.amplitudes, [0, 1])
     with pytest.raises(MeasurementError):
         measure_qubit(basis_state("0"), 0, force=1)
+    for impossible in (-1, 2):  # no such outcome; -1 must not wrap to the last one
+        with pytest.raises(MeasurementError, match=f"bit {impossible} is not an outcome"):
+            measure_qubit(basis_state("1"), 0, force=impossible)
     with pytest.raises(ValueError):
         measure_qubit(plus, 0)  # genuinely random, rng required
