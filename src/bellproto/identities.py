@@ -1,9 +1,15 @@
 """Algebraic identity suite: every structural claim checked in one sweep.
 
-Each check reports its worst residual; integer-backed checks must come out
-exactly zero, floating-point reconstructions must stay below 1e-12.  The
-suite is what the command-line ``identities`` subcommand runs and what the
-acceptance tests assert on.  A deliberate fault can be injected into a
+Each check reports its worst residual.  Every algebraic check computes on
+the integer tables of :mod:`bellproto.algebra`, so its residual is an exact
+integer or count and must be exactly zero; only correction-table, which
+checks the floating-point engine against the correction lookup, allows
+1e-12.  Where a claim holds for every payload, linearity reduces it to a
+finite exact set: the Bell-sector decompositions are linear in the payload
+amplitudes, so the basis payloads prove them, and outcome uniformity and
+mixedness are linear in the payload's density matrix, so a tomographically
+complete set proves them.  The suite is what the command-line
+``identities`` subcommand runs.  A deliberate fault can be injected into a
 copy of the operator tables to demonstrate that the reconstruction checks
 actually bite.
 """
@@ -23,7 +29,6 @@ from .algebra import (
     apply_omega_to_bell,
     bell_vector_int,
     omega_inner,
-    omega_matrix,
     omega_matrix_int,
     pauli_compose,
     pauli_compose_sequence,
@@ -31,26 +36,26 @@ from .algebra import (
     pauli_matrix_int,
 )
 from .states import (
-    Rng,
     StateVector,
     TOL_EQ,
-    bell_state,
+    _chain_terms,
+    _swap_terms,
+    _teleport_terms,
     bsm,
-    bsm_probabilities,
     chain_register,
-    decompose_chain,
-    decompose_swap,
-    decompose_teleport,
     extract_qubit,
     infer_tau,
     is_maximally_mixed,
-    make_register,
     mixture_density,
     qubit,
     wires_first,
 )
 
-_PROBE_SEED = 20240917
+_BASIS = (np.array([1, 0]), np.array([0, 1]))
+# |0>, |1>, sqrt(2)|+> and sqrt(2)|+i> as Gaussian integers, each with its
+# squared norm: their projectors span every single-qubit density matrix
+# (Ambainis, Mosca, Tapp & de Wolf 2000)
+_TOMOGRAPHIC = ((_BASIS[0], 1), (_BASIS[1], 1), (np.array([1, 1]), 2), (np.array([1, 1j]), 2))
 
 
 @dataclass(frozen=True)
@@ -65,16 +70,9 @@ class IdentityCheck:
         return self.residual <= self.tol
 
 
-def _probes(count: int = 6) -> list[StateVector]:
-    rng = Rng(_PROBE_SEED)
-    probes = [qubit(1, 0), qubit(0, 1), qubit(1 / np.sqrt(2), 1 / np.sqrt(2))]
-    probes.extend(rng.unit_qubit() for _ in range(count))
-    return probes
-
-
 def _faulted_operators(fault: str | None):
-    """The omega table, with the named fault injected."""
-    omegas = [omega_matrix(t).copy() for t in LABELS]
+    """The integer omega table, with the named fault injected."""
+    omegas = [omega_matrix_int(t).copy() for t in LABELS]
     if fault is None:
         return omegas
     if fault == "omega-sign":
@@ -138,43 +136,37 @@ def check_compose_table() -> IdentityCheck:
     return IdentityCheck("compose-table", float(worst), 0.0)
 
 
+def _rebuild_residual(terms, reference: np.ndarray) -> int:
+    """Worst entry of the summed scaled terms minus the scaled reference."""
+    return int(np.abs(sum(term[-1] for term in terms) - reference).max())
+
+
 def check_chain_decomposition(fault: str | None = None) -> IdentityCheck:
     omegas = _faulted_operators(fault)
-    worst = 0.0
-    for mu, nu in itertools.product(LABELS, repeat=2):
-        for probe in _probes(3):
-            ref = chain_register(mu, nu, probe).amplitudes
-            total = np.zeros_like(ref)
-            for _tau, _rho, term in decompose_chain(mu, nu, probe, omegas=omegas):
-                total += term.amplitudes
-            worst = max(worst, float(np.abs(total / 4.0 - ref).max()))
-    return IdentityCheck("chain-decomposition", worst, TOL_EQ,
+    worst = max(
+        _rebuild_residual(_chain_terms(mu, nu, payload, omegas), 4 * np.kron(
+            payload, np.kron(bell_vector_int(mu), bell_vector_int(nu))))
+        for mu, nu in itertools.product(LABELS, repeat=2) for payload in _BASIS)
+    return IdentityCheck("chain-decomposition", float(worst), 0.0,
                          note="16 sector terms rebuild the five-wire register")
 
 
 def check_swap_decomposition(fault: str | None = None) -> IdentityCheck:
     omegas = _faulted_operators(fault)
-    worst = 0.0
-    for mu, nu in itertools.product(LABELS, repeat=2):
-        ref = make_register([bell_state(mu), bell_state(nu)]).amplitudes
-        total = np.zeros_like(ref)
-        for _rho, term in decompose_swap(mu, nu, omegas=omegas):
-            total += term.amplitudes
-        worst = max(worst, float(np.abs(total / 2.0 - ref).max()))
-    return IdentityCheck("swap-decomposition", worst, TOL_EQ)
+    worst = max(
+        _rebuild_residual(_swap_terms(mu, nu, omegas),
+                          2 * np.kron(bell_vector_int(mu), bell_vector_int(nu)))
+        for mu, nu in itertools.product(LABELS, repeat=2))
+    return IdentityCheck("swap-decomposition", float(worst), 0.0)
 
 
 def check_teleport_decomposition(fault: str | None = None) -> IdentityCheck:
     omegas = _faulted_operators(fault)
-    worst = 0.0
-    for channel in LABELS:
-        for probe in _probes(3):
-            ref = make_register([probe, bell_state(channel)]).amplitudes
-            total = np.zeros_like(ref)
-            for _tau, term in decompose_teleport(channel, probe, omegas=omegas):
-                total += term.amplitudes
-            worst = max(worst, float(np.abs(total / 2.0 - ref).max()))
-    return IdentityCheck("teleport-decomposition", worst, TOL_EQ)
+    worst = max(
+        _rebuild_residual(_teleport_terms(channel, payload, omegas),
+                          2 * np.kron(payload, bell_vector_int(channel)))
+        for channel in LABELS for payload in _BASIS)
+    return IdentityCheck("teleport-decomposition", float(worst), 0.0)
 
 
 def exact_bell_distribution(int_amplitudes: np.ndarray, norm_sq: int,
@@ -182,15 +174,13 @@ def exact_bell_distribution(int_amplitudes: np.ndarray, norm_sq: int,
     """Bell-outcome distribution by integer arithmetic, as exact fractions.
 
     ``int_amplitudes`` are the state amplitudes multiplied by
-    sqrt(norm_sq) so that they are integers; every Bell projection then
-    has a dyadic rational probability computed without rounding.
+    sqrt(norm_sq) so that they are integers or Gaussian integers; every
+    Bell projection then has a dyadic rational probability computed
+    without rounding.
     """
     rows = np.stack([bell_vector_int(m) for m in LABELS])
     comp = rows @ wires_first(int_amplitudes, pair)  # scaled by sqrt(2) * sqrt(norm_sq)
-    return tuple(
-        Fraction(int((comp[m].astype(object) ** 2).sum()), 2 * norm_sq)
-        for m in LABELS
-    )
+    return tuple(Fraction(int(np.vdot(c, c).real), 2 * norm_sq) for c in comp)
 
 
 def check_swap_uniformity() -> IdentityCheck:
@@ -209,52 +199,36 @@ def check_teleport_uniformity() -> IdentityCheck:
     quarter = Fraction(1, 4)
     bad = 0
     for channel in LABELS:
-        for bit in (0, 1):
-            payload = np.array([1 - bit, bit], dtype=np.int64)
+        for payload, norm_sq in _TOMOGRAPHIC:
             ints = np.kron(payload, bell_vector_int(channel))
-            probs = exact_bell_distribution(ints, 2, (0, 1))
+            probs = exact_bell_distribution(ints, 2 * norm_sq, (0, 1))
             bad += sum(1 for p in probs if p != quarter)
-    worst_random = 0.0
-    for channel in LABELS:
-        for probe in _probes(4):
-            state = make_register([probe, bell_state(channel)])
-            probs = bsm_probabilities(state, (0, 1))
-            worst_random = max(worst_random, float(np.abs(probs - 0.25).max()))
-    residual = float(bad) + (worst_random if worst_random > TOL_EQ else 0.0)
-    return IdentityCheck("teleport-uniformity", residual, 0.0,
-                         note="1/4 as an exact rational for basis payloads, "
-                              "within 1e-12 for generic ones")
+    return IdentityCheck("teleport-uniformity", float(bad), 0.0,
+                         note="1/4 as an exact rational on a tomographically complete "
+                              "payload set, so for every payload")
+
+
+def _twirl_residual(vectors, operator) -> float:
+    """Worst entry of dim * sum_t (op_t v)(op_t v)^dagger - 4 |v|^2 I over the
+    integer-scaled (v, |v|^2), op_t = operator(t) for the four labels t: zero
+    exactly when the uniform mixture sends every v to the maximally mixed state."""
+    worst = 0.0
+    for v, norm_sq in vectors:
+        moved = [operator(t) @ v for t in LABELS]
+        total = sum(np.outer(m, m.conj()) for m in moved)
+        worst = max(worst, float(np.abs(v.size * total - 4 * norm_sq * np.eye(v.size)).max()))
+    return worst
 
 
 def check_swap_mixedness() -> IdentityCheck:
-    worst = 0.0
-    eye4 = np.eye(4) / 4.0
-    for mu in LABELS:
-        parts = [StateVector(omega_matrix(rho) @ bell_state(mu).amplitudes)
-                 for rho in LABELS]
-        dm = mixture_density(parts, [0.25] * 4)
-        worst = max(worst, float(np.abs(dm.matrix - eye4).max()))
-    return IdentityCheck("swap-mixedness", worst, TOL_EQ,
+    bells = [(bell_vector_int(mu), 2) for mu in LABELS]
+    return IdentityCheck("swap-mixedness", _twirl_residual(bells, omega_matrix_int), 0.0,
                          note="outcome-averaged pair state is I/4")
 
 
 def check_teleport_mixedness() -> IdentityCheck:
-    worst = 0.0
-    eye2 = np.eye(2) / 2.0
-    for probe in _probes(8):
-        parts = [StateVector(pauli_matrix(t) @ probe.amplitudes) for t in LABELS]
-        dm = mixture_density(parts, [0.25] * 4)
-        worst = max(worst, float(np.abs(dm.matrix - eye2).max()))
-    return IdentityCheck("teleport-mixedness", worst, TOL_EQ,
-                         note="outcome-averaged moved qubit is I/2")
-
-
-_TOMOGRAPHIC_INPUTS = (
-    qubit(1, 0),
-    qubit(0, 1),
-    qubit(1 / np.sqrt(2), 1 / np.sqrt(2)),
-    qubit(1 / np.sqrt(2), 1j / np.sqrt(2)),
-)
+    return IdentityCheck("teleport-mixedness", _twirl_residual(_TOMOGRAPHIC, pauli_matrix_int),
+                         0.0, note="outcome-averaged moved qubit is I/2")
 
 
 def otp_certify(labels: Sequence[int], probs: Sequence[float]) -> bool:
@@ -269,8 +243,8 @@ def otp_certify(labels: Sequence[int], probs: Sequence[float]) -> bool:
         raise ValueError("labels and probs must be equal-length and non-empty")
     return all(
         is_maximally_mixed(mixture_density(
-            [StateVector(pauli_matrix(lab) @ probe.amplitudes) for lab in labels], probs))
-        for probe in _TOMOGRAPHIC_INPUTS)
+            [StateVector(pauli_matrix(lab) @ v / np.sqrt(norm_sq)) for lab in labels], probs))
+        for v, norm_sq in _TOMOGRAPHIC)
 
 
 def check_pad_certification() -> IdentityCheck:

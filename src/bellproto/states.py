@@ -24,8 +24,9 @@ Tolerances are fixed package-wide: state equality and trace checks at
 1e-12, positive-semidefiniteness slack at 1e-10.  All comparisons between
 states are made up to a global +/-1 phase (the only phases this algebra
 produces); the exact signs of the Bell-sector decompositions are frozen as
-literal tables, which the tests and the identity suite re-derive by direct
-projector computation.
+literal tables, which the tests check against direct projector computation
+and the identity suite checks by rebuilding every register in integer
+arithmetic.
 """
 
 from __future__ import annotations
@@ -43,8 +44,10 @@ from .algebra import (
     TwoBits,
     apply_omega_to_bell,
     bell_vector,
-    omega_matrix,
+    bell_vector_int,
+    omega_matrix_int,
     pauli_matrix,
+    pauli_matrix_int,
 )
 
 TOL_EQ = 1e-12
@@ -88,9 +91,12 @@ class Rng:
         uniform draw located in the normalised cumulative distribution.
         """
         p = np.asarray(probabilities, dtype=float)
-        p = p / p.sum()
-        if p.ndim != 1 or not p.size or not (p >= 0).all():  # also rejects nan
+        total = p.sum()
+        # checked before dividing: nan fails >= 0; inf, overflow and empty or
+        # all-zero input fail the bounds on the sum
+        if p.ndim != 1 or not (p >= 0).all() or not 0 < total < math.inf:
             raise ValueError(f"not a probability distribution: {probabilities!r}")
+        p = p / total
         cdf = p.cumsum()
         cdf /= cdf[-1]
         return int(cdf.searchsorted(self._gen.random(), side="right"))
@@ -349,8 +355,9 @@ def _chain_sign(mu: int, nu: int, aa: int, cc: int) -> int:
 
 
 def _place_pairs(blocks: Sequence[tuple[Sequence[int], np.ndarray]]) -> np.ndarray:
-    """Tensor 1- and 2-wire blocks that cover every wire, each at its wires."""
-    vec = np.array([1.0 + 0.0j])
+    """Tensor 1- and 2-wire blocks that cover every wire, each at its wires;
+    integer blocks give an integer vector."""
+    vec = np.ones(1, dtype=np.int64)
     order: list[int] = []
     for wires, block in blocks:
         vec = np.multiply.outer(vec, block).reshape(-1)
@@ -358,54 +365,78 @@ def _place_pairs(blocks: Sequence[tuple[Sequence[int], np.ndarray]]) -> np.ndarr
     return wires_back(vec, order)
 
 
-def decompose_teleport(
-    channel: int, payload: StateVector, omegas=None
-) -> list[tuple[int, StateVector]]:
+# The term generators work on the integer tables (``omegas`` is the integer
+# pair-operator table, or the identity suite's faulted copy), so their terms
+# are exact and integer for integer payloads; the public decompositions
+# divide the scale back out.
+
+
+def _teleport_terms(channel: int, payload: np.ndarray, omegas):
+    """(tau, sqrt(2) * term) of payload (x) Bell(channel); the scaled terms
+    sum to 2 * payload (x) bell_vector_int(channel)."""
+    for tau in LABELS:
+        sign = _teleport_sign(channel, tau ^ channel) * apply_omega_to_bell(tau, channel).phase
+        bell_part = sign * (omegas[tau] @ bell_vector_int(channel))
+        moved = pauli_matrix_int(tau) @ payload
+        yield tau, _place_pairs([((0, 1), bell_part), ((2,), moved)])
+
+
+def _swap_terms(mu: int, nu: int, omegas):
+    """(rho, 2 * term) of Bell(mu) (x) Bell(nu); the scaled terms sum to
+    2 * bell_vector_int(mu) (x) bell_vector_int(nu)."""
+    for rho in LABELS:
+        sign = (
+            _swap_sign(mu, nu, rho ^ nu)
+            * apply_omega_to_bell(rho, mu).phase
+            * apply_omega_to_bell(rho, nu).phase
+        )
+        outer = sign * (omegas[rho] @ bell_vector_int(mu))
+        relay = omegas[rho] @ bell_vector_int(nu)
+        yield rho, _place_pairs([((0, 3), outer), ((1, 2), relay)])
+
+
+def _chain_terms(mu: int, nu: int, payload: np.ndarray, omegas):
+    """(tau, rho, 2 * term) of payload (x) Bell(mu) (x) Bell(nu); the scaled
+    terms sum to 4 * payload (x) bell_vector_int(mu) (x) bell_vector_int(nu)."""
+    for tau, rho in itertools.product(LABELS, repeat=2):
+        step1 = apply_omega_to_bell(rho, mu)
+        step2 = apply_omega_to_bell(tau, step1.label)
+        sign = (
+            _chain_sign(mu, nu, tau ^ rho ^ mu, rho ^ nu)
+            * step1.phase
+            * step2.phase
+            * apply_omega_to_bell(rho, nu).phase
+        )
+        sender = sign * (omegas[tau] @ omegas[rho] @ bell_vector_int(mu))
+        relay = omegas[rho] @ bell_vector_int(nu)
+        moved = pauli_matrix_int(tau) @ payload
+        yield tau, rho, _place_pairs([((0, 1), sender), ((2, 3), relay), ((4,), moved)])
+
+
+_OMEGA_INT = tuple(omega_matrix_int(t) for t in LABELS)
+
+
+def decompose_teleport(channel: int, payload: StateVector) -> list[tuple[int, StateVector]]:
     """Exact four-term decomposition of payload (x) Bell(channel).
 
     Term tau lives on wires (0,1)=Bell sector, wire 2 = moved payload; the
-    terms, each weighted 1/2, sum to the input product state.  ``omegas``
-    overrides the operator table (used by the identity suite's fault
-    injection) at the cost of exactness.
+    terms, each weighted 1/2, sum to the input product state.
     """
-    omegas = omegas or [omega_matrix(t) for t in LABELS]
-    out = []
-    for tau in LABELS:
-        aa = tau ^ channel
-        sign = _teleport_sign(channel, aa) * apply_omega_to_bell(tau, channel).phase
-        bell_part = sign * (omegas[tau] @ bell_vector(channel))
-        moved = pauli_matrix(tau) @ payload.amplitudes
-        vec = _place_pairs([((0, 1), bell_part), ((2,), moved)])
-        out.append((tau, StateVector(vec)))
-    return out
+    return [(tau, StateVector(vec / math.sqrt(2)))
+            for tau, vec in _teleport_terms(channel, payload.amplitudes, _OMEGA_INT)]
 
 
-def decompose_swap(mu: int, nu: int, omegas=None) -> list[tuple[int, StateVector]]:
+def decompose_swap(mu: int, nu: int) -> list[tuple[int, StateVector]]:
     """Exact four-term decomposition of Bell(mu) (x) Bell(nu).
 
     Wires: 0 sender, 1-2 relay, 3 receiver.  Term rho places the relay pair
     in omega(rho) Bell(nu) and the outer pair in omega(rho) Bell(mu); terms
     weighted 1/2 sum to the input.
     """
-    omegas = omegas or [omega_matrix(t) for t in LABELS]
-    out = []
-    for rho in LABELS:
-        cc = rho ^ nu
-        sign = (
-            _swap_sign(mu, nu, cc)
-            * apply_omega_to_bell(rho, mu).phase
-            * apply_omega_to_bell(rho, nu).phase
-        )
-        outer = sign * (omegas[rho] @ bell_vector(mu))
-        relay = omegas[rho] @ bell_vector(nu)
-        vec = _place_pairs([((0, 3), outer), ((1, 2), relay)])
-        out.append((rho, StateVector(vec)))
-    return out
+    return [(rho, StateVector(vec / 2)) for rho, vec in _swap_terms(mu, nu, _OMEGA_INT)]
 
 
-def decompose_chain(
-    mu: int, nu: int, payload: StateVector, omegas=None
-) -> list[tuple[int, int, StateVector]]:
+def decompose_chain(mu: int, nu: int, payload: StateVector) -> list[tuple[int, int, StateVector]]:
     """Exact sixteen-term decomposition of the five-wire chain register.
 
     Returns (tau, rho, term) triples; the terms, each weighted 1/4, sum to
@@ -413,26 +444,8 @@ def decompose_chain(
     in sector ``tau ^ rho ^ mu``, the relay pair in ``rho ^ nu`` and the
     receiver wire carrying pauli(tau) applied to the payload.
     """
-    omegas = omegas or [omega_matrix(t) for t in LABELS]
-    out = []
-    for tau in LABELS:
-        moved = pauli_matrix(tau) @ payload.amplitudes
-        for rho in LABELS:
-            aa = tau ^ rho ^ mu
-            cc = rho ^ nu
-            step1 = apply_omega_to_bell(rho, mu)
-            step2 = apply_omega_to_bell(tau, step1.label)
-            sign = (
-                _chain_sign(mu, nu, aa, cc)
-                * step1.phase
-                * step2.phase
-                * apply_omega_to_bell(rho, nu).phase
-            )
-            sender = sign * (omegas[tau] @ omegas[rho] @ bell_vector(mu))
-            relay = omegas[rho] @ bell_vector(nu)
-            vec = _place_pairs([((0, 1), sender), ((2, 3), relay), ((4,), moved)])
-            out.append((tau, rho, StateVector(vec)))
-    return out
+    return [(tau, rho, StateVector(vec / 2))
+            for tau, rho, vec in _chain_terms(mu, nu, payload.amplitudes, _OMEGA_INT)]
 
 
 def convention_sign_gaps() -> dict[str, tuple]:

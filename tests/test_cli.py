@@ -53,7 +53,8 @@ def test_identities_pass(tmp_path):
 def test_identities_fault_injection_fails_decompositions():
     proc = run_cli("identities", "--fault", "omega-sign")
     assert proc.returncode == EXIT_IDENTITY
-    assert "chain-decomposition      FAIL" in proc.stdout
+    failed = {line.split()[0] for line in proc.stdout.splitlines() if line.split()[1] == "FAIL"}
+    assert failed == {"chain-decomposition", "swap-decomposition", "teleport-decomposition"}
 
 
 def test_identities_unknown_fault_is_config_error():

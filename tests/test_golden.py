@@ -7,7 +7,8 @@ purpose is a format decision; regenerate the file then with
 
     PYTHONPATH=src python tests/test_golden.py --write
 
-and record why in CHANGES.md.
+which names every group whose digest it added, changed or dropped, and
+record why in CHANGES.md.
 """
 
 from __future__ import annotations
@@ -308,6 +309,11 @@ def test_golden_digest(name):
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --write")
-    CORPUS.write_text("".join(f"{digest(render())}  {name}\n"
-                              for name, render in GROUPS.items()))
-    print(f"wrote {len(GROUPS)} digests to {CORPUS}")
+    old = read_corpus()
+    new = {name: digest(render()) for name, render in GROUPS.items()}
+    CORPUS.write_text("".join(f"{sha}  {name}\n" for name, sha in new.items()))
+    for name in sorted(old.keys() | new.keys()):  # a format change shows its scope
+        if old.get(name) != new.get(name):
+            status = "added" if name not in old else "dropped" if name not in new else "changed"
+            print(f"{status:<8} {name}")
+    print(f"wrote {len(new)} digests to {CORPUS}")

@@ -451,9 +451,9 @@ def test_choose_draws_at_and_ulps_around_a_cdf_boundary_match_choice():
     assert on_boundary >= 10
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered in divide")
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("probs", [[0.5, -0.1, 0.6], [0.5, float("nan")], [0.0, 0.0], [],
-                                   [[0.5, 0.5]]])
+                                   [[0.5, 0.5]], [float("inf"), 1.0]])
 def test_choose_rejects_what_is_not_a_distribution(probs):
     with pytest.raises(ValueError):
         Rng(1).choose(probs)
