@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import child_env
+from conftest import child_env, clear_engine_caches
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -43,11 +43,13 @@ def test_cli_mix_commands_pass_in_process_for_every_protocol(workloads, tmp_path
 ENGINE_NAMES = ("states.bsm", "states.measure_qubit", "states.apply_pauli",
                 "states.extract_qubit", "states.StateVector.__init__")
 
-# engine calls of one tiny traced pass at seed 1: a faster engine does the same work
+# engine calls of one tiny traced pass at seed 1, from cold engine caches: a
+# faster engine makes the same Bell measurements and derives the same streams,
+# and builds a StateVector only for what its caches have not yet computed
 ENGINE_WORK = {
-    "enumerate-sweep": {"states.StateVector.__init__.calls": 10488, "states.bsm.calls": 1796,
+    "enumerate-sweep": {"states.StateVector.__init__.calls": 2323, "states.bsm.calls": 1796,
                         "states.Rng.__init__.calls": 1704},
-    "sample-replay": {"states.StateVector.__init__.calls": 438, "states.bsm.calls": 84,
+    "sample-replay": {"states.StateVector.__init__.calls": 225, "states.bsm.calls": 84,
                       "states.Rng.__init__.calls": 87},
 }
 
@@ -61,9 +63,34 @@ def test_traced_pass_reaches_every_required_engine_name(workloads, name, tmp_pat
 
     ops = workloads.Ops()
     workload = workloads.make(name, 1, True, tmp_path, child_env())
+    clear_engine_caches()
     with tracer.Tracer() as traced:
         workload.trace_pass(0, ops)
     counts = traced.counts()
     assert ops.failed == 0
     assert [key for key in ENGINE_NAMES if not counts.get(f"{key}.calls")] == []
     assert {key: counts.get(key) for key in ENGINE_WORK[name]} == ENGINE_WORK[name]
+
+
+@pytest.mark.parametrize("name", ("enumerate-sweep", "sample-replay"))
+def test_traced_cycles_repeat_every_counter(workloads, name, tmp_path):
+    """``bench/run.py --trace 1`` requires every traced cycle to reproduce the
+    first one's counters exactly; engine caches whose contents drifted from
+    one cycle to the next would make the counts differ."""
+    import tracer
+
+    ops = workloads.Ops()
+    workload = workloads.make(name, 1, True, tmp_path, child_env())
+    cycle = range(workload.cycle)
+    for index in cycle:  # untraced warm-up
+        workload.trace_pass(index, ops)
+    counts = []
+    for _ in range(2):
+        with tracer.Tracer() as traced:
+            for index in cycle:
+                traced.new_pass()
+                workload.trace_pass(index, ops)
+        counts.append(traced.counts())
+    assert ops.failed == 0
+    assert counts[0] == counts[1]
+    assert [key for key in ENGINE_NAMES if not counts[0].get(f"{key}.calls")] == []

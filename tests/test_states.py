@@ -528,3 +528,16 @@ def test_measure_qubit_forced_and_deterministic():
             measure_qubit(basis_state("1"), 0, force=impossible)
     with pytest.raises(ValueError):
         measure_qubit(plus, 0)  # genuinely random, rng required
+
+
+@pytest.mark.filterwarnings("error")
+def test_choose_scales_finite_weights_whose_sum_overflows():
+    # powers of two scale exactly, so each draw must equal the small twin's
+    big = 2.0**1023
+    for seed in range(20):
+        assert Rng(seed).choose([big, big]) == Rng(seed).choose([1.0, 1.0])
+        assert Rng(seed).choose([big, 0.0, big / 2]) == Rng(seed).choose([1.0, 0.0, 0.5])
+    with pytest.raises(ValueError):
+        Rng(1).choose([big, big, -1.0])
+    with pytest.raises(ValueError):
+        Rng(1).choose([big, big, float("inf")])
