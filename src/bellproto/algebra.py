@@ -47,7 +47,7 @@ class TwoBits(NamedTuple):
     @classmethod
     def from_label(cls, label: int) -> "TwoBits":
         _check_label(label)
-        return cls((label >> 1) & 1, label & 1)
+        return _PAIRS[label]
 
     @classmethod
     def parse(cls, text: str) -> "TwoBits":
@@ -60,6 +60,9 @@ class TwoBits(NamedTuple):
 
     def __str__(self) -> str:
         return f"{self.hi}{self.lo}"
+
+
+_PAIRS = tuple(TwoBits(label >> 1, label & 1) for label in LABELS)
 
 
 class SignedLabel(NamedTuple):

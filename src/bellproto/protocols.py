@@ -21,7 +21,10 @@ visibility, from which each party's view is reconstructed for the
 information-hiding checks.  The steps the runners repeat are written once
 on :class:`Run`: ``conclude`` announces and records a verdict, ``masks``
 and ``mask`` draw and apply private input masks, and ``twin_bit``
-measures a sender's outcome-keyed twin qubit.
+measures a sender's outcome-keyed twin qubit.  What does not change from
+run to run is built once: the |0> and |1> payloads every classical secret
+and twin qubit start from, the forced qss probe qubit and each protocol's
+sorted controllers.
 
 Measured-bit verification can see only the X part of a claimed bit pair:
 the Z exponent of a correction acts as a global phase on basis states, so
@@ -32,8 +35,9 @@ check it.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, replace
-from functools import reduce
+from functools import cached_property, reduce
 from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -121,7 +125,7 @@ class RunRecord:
             if cut_step is not None and ev.step == cut_step:
                 break
             if controller in ev.visible:
-                out.append((ev.step, ev.actor, ev.action, ev.payload))
+                out.append(ev[1:5])  # (step, actor, action, payload)
         return tuple(out)
 
 
@@ -148,7 +152,7 @@ class Run:
             seed=rng.seed if rng is not None else 0, mode=_mode_string(forced),
             strategy=cheat.name if cheat else "")
         self.cast = spec.cast
-        self.controllers = tuple(sorted(set(self.cast.values())))
+        self.controllers = spec.controllers
         self.transcript = Transcript(self.config)
         self.cheat = cheat
         self.base = rng if rng is not None else Rng(self.config.seed)
@@ -161,20 +165,17 @@ class Run:
         dev = self.cheat.hooks.get(step) if self.cheat else None
         return dev if dev is not None and dev.kind == kind else None
 
-    def log(self, step, actor, action, payload, kind, visible) -> None:
-        self.transcript.append(step, actor, action, payload, kind, tuple(visible))
-
     def local(self, step, actor, action, payload) -> None:
-        self.log(step, actor, action, payload, "local", (actor,))
+        self.transcript.append(step, actor, action, payload, "local", (actor,))
 
     def announce(self, step, actor, action, payload) -> None:
-        self.log(step, actor, action, payload, "classical", self.controllers)
+        self.transcript.append(step, actor, action, payload, "classical", self.controllers)
 
     def tell(self, step, frm, to, action, payload) -> None:
-        self.log(step, frm, action, payload, "classical", _endpoints(frm, to))
+        self.transcript.append(step, frm, action, payload, "classical", _endpoints(frm, to))
 
     def send_qubit(self, step, frm, to, action, payload="qubit") -> None:
-        self.log(step, frm, action, payload, "quantum", _endpoints(frm, to))
+        self.transcript.append(step, frm, action, payload, "quantum", _endpoints(frm, to))
 
     def masks(self, parties: Sequence[str]) -> tuple[int, ...]:
         """One private mask bit per party, each drawn from that party's stream."""
@@ -188,7 +189,7 @@ class Run:
     def twin_bit(self, bit: int, *labels: int) -> int:
         """Measured bit of the basis state ``bit`` keyed by the labelled
         operators (the rightmost acts first): a sender's twin qubit."""
-        amps = reduce(np.matmul, map(pauli_matrix, labels)) @ basis_state([bit]).amplitudes
+        amps = reduce(np.matmul, map(pauli_matrix, labels)) @ _BASIS_PAYLOADS[bit].amplitudes
         return measure_qubit(StateVector(amps), 0, self.born)[0]
 
     def verdict(self, actor: str, verdict: Verdict) -> Verdict:
@@ -207,7 +208,13 @@ class Run:
 
 
 def _endpoints(frm: str, to: str) -> tuple[str, ...]:
-    return (frm,) if frm == to else tuple(sorted((frm, to)))
+    if frm == to:
+        return (frm,)
+    return (frm, to) if frm < to else (to, frm)
+
+
+# |0> and |1>, built once: every classical payload and twin qubit starts here
+_BASIS_PAYLOADS = (basis_state([0]), basis_state([1]))
 
 
 def _payload_state(secret) -> StateVector:
@@ -216,7 +223,7 @@ def _payload_state(secret) -> StateVector:
             raise ValueError("payload must be a single qubit")
         return secret
     if secret in (0, 1):
-        return basis_state([secret])
+        return _BASIS_PAYLOADS[secret]
     raise ValueError(f"secret must be a bit or a 1-qubit state, got {secret!r}")
 
 
@@ -676,6 +683,7 @@ def mpsc_run(alice_input: TwoBits, bob_input: TwoBits, public_bit: int,
 _ALL_PAIRS = tuple(TwoBits.from_label(lab) for lab in LABELS)
 _TWO_PARTY = {"A": "alice", "B": "bob", "C": "bob"}
 _THREE_PARTY = {"A": "alice", "B": "bob", "C": "charlie"}
+_QSS_PROBE = qubit(0.6, 0.8j)  # the forced cells' secret for ``q``
 _QSS_SECRET_HELP = ("qss needs --secret 0, 1, q (seeded random qubit) or "
                     "q:re,im,re,im (explicit amplitudes)")
 
@@ -699,6 +707,11 @@ class ProtocolSpec:
     k_from_secret: bool = False  # qds runs one chain per message bit
     masks: int = 0
     ignores: tuple[str, ...] = ()
+
+    @cached_property
+    def controllers(self) -> tuple[str, ...]:
+        """The parties behind the stations, sorted: who sees an announcement."""
+        return tuple(sorted(set(self.cast.values())))
 
     @property
     def runner(self) -> Callable[..., RunRecord]:
@@ -788,7 +801,7 @@ def _qss_secret(config: RunConfig, rng: Rng | None):
     if text in ("0", "1"):
         return int(text)
     if text == "q":
-        return rng.derive(_STREAM_SECRET).unit_qubit() if rng is not None else qubit(0.6, 0.8j)
+        return rng.derive(_STREAM_SECRET).unit_qubit() if rng is not None else _QSS_PROBE
     if text.startswith("q:"):
         try:
             return _decode_qubit(text)
@@ -893,4 +906,9 @@ def _decode_qubit(text: str) -> StateVector:
     parts = [float(p) for p in text[2:].split(",")]
     if len(parts) != 4:
         raise ValueError(f"bad qubit encoding {text!r}")
+    # checked here, where huge amplitudes cannot overflow the norm (hypot
+    # scales), so such a secret is rejected before any StateVector sees it
+    norm = math.hypot(*parts)
+    if not abs(norm - 1.0) <= 1e-9:  # also rejects nan and inf
+        raise ValueError(f"state is not normalised (norm {norm})")
     return StateVector([complex(parts[0], parts[1]), complex(parts[2], parts[3])])

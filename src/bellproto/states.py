@@ -10,7 +10,10 @@ pure part of every transition (:func:`chain_register`, :func:`apply_pauli`,
 :func:`extract_qubit` and the collapse of :func:`bsm` and
 :func:`measure_qubit`) is memoised in a bounded cache keyed by the input's
 exact amplitude bytes, because forced enumeration keeps reaching the same
-few registers.  Forced-outcome checks and Born draws run on every call.
+few registers.  A measurement's cache entry also holds its outcome table:
+the probabilities as Python floats and the certain outcome, if any, so that
+the forced-outcome checks and the certain-outcome shortcut, which run on
+every call as the Born draws do, are plain Python comparisons.
 
 The five-wire chain register used by the protocol layer is laid out as
 
@@ -40,7 +43,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -196,9 +199,9 @@ def make_register(parts: Iterable[StateVector]) -> StateVector:
 # Each cached function takes the input register as its ``_key``, the bytes
 # of its amplitudes, and computes from ``np.frombuffer`` of them: the same
 # bits the register holds, never re-normalised by a new StateVector.
-# Results are read-only StateVectors (and read-only probability arrays), so
-# sharing them is safe.  An input that raises is not cached and raises
-# again next time.  At 512 entries a cache sped the bench's enumerate-sweep
+# Results are read-only StateVectors (and outcome tables of read-only
+# probability arrays and tuples), so sharing them is safe.  An input that
+# raises is not cached and raises again next time.  At 512 entries a cache sped the bench's enumerate-sweep
 # by about 1% more than at 256, but the sample-replay peak RSS grew by
 # 1.9 MB where 256 entries grow it by 0.6 MB.
 _MEMO_SIZE = 256
@@ -288,33 +291,46 @@ def _born(comp: np.ndarray) -> np.ndarray:
 def bsm_probabilities(state: StateVector, pair: tuple[int, int]) -> np.ndarray:
     """Analytic Bell-outcome distribution for a pair, no sampling involved
     (a shared read-only array)."""
-    return _probabilities(state._key, tuple(pair), "bell")
+    return _probabilities(state._key, tuple(pair), "bell").probs
+
+
+class _Outcomes(NamedTuple):
+    """A measurement's outcome table: the Born probabilities as a read-only
+    array (what ``Rng.choose`` draws from), the same values as Python floats
+    and the index of the certain outcome (None when no outcome is certain)."""
+
+    probs: np.ndarray
+    table: tuple[float, ...]
+    certain: int | None
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
-def _probabilities(key: bytes, wires: tuple[int, ...], basis: str) -> np.ndarray:
+def _probabilities(key: bytes, wires: tuple[int, ...], basis: str) -> _Outcomes:
     probs = _born(_ROWS[basis] @ wires_first(_amps(key), wires))
     probs.setflags(write=False)
-    return probs
+    top = int(probs.argmax())
+    return _Outcomes(probs, tuple(probs.tolist()),
+                     top if probs[top] > 1.0 - _PROB_FLOOR else None)
 
 
-def _choose_outcome(probs: np.ndarray, rng: Rng | None,
+def _choose_outcome(outcomes: _Outcomes, rng: Rng | None,
                     force: int | TwoBits | None, what: str) -> int:
     """The forced outcome (which must be possible), else the certain one,
     else a Born draw from ``rng``."""
     if force is not None:
+        table = outcomes.table
         index = force.label if isinstance(force, TwoBits) else int(force)
-        if index not in range(len(probs)):
+        if index not in range(len(table)):
             raise MeasurementError(f"{what} {index} is not an outcome of this measurement")
-        if probs[index] < _PROB_FLOOR:
-            raise MeasurementError(f"{what} {index} has probability {probs[index]:.3e}")
+        if table[index] < _PROB_FLOOR:
+            raise MeasurementError(f"{what} {index} has probability {table[index]:.3e}")
         return index
-    if probs.max() > 1.0 - _PROB_FLOOR:
+    if outcomes.certain is not None:
         # deterministic outcome: no randomness consumed, keeps streams stable
-        return int(probs.argmax())
+        return outcomes.certain
     if rng is None:
         raise ValueError("either rng or force is required")
-    return rng.choose(probs)
+    return rng.choose(outcomes.probs)
 
 
 def _measure(state: StateVector, wires: Sequence[int], basis: str,
@@ -332,7 +348,7 @@ def _measure(state: StateVector, wires: Sequence[int], basis: str,
 def _collapse(key: bytes, wires: tuple[int, ...], basis: str, index: int) -> StateVector:
     rows = _ROWS[basis]
     comp = rows @ wires_first(_amps(key), wires)
-    prob = _probabilities(key, wires, basis)[index]
+    prob = _probabilities(key, wires, basis).probs[index]
     post = np.multiply.outer(rows[index], comp[index] / np.sqrt(prob))
     return StateVector(wires_back(post, wires))
 
@@ -368,7 +384,7 @@ def measure_qubit(
     force: int | None = None,
 ) -> tuple[int, StateVector]:
     """Computational-basis measurement of one wire."""
-    return _measure(state, [wire], "z", rng, force, "bit")
+    return _measure(state, (wire,), "z", rng, force, "bit")
 
 
 def infer_tau(aa: TwoBits, cc: TwoBits, mu: int, nu: int) -> int:

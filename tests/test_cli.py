@@ -265,6 +265,24 @@ BAD_INPUTS = {
 }
 
 
+_HUGE_QUBIT = "q:1e200,0,1e200,0"  # finite amplitudes whose squared norm overflows
+
+
+@pytest.mark.parametrize("argv,code", [
+    (lambda tmp: ["run", "--protocol", "qss", "--secret", _HUGE_QUBIT, "--seed", "1"],
+     EXIT_CONFIG),
+    (lambda tmp: ["replay", _edited_transcript(tmp, "config secret=1",
+                                               f"config secret={_HUGE_QUBIT}", protocol="qss")],
+     EXIT_IO),
+], ids=["run", "replay"])
+def test_overflowing_qubit_secret_prints_only_the_error(argv, code, tmp_path):
+    """The amplitudes are rejected before numpy computes a norm, so no
+    overflow warning reaches stderr ahead of the error line."""
+    proc = run_cli(*argv(tmp_path))
+    assert proc.returncode == code
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+
+
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
 def test_bad_input_exits_with_documented_code(case, tmp_path, capsys):
     argv, code = BAD_INPUTS[case]

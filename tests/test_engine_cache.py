@@ -57,6 +57,32 @@ def test_forced_cells_are_bit_identical_with_warm_caches(config):
     _assert_bit_identical(cold, warm)
 
 
+# StateVectors a warm forced cell still builds per chain: the sender's twin
+# qubit (bc, tpsc, qds), whose operator product is taken afresh in each run.
+# Payloads, probes and every engine transition come from a cache or a constant.
+WARM_BUILDS_PER_CHAIN = {"bc": 1, "ct": 0, "ot": 0, "tpsc": 1, "qss": 0, "qds": 1, "mpsc": 0}
+
+
+@pytest.mark.parametrize("config", FORCED_CONFIGS,
+                         ids=[f"{c.protocol}-mu{c.mu}-nu{c.nu}-{c.secret}-{c.inputs or '-'}"
+                              for c in FORCED_CONFIGS])
+def test_warm_forced_cells_rebuild_no_constant_state(config, monkeypatch):
+    cells = list(enumeration_cells(config))
+    for cell in cells:
+        run_cell(config, dict(cell), None, None)
+    build = states.StateVector.__init__
+    builds = []
+
+    def counted(self, amplitudes):
+        builds.append(None)
+        build(self, amplitudes)
+
+    monkeypatch.setattr(states.StateVector, "__init__", counted)
+    for cell in cells:
+        run_cell(config, dict(cell), None, None)
+    assert len(builds) == len(cells) * config.k * WARM_BUILDS_PER_CHAIN[config.protocol]
+
+
 @pytest.mark.parametrize("protocol,extra", SAMPLED,
                          ids=[f"{p}-{'-'.join(map(str, e.values())) or 'default'}"
                               for p, e in SAMPLED])

@@ -3,6 +3,7 @@ import pytest
 from bellproto.protocols import run_from_config
 from bellproto.transcript import (
     FORMAT_VERSION,
+    Event,
     RunConfig,
     Transcript,
     first_divergence,
@@ -121,6 +122,18 @@ def test_transcript_appends_are_ordered():
     t.append("1", "alice", "a", "x", "local", ("alice",))
     t.append("2", "bob", "b", "y", "classical", ("alice", "bob"))
     assert [ev.seq for ev in t.events] == [0, 1]
+
+
+def test_event_is_a_read_only_value():
+    t = Transcript(PROTO_CONFIGS[0])
+    ev = t.append("1", "alice", "a", "x", "local", ("alice",))
+    assert Event._fields == ("seq", "step", "actor", "action", "payload", "kind", "visible")
+    assert ev == Event(0, "1", "alice", "a", "x", "local", ("alice",))
+    for field in Event._fields:
+        with pytest.raises(AttributeError):
+            setattr(ev, field, None)
+    with pytest.raises(AttributeError):
+        ev.extra = 1
 
 
 def test_qubit_secret_replays_byte_identically():
