@@ -148,7 +148,8 @@ def cmd_replay(args) -> int:
         print(f"replay identical ({len(record.transcript.events)} events)")
         return EXIT_OK
     index = first_divergence(original, regenerated)
-    print(f"replay mismatch at event {index}")
+    print("replay mismatch in the header or config block" if index == -1
+          else f"replay mismatch at event {index}")
     return EXIT_REJECT
 
 

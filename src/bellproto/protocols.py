@@ -19,12 +19,14 @@ cell per chain, and tpsc and mpsc also take their private ``masks``.  All
 classical and quantum traffic is logged to a transcript with per-event
 visibility, from which each party's view is reconstructed for the
 information-hiding checks.  The steps the runners repeat are written once
-on :class:`Run`: ``conclude`` announces and records a verdict, ``masks``
-and ``mask`` draw and apply private input masks, and ``twin_bit``
-measures a sender's outcome-keyed twin qubit.  What does not change from
-run to run is built once: the |0> and |1> payloads every classical secret
-and twin qubit start from, the forced qss probe qubit and each protocol's
-sorted controllers.
+on :class:`Run`, and only its chain steps name a wire or call the dense
+engine: ``open_chain``, ``apply``, ``measure``, ``measure_moved`` and
+``take``.  ``twin_bit`` and ``read`` measure qubits held off the chain,
+``conclude`` announces and records a verdict, and ``masks`` and ``mask``
+draw and apply private input masks.  What does not change from run to run
+is built once: the |0> and |1> payloads every classical secret and twin
+qubit start from, the forced qss probe qubit and each protocol's sorted
+controllers.
 
 Measured-bit verification can see only the X part of a claimed bit pair:
 the Z exponent of a correction acts as a global phase on basis states, so
@@ -42,20 +44,9 @@ from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
+from . import states
 from .algebra import LABELS, TwoBits, label_from_zx, pauli_matrix, x_bit
-from .states import (
-    Rng,
-    StateVector,
-    apply_pauli,
-    basis_state,
-    bsm,
-    chain_register,
-    extract_qubit,
-    fidelity,
-    infer_tau,
-    measure_qubit,
-    qubit,
-)
+from .states import Rng, StateVector, basis_state, fidelity, infer_tau, qubit
 from .transcript import RunConfig, Transcript
 
 # fixed derived-stream indices so replays are stable
@@ -141,6 +132,10 @@ class Run:
     config seed, so a replay driven purely by the recorded configuration
     reproduces masks and share splits exactly.  Besides the Born stream,
     each stream is derived where it is drawn from.
+
+    The chain steps act on the ``register`` that ``open_chain`` opens, at
+    the ``wire`` its payload was moved to.  They call ``states.<name>`` at
+    call time, so a wrapper on the module attribute sees every transition.
     """
 
     def __init__(self, protocol: str, rng: Rng | None, cheat: CheatStrategy | None = None,
@@ -190,7 +185,69 @@ class Run:
         """Measured bit of the basis state ``bit`` keyed by the labelled
         operators (the rightmost acts first): a sender's twin qubit."""
         amps = reduce(np.matmul, map(pauli_matrix, labels)) @ _BASIS_PAYLOADS[bit].amplitudes
-        return measure_qubit(StateVector(amps), 0, self.born)[0]
+        return self.read(StateVector(amps))
+
+    def read(self, lone: StateVector) -> int:
+        """Z-measured bit of a qubit held off the chain."""
+        return states.measure_qubit(lone, 0, self.born)[0]
+
+    def open_chain(self, mu: int, nu: int, secret, *, forced=None,
+                   nu_secret_of: str | None = None, sender_pre_label: int | None = None,
+                   skip_relay: bool = False) -> tuple[TwoBits, TwoBits | None]:
+        """Open a chain over (mu, nu) carrying ``secret`` (a bit or a 1-qubit
+        state): the relay Bell-measures its pair (2, 3), then the sender,
+        after applying ``sender_pre_label`` to the payload when given,
+        Bell-measures (0, 1) and so moves the payload to the receiver's wire 4.
+
+        Returns (aa, cc); cc is None when the relay skipped.  ``forced`` is
+        the (aa, cc) cell to force; it, or either half, may be None (drawn from
+        the Born rule).  ``nu_secret_of`` restricts who sees the receiver-side
+        channel label.  ``skip_relay`` models a relay that withholds its
+        measurement: the payload then moves onto the relay's wire 2.
+        """
+        sender, relay = self.cast["A"], self.cast["C"]
+        forced_aa, forced_cc = forced or (None, None)
+        self.register = states.chain_register(mu, nu, _payload_state(secret))
+        self.announce("setup", sender, "channel_sender_relay", f"mu={mu}")
+        if nu_secret_of is None:
+            self.announce("setup", relay, "channel_relay_receiver", f"nu={nu}")
+        else:
+            self.local("setup", nu_secret_of, "channel_relay_receiver", f"nu={nu}")
+
+        cc = None
+        if skip_relay:
+            self.local("1", relay, "relay_bsm_skipped", "withheld")
+        else:
+            cc, self.register = states.bsm(self.register, (2, 3), self.born, force=forced_cc)
+            self.local("1", relay, "relay_bsm", f"cc={cc}")
+
+        if sender_pre_label is not None:
+            self.register = states.apply_pauli(self.register, sender_pre_label, 0)
+            self.local("2", sender, "apply_input", "label=private")
+        aa, self.register = states.bsm(self.register, (0, 1), self.born, force=forced_aa)
+        self.local("2", sender, "sender_bsm", f"aa={aa}")
+        self.wire = 2 if skip_relay else 4
+        return aa, cc
+
+    def apply(self, label: int) -> None:
+        """Apply the labelled operator to the moved qubit."""
+        self.register = states.apply_pauli(self.register, label, self.wire)
+
+    def measure(self) -> int:
+        """Z-measure the moved qubit (a Born draw unless its bit is certain)."""
+        bit, self.register = states.measure_qubit(self.register, self.wire, self.born)
+        return bit
+
+    def measure_moved(self) -> int:
+        """Step 3: the receiver measures the moved qubit and logs the bit."""
+        bit = self.measure()
+        self.local("3", self.cast["B"], "measure_moved", f"bit={bit}")
+        return bit
+
+    def take(self) -> StateVector:
+        """The moved qubit as a state of its own: the receiver's, or the
+        relay's after a skipped relay measurement."""
+        return states.extract_qubit(self.register, self.wire)
 
     def verdict(self, actor: str, verdict: Verdict) -> Verdict:
         payload = f"outcome={verdict.outcome} value={verdict.value} reason={verdict.reason}"
@@ -260,57 +317,6 @@ def cell_label(cell: dict) -> str:
     return " ".join(parts)
 
 
-def _chain_open(run: Run, mu: int, nu: int, payload: StateVector, *,
-                measure_receiver: bool, forced=None,
-                nu_secret_of: str | None = None,
-                sender_pre_label: int | None = None,
-                skip_relay: bool = False):
-    """Shared opening steps of every protocol.
-
-    1. the relay measures its pair (2, 3) in the Bell basis,
-    2. the sender (optionally after applying an input operator to the
-       payload) measures (0, 1), moving the payload to the receiver wire,
-    3. the receiver measures its wire when the payload is classical.
-
-    Returns (aa, cc, moved_bit, register); cc is None when the relay
-    skipped and moved_bit when the receiver did not measure.  ``forced`` is
-    the (aa, cc) cell to force; it, or either half, may be None (drawn from
-    the Born rule).  ``nu_secret_of`` restricts who sees the receiver-side
-    channel label.  ``skip_relay`` models a relay that withholds its
-    measurement: the sender's measurement then moves the payload onto the
-    relay's wire 2 instead of the receiver's wire 4.
-    """
-    sender = run.cast["A"]
-    receiver = run.cast["B"]
-    relay = run.cast["C"]
-    forced_aa, forced_cc = forced or (None, None)
-    state = chain_register(mu, nu, payload)
-    run.announce("setup", sender, "channel_sender_relay", f"mu={mu}")
-    if nu_secret_of is None:
-        run.announce("setup", relay, "channel_relay_receiver", f"nu={nu}")
-    else:
-        run.local("setup", nu_secret_of, "channel_relay_receiver", f"nu={nu}")
-
-    cc = None
-    if skip_relay:
-        run.local("1", relay, "relay_bsm_skipped", "withheld")
-    else:
-        cc, state = bsm(state, (2, 3), run.born, force=forced_cc)
-        run.local("1", relay, "relay_bsm", f"cc={cc}")
-
-    if sender_pre_label is not None:
-        state = apply_pauli(state, sender_pre_label, 0)
-        run.local("2", sender, "apply_input", "label=private")
-    aa, state = bsm(state, (0, 1), run.born, force=forced_aa)
-    run.local("2", sender, "sender_bsm", f"aa={aa}")
-
-    bit = None
-    if measure_receiver and not skip_relay:
-        bit, state = measure_qubit(state, 4, run.born)
-        run.local("3", receiver, "measure_moved", f"bit={bit}")
-    return aa, cc, bit, state
-
-
 # --- two-party protocols ----------------------------------------------------
 
 
@@ -327,9 +333,8 @@ def bc_run(secret: int, rng: Rng | None = None, *, mu: int = 0, nu: int = 0,
     """
     run = Run("bc", rng, cheat, config, secret=secret, mu=mu, nu=nu, forced=forced)
     run.local("setup", "alice", "payload", f"bit={secret}")
-    aa, cc, moved_bit, _state = _chain_open(run, mu, nu, _payload_state(secret),
-                                            measure_receiver=True, forced=forced,
-                                            nu_secret_of="bob")
+    aa, cc = run.open_chain(mu, nu, secret, forced=forced, nu_secret_of="bob")
+    moved_bit = run.measure_moved()
     # commitment twin: the payload bit masked by the sender's outcome pair
     run.send_qubit("4", "alice", "bob", "send_commit_twin")
     twin_bit = run.twin_bit(secret, aa.label)
@@ -369,24 +374,23 @@ def ct_run(secret: int, rng: Rng | None = None, *, forced=None,
     mu = nu = 0
     run = Run("ct", rng, cheat, config, secret=secret, forced=forced)
     run.local("setup", "alice", "payload", f"bit={secret}")
-    aa, cc, moved_bit, state = _chain_open(run, mu, nu, _payload_state(secret),
-                                           measure_receiver=True, forced=forced)
+    aa, cc = run.open_chain(mu, nu, secret, forced=forced)
+    moved_bit = run.measure_moved()
     fresh = run.deviation("transform", "fresh_qubit")
     if fresh:
         # receiver discards the moved qubit and injects a fixed basis state
-        state = apply_pauli(state, label_from_zx(0, moved_bit ^ int(fresh.value)), 4)
+        run.apply(label_from_zx(0, moved_bit ^ int(fresh.value)))
         run.local("4", "bob", "substitute_qubit", f"bit={int(fresh.value)}")
     else:
         substitute = run.deviation("transform", "substitute_label")
-        rekey = int(substitute.value) if substitute else cc.label
-        state = apply_pauli(state, rekey, 4)
+        run.apply(int(substitute.value) if substitute else cc.label)
         run.local("4", "bob", "rekey", "label=private")
-    coin, state = measure_qubit(state, 4, run.born)
+    coin = run.measure()
     run.announce("4", "bob", "announce_coin", f"coin={coin}")
     run.send_qubit("4", "bob", "alice", "send_coin_state")
 
-    state = apply_pauli(state, aa.label, 4)
-    recovered, state = measure_qubit(state, 4, run.born)
+    run.apply(aa.label)
+    recovered = run.measure()
     run.local("verify", "alice", "unkey_and_measure", f"bit={recovered}")
     run.values.update(coin=coin, recovered=recovered, aa=str(aa), cc=str(cc))
     return run.conclude("alice", recovered == secret, str(coin), "invalid")
@@ -409,14 +413,14 @@ def ot_run(secret: int, rng: Rng | None = None, *, forced=None,
     inputs = str(bob_message) if bob_message is not None else ""
     run = Run("ot", rng, cheat, config, secret=secret, inputs=inputs, forced=forced)
     run.local("setup", "alice", "payload", f"bit={secret}")
-    aa, cc, _moved_bit, state = _chain_open(run, mu, nu, _payload_state(secret),
-                                            measure_receiver=True, forced=forced)
-    state = apply_pauli(state, cc.label, 4)
+    aa, cc = run.open_chain(mu, nu, secret, forced=forced)
+    run.measure_moved()
+    run.apply(cc.label)
     run.local("4", "bob", "rekey", "label=private")
     run.send_qubit("4", "bob", "alice", "send_function_state")
 
-    state = apply_pauli(state, aa.label, 4)
-    recovered, state = measure_qubit(state, 4, run.born)
+    run.apply(aa.label)
+    recovered = run.measure()
     run.local("verify", "alice", "unkey_and_measure", f"bit={recovered}")
     run.values.update(recovered=recovered, bob_message=cc.hi, bob_signature=cc.lo, aa=str(aa))
     # the sender announces only pass/fail; what she recovered stays local
@@ -443,24 +447,20 @@ def tpsc_run(alice_input: TwoBits, bob_input: TwoBits, public_bit: int,
     run.announce("setup", "alice", "public_payload", f"bit={public_bit}")
 
     label_a = run.mask("2", "alice", alice_input, mask_a)
-    aa, cc, _none, state = _chain_open(run, mu, nu, _payload_state(public_bit),
-                                       measure_receiver=False, forced=forced,
-                                       sender_pre_label=label_a)
+    aa, cc = run.open_chain(mu, nu, public_bit, forced=forced, sender_pre_label=label_a)
     # the sender's outcome-keyed copy of her masked input, sent alongside
     run.send_qubit("2", "alice", "bob", "send_input_twin")
 
-    moved_bit, state = measure_qubit(state, 4, run.born)
-    run.local("3", "bob", "measure_moved", f"bit={moved_bit}")
+    moved_bit = run.measure_moved()
     twin_bit = run.twin_bit(public_bit, aa.label, label_a)
     run.local("3", "bob", "measure_input_twin", f"bit={twin_bit}")
-    label_b = run.mask("3", "bob", bob_input, mask_b)
-    state = apply_pauli(state, label_b, 4)
-    state = apply_pauli(state, cc.label, 4)
+    run.apply(run.mask("3", "bob", bob_input, mask_b))
+    run.apply(cc.label)
     run.local("3", "bob", "apply_input_and_rekey", "labels=private")
     run.send_qubit("3", "bob", "alice", "return_state")
 
-    state = apply_pauli(state, aa.label, 4)
-    f_alice, state = measure_qubit(state, 4, run.born)
+    run.apply(aa.label)
+    f_alice = run.measure()
     run.announce("4", "alice", "announce_outcome", f"aa={aa} f={f_alice}")
 
     xmn = x_bit(mu) ^ x_bit(nu)
@@ -507,29 +507,23 @@ def qss_run(secret, rng: Rng | None = None, *, mu: int = 0, nu: int = 0,
     run.local("setup", "alice", "payload", f"value={secret_text}")
 
     skip = run.deviation("relay_bsm", "skip") is not None
-    aa, cc, _none, state = _chain_open(run, mu, nu, payload, measure_receiver=False,
-                                       forced=forced, skip_relay=skip)
+    aa, cc = run.open_chain(mu, nu, payload, forced=forced, skip_relay=skip)
     run.tell("auth", "bob", "alice", "ack_holding_qubit", "token")
     run.tell("share", "alice", "bob", "send_sender_share", f"aa={aa}")
 
-    if skip:  # the sender's measurement moved the payload to the relay's wire
-        run.held["charlie"] = extract_qubit(state, 2).amplitudes
-        run.values.update(relay_skipped=True, aa=str(aa))
-    elif not reconstruct:
-        run.held["bob"] = extract_qubit(state, 4).amplitudes
-        run.values.update(aa=str(aa), cc=str(cc))
-    if skip or not reconstruct:
+    if skip or not reconstruct:  # after a skip, the relay holds the moved qubit
+        run.held["charlie" if skip else "bob"] = run.take().amplitudes
+        run.values.update({"relay_skipped": True, "aa": str(aa)} if skip
+                          else {"aa": str(aa), "cc": str(cc)})
         return run.conclude("bob", False, "", "insufficient_shares")
 
     run.tell("collaborate", "charlie", "bob", "send_relay_share", f"cc={cc}")
-    tau = infer_tau(aa, cc, mu, nu)
-    state = apply_pauli(state, tau, 4)  # self-inverse up to a global sign
+    run.apply(infer_tau(aa, cc, mu, nu))  # self-inverse up to a global sign
     run.local("reconstruct", "bob", "invert_correction", "label=private")
-    recovered = extract_qubit(state, 4)
+    recovered = run.take()
     run.values.update(fidelity=fidelity(payload, recovered), aa=str(aa), cc=str(cc))
     if classical:
-        value, _ = measure_qubit(recovered, 0, run.born)
-        run.values["bit"] = value
+        value = run.values["bit"] = run.read(recovered)
     else:
         run.held["bob"] = recovered.amplitudes
         value = "qubit"
@@ -561,11 +555,10 @@ def qds_run(message: Sequence[int], rng: Rng | None = None, *, mu: int = 0, nu: 
     # per position: outcome pairs, moved and twin bits, X bit of the correction
     aa_list, cc_list, moved_bits, twin_bits, x_corr = [], [], [], [], []
     for i, bit in enumerate(message):
-        aa, cc, moved_bit, _state = _chain_open(run, mu, nu, _payload_state(bit),
-                                                measure_receiver=True, forced=forced_cells[i])
+        aa, cc = run.open_chain(mu, nu, bit, forced=forced_cells[i])
+        moved_bits.append(run.measure_moved())
         aa_list.append(aa)
         cc_list.append(cc)
-        moved_bits.append(moved_bit)
         x_corr.append(x_bit(infer_tau(aa, cc, mu, nu)))
         run.send_qubit("4", "alice", "charlie", "send_signature_twin", f"index={i}")
         twin_bits.append(run.twin_bit(bit, aa.label))
@@ -646,18 +639,15 @@ def mpsc_run(alice_input: TwoBits, bob_input: TwoBits, public_bit: int,
     run.announce("setup", "alice", "public_payload", f"bit={public_bit}")
 
     label_a = run.mask("2", "alice", alice_input, mask_a)
-    aa, cc, _none, state = _chain_open(run, mu, nu, _payload_state(public_bit),
-                                       measure_receiver=False, forced=forced,
-                                       sender_pre_label=label_a)
+    aa, cc = run.open_chain(mu, nu, public_bit, forced=forced, sender_pre_label=label_a)
     run.announce("2", "alice", "announce_sender_pair", f"aa={aa}")
 
-    moved_bit, state = measure_qubit(state, 4, run.born)
-    run.local("3", "bob", "measure_moved", f"bit={moved_bit}")
-    state = apply_pauli(state, run.mask("3", "bob", bob_input, mask_b), 4)
+    moved_bit = run.measure_moved()
+    run.apply(run.mask("3", "bob", bob_input, mask_b))
     run.send_qubit("3", "bob", "charlie", "send_worked_state")
 
-    state = apply_pauli(state, run.mask("4", "charlie", cc, mask_c), 4)
-    f_bit, state = measure_qubit(state, 4, run.born)
+    run.apply(run.mask("4", "charlie", cc, mask_c))
+    f_bit = run.measure()
     run.announce("4", "charlie", "announce_outcome", f"f={f_bit}")
 
     run.announce("verify", "alice", "announce_signature", f"sig={alice_input.lo}")

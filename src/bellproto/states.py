@@ -201,9 +201,9 @@ def make_register(parts: Iterable[StateVector]) -> StateVector:
 # bits the register holds, never re-normalised by a new StateVector.
 # Results are read-only StateVectors (and outcome tables of read-only
 # probability arrays and tuples), so sharing them is safe.  An input that
-# raises is not cached and raises again next time.  At 512 entries a cache sped the bench's enumerate-sweep
-# by about 1% more than at 256, but the sample-replay peak RSS grew by
-# 1.9 MB where 256 entries grow it by 0.6 MB.
+# raises is not cached and raises again next time.  At 512 entries a cache
+# sped the bench's enumerate-sweep by about 1% more than at 256, but the
+# sample-replay peak RSS grew by 1.9 MB where 256 entries grow it by 0.6 MB.
 _MEMO_SIZE = 256
 
 

