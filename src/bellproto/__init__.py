@@ -26,7 +26,6 @@ from .algebra import (
     bell_vector,
     label_from_zx,
     omega_inner,
-    omega_matrix,
     pauli_compose,
     pauli_matrix,
 )

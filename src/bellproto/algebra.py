@@ -106,7 +106,6 @@ _BELL_INT = tuple(
 
 _SQRT2 = np.sqrt(2.0)
 _PAULI_FLOAT = tuple(_frozen(m.astype(np.float64)) for m in _PAULI_INT)
-_OMEGA_FLOAT = tuple(_frozen(m.astype(np.float64)) for m in _OMEGA_INT)
 _BELL_FLOAT = tuple(_frozen(v.astype(np.float64) / _SQRT2) for v in _BELL_INT)
 
 
@@ -121,13 +120,8 @@ def pauli_matrix_int(label: int) -> np.ndarray:
     return _PAULI_INT[label]
 
 
-def omega_matrix(label: int) -> np.ndarray:
-    """The 4x4 pair operator I (x) pauli(label); read-only view."""
-    _check_label(label)
-    return _OMEGA_FLOAT[label]
-
-
 def omega_matrix_int(label: int) -> np.ndarray:
+    """The 4x4 pair operator I (x) pauli(label) in integers; read-only view."""
     _check_label(label)
     return _OMEGA_INT[label]
 

@@ -5,15 +5,12 @@ so ``amplitudes[0b101]`` of a 3-qubit register is the |101> amplitude with
 qubit 0 in state |1>; only :func:`wires_first` and :func:`wires_back` apply
 it, each as one gather through a flat index that is built and validated
 once per (register size, wire tuple) and then cached.  Registers are
-read-only value objects.  An operation's result may be a shared one: the
-pure part of every transition (:func:`chain_register`, :func:`apply_pauli`,
-:func:`extract_qubit` and the collapse of :func:`bsm` and
-:func:`measure_qubit`) is memoised in a bounded cache keyed by the input's
-exact amplitude bytes, because forced enumeration keeps reaching the same
-few registers.  A measurement's cache entry also holds its outcome table:
-the probabilities as Python floats and the certain outcome, if any, so that
-the forced-outcome checks and the certain-outcome shortcut, which run on
-every call as the Born draws do, are plain Python comparisons.
+read-only value objects that hash and compare by their exact amplitude
+bytes, so a register is its own cache key.  An operation's result may be a
+shared one: the pure part of every transition (:func:`chain_register`,
+:func:`apply_pauli`, :func:`extract_qubit` and the outcome table and
+collapse of :func:`bsm` and :func:`measure_qubit`) is memoised, because
+forced enumeration keeps reaching the same few registers.
 
 The five-wire chain register used by the protocol layer is laid out as
 
@@ -126,8 +123,10 @@ class Rng:
 class StateVector:
     """Normalised amplitudes of an n-qubit register (complex, length 2**n).
 
-    The amplitudes are a read-only view of the bytes in ``_key``, which key
-    the engine's caches without a second copy of the register.
+    The amplitudes are a read-only view of the bytes in ``_key``.  Equality
+    and the hash compare those bytes, so a register keys the engine's caches
+    itself; unlike ``np.array_equal``, bytes tell -0.0 from +0.0, and a
+    cached result computed from one must not be handed back for the other.
     """
 
     amplitudes: np.ndarray
@@ -144,16 +143,17 @@ class StateVector:
         amps /= norm
         key = amps.tobytes()
         object.__setattr__(self, "_key", key)
-        object.__setattr__(self, "amplitudes", _amps(key))
+        object.__setattr__(self, "amplitudes", np.frombuffer(key, dtype=np.complex128))
 
     @property
     def n_qubits(self) -> int:
         return self.amplitudes.size.bit_length() - 1
 
     def __eq__(self, other) -> bool:  # exact equality; use equal_up_to_phase for states
-        return isinstance(other, StateVector) and np.array_equal(
-            self.amplitudes, other.amplitudes
-        )
+        return isinstance(other, StateVector) and self._key == other._key
+
+    def __hash__(self) -> int:
+        return hash(self._key)
 
 
 def basis_state(bits: str | Sequence[int]) -> StateVector:
@@ -196,31 +196,22 @@ def make_register(parts: Iterable[StateVector]) -> StateVector:
 
 # --- memoised transitions ---------------------------------------------------
 #
-# Each cached function takes the input register as its ``_key``, the bytes
-# of its amplitudes, and computes from ``np.frombuffer`` of them: the same
-# bits the register holds, never re-normalised by a new StateVector.
-# Results are read-only StateVectors (and outcome tables of read-only
-# probability arrays and tuples), so sharing them is safe.  An input that
-# raises is not cached and raises again next time.  At 512 entries a cache
-# sped the bench's enumerate-sweep by about 1% more than at 256, but the
-# sample-replay peak RSS grew by 1.9 MB where 256 entries grow it by 0.6 MB.
+# The rule: a memoised function is a pure function of its arguments, the
+# input register among them, and returns read-only values (StateVectors,
+# outcome tables of read-only arrays and tuples), so a hit hands back
+# exactly the bits a miss computes.  An input that raises is not cached
+# and raises again next time.  At 512 entries a cache sped the bench's
+# enumerate-sweep by about 1% more than at 256, but the sample-replay peak
+# RSS grew by 1.9 MB where 256 entries grow it by 0.6 MB.
 _MEMO_SIZE = 256
 
 
-def _amps(key: bytes) -> np.ndarray:
-    return np.frombuffer(key, dtype=np.complex128)
-
-
+@lru_cache(maxsize=_MEMO_SIZE)
 def chain_register(mu: int, nu: int, payload: StateVector) -> StateVector:
     """Five-wire register: payload, Bell pair mu on (1,2), Bell pair nu on (3,4)."""
     if payload.n_qubits != 1:
         raise ValueError("payload must be a single qubit")
-    return _chain_register(payload._key, mu, nu)
-
-
-@lru_cache(maxsize=_MEMO_SIZE)
-def _chain_register(key: bytes, mu: int, nu: int) -> StateVector:
-    return _product([_amps(key), bell_state(mu).amplitudes, bell_state(nu).amplitudes])
+    return _product([payload.amplitudes, bell_state(mu).amplitudes, bell_state(nu).amplitudes])
 
 
 @lru_cache(maxsize=256)
@@ -253,14 +244,10 @@ def wires_back(mat: np.ndarray, wires: Sequence[int]) -> np.ndarray:
     return mat.reshape(inverse.size)[inverse]
 
 
+@lru_cache(maxsize=_MEMO_SIZE)
 def apply_pauli(state: StateVector, label: int, wire: int) -> StateVector:
     """Apply the labelled single-qubit operator to one wire."""
-    return _apply_pauli(state._key, label, wire)
-
-
-@lru_cache(maxsize=_MEMO_SIZE)
-def _apply_pauli(key: bytes, label: int, wire: int) -> StateVector:
-    moved = pauli_matrix(label) @ wires_first(_amps(key), [wire])
+    moved = pauli_matrix(label) @ wires_first(state.amplitudes, [wire])
     return StateVector(wires_back(moved, [wire]))
 
 
@@ -291,7 +278,7 @@ def _born(comp: np.ndarray) -> np.ndarray:
 def bsm_probabilities(state: StateVector, pair: tuple[int, int]) -> np.ndarray:
     """Analytic Bell-outcome distribution for a pair, no sampling involved
     (a shared read-only array)."""
-    return _probabilities(state._key, tuple(pair), "bell").probs
+    return _probabilities(state, tuple(pair), "bell").probs
 
 
 class _Outcomes(NamedTuple):
@@ -305,50 +292,46 @@ class _Outcomes(NamedTuple):
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
-def _probabilities(key: bytes, wires: tuple[int, ...], basis: str) -> _Outcomes:
-    probs = _born(_ROWS[basis] @ wires_first(_amps(key), wires))
+def _probabilities(state: StateVector, wires: tuple[int, ...], basis: str) -> _Outcomes:
+    probs = _born(_ROWS[basis] @ wires_first(state.amplitudes, wires))
     probs.setflags(write=False)
     top = int(probs.argmax())
     return _Outcomes(probs, tuple(probs.tolist()),
                      top if probs[top] > 1.0 - _PROB_FLOOR else None)
 
 
-def _choose_outcome(outcomes: _Outcomes, rng: Rng | None,
-                    force: int | TwoBits | None, what: str) -> int:
-    """The forced outcome (which must be possible), else the certain one,
-    else a Born draw from ``rng``."""
+def _measure(state: StateVector, wires: Sequence[int], basis: str,
+             rng: Rng | None, force: int | TwoBits | None,
+             what: str) -> tuple[int, StateVector]:
+    """Projective measurement of ``wires`` in the real basis named ``basis``
+    (a key of ``_ROWS``).  The outcome is the forced one (which must be
+    possible), else the certain one, else a Born draw from ``rng``; the
+    measured wires collapse onto the outcome's basis state."""
+    wires = tuple(wires)
+    outcomes = _probabilities(state, wires, basis)
+    table = outcomes.table
     if force is not None:
-        table = outcomes.table
         index = force.label if isinstance(force, TwoBits) else int(force)
         if index not in range(len(table)):
             raise MeasurementError(f"{what} {index} is not an outcome of this measurement")
         if table[index] < _PROB_FLOOR:
             raise MeasurementError(f"{what} {index} has probability {table[index]:.3e}")
-        return index
-    if outcomes.certain is not None:
+    elif outcomes.certain is not None:
         # deterministic outcome: no randomness consumed, keeps streams stable
-        return outcomes.certain
-    if rng is None:
+        index = outcomes.certain
+    elif rng is None:
         raise ValueError("either rng or force is required")
-    return rng.choose(outcomes.probs)
-
-
-def _measure(state: StateVector, wires: Sequence[int], basis: str,
-             rng: Rng | None, force: int | TwoBits | None,
-             what: str) -> tuple[int, StateVector]:
-    """Projective measurement of ``wires`` in the real basis named ``basis``
-    (a key of ``_ROWS``); the measured wires collapse onto the outcome's
-    basis state."""
-    key, wires = state._key, tuple(wires)
-    index = _choose_outcome(_probabilities(key, wires, basis), rng, force, what)
-    return index, _collapse(key, wires, basis, index)
+    else:
+        index = rng.choose(outcomes.probs)
+    return index, _collapse(state, wires, basis, index)
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
-def _collapse(key: bytes, wires: tuple[int, ...], basis: str, index: int) -> StateVector:
+def _collapse(state: StateVector, wires: tuple[int, ...], basis: str,
+              index: int) -> StateVector:
     rows = _ROWS[basis]
-    comp = rows @ wires_first(_amps(key), wires)
-    prob = _probabilities(key, wires, basis).probs[index]
+    comp = rows @ wires_first(state.amplitudes, wires)
+    prob = _probabilities(state, wires, basis).probs[index]
     post = np.multiply.outer(rows[index], comp[index] / np.sqrt(prob))
     return StateVector(wires_back(post, wires))
 
@@ -629,6 +612,7 @@ def reduced_density(state: StateVector, keep: Sequence[int]) -> DensityMatrix:
     return DensityMatrix(t @ t.conj().T)
 
 
+@lru_cache(maxsize=_MEMO_SIZE)
 def extract_qubit(state: StateVector, wire: int) -> StateVector:
     """Pure state of one wire; requires the wire to be unentangled.
 
@@ -636,12 +620,7 @@ def extract_qubit(state: StateVector, wire: int) -> StateVector:
     component made real positive), which is harmless because all state
     comparisons in this package are up to phase.
     """
-    return _extract_qubit(state._key, wire)
-
-
-@lru_cache(maxsize=_MEMO_SIZE)
-def _extract_qubit(key: bytes, wire: int) -> StateVector:
-    t = wires_first(_amps(key), [wire])
+    t = wires_first(state.amplitudes, [wire])
     vals, vecs = np.linalg.eigh(t @ t.conj().T)  # the wire's reduced density matrix
     if vals[-1] < 1.0 - 1e-9:
         raise ValueError(f"wire {wire} is entangled (purity eigenvalue {vals[-1]:.6f})")

@@ -56,6 +56,10 @@ class RunConfig:
             if "=" not in line:
                 raise ValueError(f"bad config line: {line!r}")
             key, value = line.split("=", 1)
+            if key not in CONFIG_KEYS:
+                raise ValueError(f"unknown config key: {key!r}")
+            if key in pairs:
+                raise ValueError(f"repeated config key: {key!r}")
             pairs[key] = value
         missing = [k for k in CONFIG_KEYS if k not in pairs]
         if missing:

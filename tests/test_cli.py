@@ -154,15 +154,36 @@ def test_replay_detects_edited_payload(tmp_path):
     assert "mismatch at event 2" in proc.stdout
 
 
-@pytest.mark.parametrize("edit", ("append", "repeat"))
-def test_replay_names_an_edited_config_block(tmp_path, edit):
+def _bc_transcript_lines(tmp_path):
     proc = run_cli("run", "--protocol", "bc", "--secret", "1", "--seed", "5", cwd=tmp_path)
     assert proc.returncode == EXIT_OK
     transcript = tmp_path / "bc-seed5.pwv1"
     lines = transcript.read_text().splitlines()
-    last = max(i for i, line in enumerate(lines) if line.startswith("config "))
-    # an unknown key and a repeated one both parse to the same configuration
-    lines.insert(last + 1, "config extra=1" if edit == "append" else "config nu=0")
+    config = [i for i, line in enumerate(lines) if line.startswith("config ")]
+    return transcript, lines, config
+
+
+# an unknown key and a repeated one make the config block malformed
+CONFIG_EDITS = {"append": ("config extra=1", "unknown config key: 'extra'"),
+                "repeat": ("config nu=0", "repeated config key: 'nu'")}
+
+
+@pytest.mark.parametrize("edit", sorted(CONFIG_EDITS))
+def test_replay_names_an_edited_config_block(tmp_path, edit):
+    line, problem = CONFIG_EDITS[edit]
+    transcript, lines, config = _bc_transcript_lines(tmp_path)
+    lines.insert(config[-1] + 1, line)
+    transcript.write_text("\n".join(lines) + "\n")
+    proc = run_cli("replay", str(transcript))
+    assert proc.returncode == EXIT_IO
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: {problem}\n"
+
+
+def test_replay_names_a_reordered_config_block(tmp_path):
+    transcript, lines, config = _bc_transcript_lines(tmp_path)
+    # swapped lines parse to the recorded configuration, but the bytes differ
+    lines[config[0]], lines[config[1]] = lines[config[1]], lines[config[0]]
     transcript.write_text("\n".join(lines) + "\n")
     proc = run_cli("replay", str(transcript))
     assert proc.returncode == EXIT_REJECT

@@ -31,6 +31,19 @@ def test_config_missing_key_rejected():
         RunConfig.from_text("protocol=bc\nmu=0")
 
 
+def test_config_unknown_key_rejected():
+    text = PROTO_CONFIGS[0].to_text() + "\nextra=1"
+    with pytest.raises(ValueError, match="unknown config key: 'extra'"):
+        RunConfig.from_text(text)
+
+
+def test_config_repeated_key_rejected():
+    # the repeat holds the recorded value, so only the repetition is wrong
+    text = PROTO_CONFIGS[0].to_text() + "\nnu=0"
+    with pytest.raises(ValueError, match="repeated config key: 'nu'"):
+        RunConfig.from_text(text)
+
+
 def test_run_id_is_config_determined():
     a = RunConfig(protocol="bc", secret="1", seed=7)
     b = RunConfig(protocol="bc", secret="1", seed=7)
