@@ -29,7 +29,9 @@ for cc in ALL_PAIRS:
     holdings.append(StateVector(rec.held["bob"]))
 avg = mixture_density(holdings, [0.25] * 4)
 print("receiver share averaged over the relay share it lacks:")
-print(np.round(avg.matrix, 12))
+# rounding drops float noise, and adding 0.0 turns any -0.0 into 0.0, so
+# the printed matrix does not depend on which SIMD path numpy took
+print(np.round(avg.matrix, 12) + 0.0)
 print(f"maximally mixed: {is_maximally_mixed(avg)}\n")
 
 print("== digital signature of a 4-bit message ==")
