@@ -309,8 +309,8 @@ def _measure(state: StateVector, wires: Sequence[int], basis: str,
     measured wires collapse onto the outcome's basis state."""
     wires = tuple(wires)
     outcomes = _probabilities(state, wires, basis)
-    table = outcomes.table
     if force is not None:
+        table = outcomes.table
         index = force.label if isinstance(force, TwoBits) else int(force)
         if index not in range(len(table)):
             raise MeasurementError(f"{what} {index} is not an outcome of this measurement")
@@ -327,8 +327,7 @@ def _measure(state: StateVector, wires: Sequence[int], basis: str,
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
-def _collapse(state: StateVector, wires: tuple[int, ...], basis: str,
-              index: int) -> StateVector:
+def _collapse(state: StateVector, wires: tuple[int, ...], basis: str, index: int) -> StateVector:
     rows = _ROWS[basis]
     comp = rows @ wires_first(state.amplitudes, wires)
     prob = _probabilities(state, wires, basis).probs[index]

@@ -107,7 +107,7 @@ def test_registers_key_the_caches_by_their_bytes():
     assert a is not b and a == b and hash(a) == hash(b)
     assert chain_register(1, 2, a) is chain_register(1, 2, b)
     # np.array_equal calls these equal, but their bytes differ (normalising
-    # divides by a complex norm, which keeps the sign of an imaginary zero)
+    # keeps the sign of an imaginary zero, not of a real one)
     plus, minus = qubit(1.0, 0.0), qubit(1.0, complex(0.0, -0.0))
     assert np.array_equal(plus.amplitudes, minus.amplitudes)
     assert plus != minus

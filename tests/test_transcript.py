@@ -31,17 +31,12 @@ def test_config_missing_key_rejected():
         RunConfig.from_text("protocol=bc\nmu=0")
 
 
-def test_config_unknown_key_rejected():
-    text = PROTO_CONFIGS[0].to_text() + "\nextra=1"
-    with pytest.raises(ValueError, match="unknown config key: 'extra'"):
-        RunConfig.from_text(text)
-
-
-def test_config_repeated_key_rejected():
-    # the repeat holds the recorded value, so only the repetition is wrong
-    text = PROTO_CONFIGS[0].to_text() + "\nnu=0"
-    with pytest.raises(ValueError, match="repeated config key: 'nu'"):
-        RunConfig.from_text(text)
+# a repeat holding the recorded value is still malformed
+@pytest.mark.parametrize("line,problem", [("extra=1", "unknown config key: 'extra'"),
+                                          ("nu=0", "repeated config key: 'nu'")])
+def test_config_bad_key_rejected(line, problem):
+    with pytest.raises(ValueError, match=problem):
+        RunConfig.from_text(PROTO_CONFIGS[0].to_text() + "\n" + line)
 
 
 def test_run_id_is_config_determined():
