@@ -39,7 +39,7 @@ for outcome in LABELS:
     _, post = bsm(state, (1, 2), force=outcome)
     outer = reduced_density(post, [0, 3])
     swapped = 1 ^ 2 ^ outcome
-    dist = trace_distance(outer, projector(bell_state(swapped)))
+    dist = trace_distance(outer.matrix, projector(bell_state(swapped)).matrix)
     print(f"  forced outcome {outcome}: outer pair = Bell {swapped} "
           f"(distance {dist:.1e})")
 

@@ -21,7 +21,7 @@ Two measurable quantities back the security claims:
 
 Both the hiding distances and the capture check (a cheater's captured
 qubit against I/2) go through one accumulator, :func:`_views`, and one
-trace distance, :func:`_trace_distance`.
+trace distance, :func:`bellproto.states.trace_distance`.
 
 One physical caveat is first-class here: the Z half of an announced bit
 pair acts as a global phase on basis states, so no measured-bit check can
@@ -39,7 +39,7 @@ from typing import Iterable
 import numpy as np
 
 from .algebra import LABELS
-from .states import Rng
+from .states import Rng, trace_distance
 from .protocols import (
     _ALL_PAIRS,
     PROTOCOLS,
@@ -250,7 +250,7 @@ def _evaluate_capture(config: RunConfig, entry: CatalogEntry,
     [avg] = views.values()
     return SecurityReport(
         strategy=cheat.name, protocol=config.protocol, mode="enumerate",
-        cells=len(records), state_distance=_trace_distance(avg, np.eye(2) / 2),
+        cells=len(records), state_distance=trace_distance(avg, np.eye(2) / 2),
         note=_note(entry),
     )
 
@@ -286,11 +286,6 @@ def _views(records: Iterable[RunRecord], observer: str, weight: float,
     return out
 
 
-def _trace_distance(a, b) -> float:
-    """Half the trace norm of ``a - b``; either side may be 0 (a missing view)."""
-    return 0.5 * float(np.abs(np.linalg.eigvalsh(a - b)).sum())
-
-
 def view_distance(protocol: str, observer: str, *, vary: str,
                   values: tuple, fixed: dict | None = None,
                   cut_step: str | None = None) -> float:
@@ -312,7 +307,7 @@ def view_distance(protocol: str, observer: str, *, vary: str,
         records = (run_cell(config, {**cell, **runner_kwargs}, None, None) for cell in cells)
         sides.append(_views(records, observer, 1.0 / len(cells), cut_step))
     a, b = sides
-    return sum(_trace_distance(a.get(view, 0.0), b.get(view, 0.0))
+    return sum(trace_distance(a.get(view, 0.0), b.get(view, 0.0))
                for view in set(a) | set(b))
 
 

@@ -41,7 +41,6 @@ from .attacks import (
     run_strategy,
     strategies_for,
 )
-from .identities import format_suite, run_identity_suite
 from .protocols import PROTOCOLS, ConfigError, cell_label, run_from_config, spec_for
 from .transcript import FORMAT_VERSION, RunConfig, first_divergence, parse_transcript
 
@@ -65,6 +64,8 @@ def _write_out(path: str | None, text: str) -> None:
 
 
 def cmd_identities(args) -> int:
+    from .identities import format_suite, run_identity_suite  # only this command needs it
+
     try:
         results = run_identity_suite(fault=args.fault)
     except ValueError as exc:

@@ -19,11 +19,12 @@ cell per chain, and tpsc and mpsc also take their private ``masks``.  All
 classical and quantum traffic is logged to a transcript with per-event
 visibility, from which each party's view is reconstructed for the
 information-hiding checks.  The steps the runners repeat are written once
-on :class:`Run`, and only its chain steps name a wire or call the dense
-engine: ``open_chain``, ``apply``, ``measure``, ``measure_moved`` and
-``take``.  ``twin_bit`` and ``read`` measure qubits held off the chain,
-``conclude`` announces and records a verdict, and ``masks`` and ``mask``
-draw and apply private input masks.  What does not change from run to run
+on :class:`Run`.  Only ``open_chain`` builds the five-wire register: it
+runs the Bell measurements and keeps the freed wire as the run's one
+qubit, on which ``apply``, ``measure`` and ``measure_moved`` act.
+``twin_bit`` measures a sender's twin qubit, ``conclude`` announces and
+records a verdict, and ``masks`` and ``mask`` draw and apply private input
+masks.  What does not change from run to run
 is built once: the |0> and |1> payloads every classical secret and twin
 qubit start from, the forced qss probe qubit and each protocol's sorted
 controllers.
@@ -133,9 +134,12 @@ class Run:
     reproduces masks and share splits exactly.  Besides the Born stream,
     each stream is derived where it is drawn from.
 
-    The chain steps act on the ``register`` that ``open_chain`` opens, at
-    the ``wire`` its payload was moved to.  They call ``states.<name>`` at
-    call time, so a wrapper on the module attribute sees every transition.
+    The five-wire register lives only inside ``open_chain``.  After the
+    sender's Bell measurement the run holds one qubit, ``moved``: the
+    payload under its correction, on the receiver's wire or, after a
+    skipped relay measurement, the relay's.  Every later step acts on it
+    alone.  The steps call ``states.<name>`` at call time, so a wrapper on
+    the module attribute sees every transition.
     """
 
     def __init__(self, protocol: str, rng: Rng | None, cheat: CheatStrategy | None = None,
@@ -185,11 +189,7 @@ class Run:
         """Measured bit of the basis state ``bit`` keyed by the labelled
         operators (the rightmost acts first): a sender's twin qubit."""
         amps = reduce(np.matmul, map(pauli_matrix, labels)) @ _BASIS_PAYLOADS[bit].amplitudes
-        return self.read(StateVector(amps))
-
-    def read(self, lone: StateVector) -> int:
-        """Z-measured bit of a qubit held off the chain."""
-        return states.measure_qubit(lone, 0, self.born)[0]
+        return states.measure_qubit(StateVector(amps), 0, self.born)[0]
 
     def open_chain(self, mu: int, nu: int, secret, *, forced=None,
                    nu_secret_of: str | None = None, sender_pre_label: int | None = None,
@@ -197,7 +197,8 @@ class Run:
         """Open a chain over (mu, nu) carrying ``secret`` (a bit or a 1-qubit
         state): the relay Bell-measures its pair (2, 3), then the sender,
         after applying ``sender_pre_label`` to the payload when given,
-        Bell-measures (0, 1) and so moves the payload to the receiver's wire 4.
+        Bell-measures (0, 1) and so moves the payload to the receiver's wire 4,
+        which the run keeps as ``moved``.
 
         Returns (aa, cc); cc is None when the relay skipped.  ``forced`` is
         the (aa, cc) cell to force; it, or either half, may be None (drawn from
@@ -207,7 +208,7 @@ class Run:
         """
         sender, relay = self.cast["A"], self.cast["C"]
         forced_aa, forced_cc = forced or (None, None)
-        self.register = states.chain_register(mu, nu, _payload_state(secret))
+        register = states.chain_register(mu, nu, _payload_state(secret))
         self.announce("setup", sender, "channel_sender_relay", f"mu={mu}")
         if nu_secret_of is None:
             self.announce("setup", relay, "channel_relay_receiver", f"nu={nu}")
@@ -218,24 +219,25 @@ class Run:
         if skip_relay:
             self.local("1", relay, "relay_bsm_skipped", "withheld")
         else:
-            cc, self.register = states.bsm(self.register, (2, 3), self.born, force=forced_cc)
+            cc, register = states.bsm(register, (2, 3), self.born, force=forced_cc)
             self.local("1", relay, "relay_bsm", f"cc={cc}")
 
         if sender_pre_label is not None:
-            self.register = states.apply_pauli(self.register, sender_pre_label, 0)
+            register = states.apply_pauli(register, sender_pre_label, 0)
             self.local("2", sender, "apply_input", "label=private")
-        aa, self.register = states.bsm(self.register, (0, 1), self.born, force=forced_aa)
+        aa, register = states.bsm(register, (0, 1), self.born, force=forced_aa)
         self.local("2", sender, "sender_bsm", f"aa={aa}")
-        self.wire = 2 if skip_relay else 4
+        # raises if the freed wire were still entangled
+        self.moved = states.extract_qubit(register, 2 if skip_relay else 4)
         return aa, cc
 
     def apply(self, label: int) -> None:
         """Apply the labelled operator to the moved qubit."""
-        self.register = states.apply_pauli(self.register, label, self.wire)
+        self.moved = states.apply_pauli(self.moved, label, 0)
 
     def measure(self) -> int:
         """Z-measure the moved qubit (a Born draw unless its bit is certain)."""
-        bit, self.register = states.measure_qubit(self.register, self.wire, self.born)
+        bit, self.moved = states.measure_qubit(self.moved, 0, self.born)
         return bit
 
     def measure_moved(self) -> int:
@@ -243,11 +245,6 @@ class Run:
         bit = self.measure()
         self.local("3", self.cast["B"], "measure_moved", f"bit={bit}")
         return bit
-
-    def take(self) -> StateVector:
-        """The moved qubit as a state of its own: the receiver's, or the
-        relay's after a skipped relay measurement."""
-        return states.extract_qubit(self.register, self.wire)
 
     def verdict(self, actor: str, verdict: Verdict) -> Verdict:
         payload = f"outcome={verdict.outcome} value={verdict.value} reason={verdict.reason}"
@@ -512,7 +509,7 @@ def qss_run(secret, rng: Rng | None = None, *, mu: int = 0, nu: int = 0,
     run.tell("share", "alice", "bob", "send_sender_share", f"aa={aa}")
 
     if skip or not reconstruct:  # after a skip, the relay holds the moved qubit
-        run.held["charlie" if skip else "bob"] = run.take().amplitudes
+        run.held["charlie" if skip else "bob"] = run.moved.amplitudes
         run.values.update({"relay_skipped": True, "aa": str(aa)} if skip
                           else {"aa": str(aa), "cc": str(cc)})
         return run.conclude("bob", False, "", "insufficient_shares")
@@ -520,12 +517,11 @@ def qss_run(secret, rng: Rng | None = None, *, mu: int = 0, nu: int = 0,
     run.tell("collaborate", "charlie", "bob", "send_relay_share", f"cc={cc}")
     run.apply(infer_tau(aa, cc, mu, nu))  # self-inverse up to a global sign
     run.local("reconstruct", "bob", "invert_correction", "label=private")
-    recovered = run.take()
-    run.values.update(fidelity=fidelity(payload, recovered), aa=str(aa), cc=str(cc))
+    run.values.update(fidelity=fidelity(payload, run.moved), aa=str(aa), cc=str(cc))
     if classical:
-        value = run.values["bit"] = run.read(recovered)
+        value = run.values["bit"] = run.measure()
     else:
-        run.held["bob"] = recovered.amplitudes
+        run.held["bob"] = run.moved.amplitudes
         value = "qubit"
     return run.conclude("bob", True, str(value), "")
 

@@ -599,10 +599,10 @@ def is_maximally_mixed(dm: DensityMatrix) -> bool:
     return bool(np.max(np.abs(dm.matrix - np.eye(dim) / dim)) <= TOL_EQ)
 
 
-def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
-    """Half the trace norm of the difference; 0 means indistinguishable."""
-    diff = a.matrix - b.matrix
-    return 0.5 * float(np.abs(np.linalg.eigvalsh(diff)).sum())
+def trace_distance(a, b) -> float:
+    """Half the trace norm of ``a - b``, two Hermitian matrices; either side
+    may be 0 (a missing view).  0 means indistinguishable."""
+    return 0.5 * float(np.abs(np.linalg.eigvalsh(a - b)).sum())
 
 
 def reduced_density(state: StateVector, keep: Sequence[int]) -> DensityMatrix:

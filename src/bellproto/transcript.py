@@ -111,28 +111,23 @@ class Transcript:
 
 
 def parse_transcript(text: str) -> tuple[RunConfig, list[str]]:
-    """Split a serialised transcript into its config and raw event lines."""
+    """Split a serialised transcript into its config and raw event lines.
+
+    The layout is strict: the header, a run of ``config`` lines, only
+    ``event`` lines after them and ``end`` as the last line.
+    """
     lines = text.splitlines()
     if not lines or lines[0] != FORMAT_VERSION:
         raise ValueError(f"not a {FORMAT_VERSION} transcript")
-    config_lines = []
-    event_lines = []
-    saw_end = False
-    for line in lines[1:]:
-        if line == "end":
-            saw_end = True
-            continue
-        if line.startswith("config "):
-            config_lines.append(line[len("config "):])
-        elif line.startswith("event "):
-            event_lines.append(line)
-        elif line.strip() == "":
-            continue
-        else:
-            raise ValueError(f"unrecognised transcript line: {line!r}")
-    if not saw_end:
-        raise ValueError("transcript is truncated (no end marker)")
-    return RunConfig.from_text("\n".join(config_lines)), event_lines
+    if lines[-1] != "end":
+        raise ValueError("transcript does not close with its end marker")
+    body = lines[1:-1]
+    split = next((i for i, line in enumerate(body) if not line.startswith("config ")), len(body))
+    for line in body[split:]:
+        if not line.startswith("event "):
+            raise ValueError(f"unexpected transcript line: {line!r}")
+    config = RunConfig.from_text("\n".join(line[len("config "):] for line in body[:split]))
+    return config, body[split:]
 
 
 def first_divergence(text_a: str, text_b: str) -> int | None:

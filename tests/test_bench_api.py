@@ -46,11 +46,12 @@ ENGINE_NAMES = ("states.bsm", "states.measure_qubit", "states.apply_pauli",
 # engine calls of one tiny traced pass at seed 1, from cold engine caches: a
 # faster engine makes the same Bell measurements and derives the same streams.
 # It builds a StateVector only for what its caches have not yet computed and
-# for each run's twin qubits; |0> and |1> payloads are built once per process
+# for each run's twin qubits; |0> and |1> payloads are built once per process,
+# and after the sender's Bell measurement a run's transitions act on one qubit
 ENGINE_WORK = {
-    "enumerate-sweep": {"states.StateVector.__init__.calls": 1007, "states.bsm.calls": 1796,
+    "enumerate-sweep": {"states.StateVector.__init__.calls": 776, "states.bsm.calls": 1796,
                         "states.Rng.__init__.calls": 1704},
-    "sample-replay": {"states.StateVector.__init__.calls": 153, "states.bsm.calls": 84,
+    "sample-replay": {"states.StateVector.__init__.calls": 140, "states.bsm.calls": 84,
                       "states.Rng.__init__.calls": 87},
 }
 

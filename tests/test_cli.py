@@ -33,13 +33,15 @@ def test_child_imports_the_package_under_test(tmp_path):
 
 
 def test_bare_import_leaves_identities_unloaded(tmp_path):
+    # nor does the cli: only its identities command needs the suite
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import sys, bellproto; print('bellproto.identities' in sys.modules)"],
+         "import sys, bellproto; print('bellproto.identities' in sys.modules); "
+         "import bellproto.cli; print('bellproto.identities' in sys.modules)"],
         capture_output=True, text=True, cwd=tmp_path, env=child_env(),
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.split() == ["False", "False"]
 
 
 def test_identities_pass(tmp_path):
@@ -213,11 +215,25 @@ def test_main_in_process_identities():
     assert main(["identities"]) == EXIT_OK
 
 
-def _edited_transcript(tmp_path, old, new, protocol="bc"):
+def _transcript(tmp_path, protocol="bc"):
     path = tmp_path / "edited.pwv1"
     assert main(["run", "--protocol", protocol, "--secret", "1", "--seed", "3",
                  "--out", str(path)]) == EXIT_OK
+    return path
+
+
+def _edited_transcript(tmp_path, old, new, protocol="bc"):
+    path = _transcript(tmp_path, protocol)
     path.write_text(path.read_text().replace(old, new, 1))
+    return str(path)
+
+
+def _relaid_transcript(tmp_path, relay):
+    """A bc transcript whose line list ``relay`` rearranges in place."""
+    path = _transcript(tmp_path)
+    lines = path.read_text().splitlines()
+    relay(lines)
+    path.write_text("\n".join(lines) + "\n")
     return str(path)
 
 
@@ -279,6 +295,15 @@ BAD_INPUTS = {
     "replay-two-forced-cells": (lambda tmp: ["replay", _edited_transcript(
         tmp, "config mode=sample:1", "config mode=forced:00:01,11:10")], EXIT_IO),
     "replay-not-utf8": (lambda tmp: ["replay", _binary_file(tmp)], EXIT_IO),
+    # PWV1 is the header, the config lines, the event lines and a last end line
+    "replay-event-after-end": (lambda tmp: ["replay", _relaid_transcript(
+        tmp, lambda lines: lines.append(lines.pop(-2)))], EXIT_IO),
+    "replay-second-end": (lambda tmp: ["replay", _relaid_transcript(
+        tmp, lambda lines: lines.append("end"))], EXIT_IO),
+    "replay-blank-line": (lambda tmp: ["replay", _relaid_transcript(
+        tmp, lambda lines: lines.insert(-1, ""))], EXIT_IO),
+    "replay-config-after-events": (lambda tmp: ["replay", _relaid_transcript(
+        tmp, lambda lines: lines.insert(-1, lines.pop(1)))], EXIT_IO),
     # values a protocol never reads are rejected, not written into the transcript
     "ct-channel-labels": (lambda tmp: ["run", "--protocol", "ct", "--mu", "2", "--nu", "3",
                                        "--seed", "1"], EXIT_CONFIG),

@@ -1,11 +1,13 @@
 import itertools
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from bellproto import protocols
+from bellproto import protocols, states
 from bellproto.algebra import LABELS, TwoBits, pauli_matrix, x_bit
+from bellproto.attacks import enumeration_cells, run_cell, run_strategy
 from bellproto.protocols import (
     CheatStrategy,
     ConfigError,
@@ -29,6 +31,7 @@ from bellproto.states import (
     infer_tau,
 )
 from bellproto.transcript import RunConfig
+from test_golden import FORCED_CONFIGS
 
 ALL_PAIRS = [TwoBits.from_label(t) for t in LABELS]
 ALL_CELLS = list(itertools.product(ALL_PAIRS, repeat=2))
@@ -86,8 +89,44 @@ def test_common_steps_quantum_payload_all_cells():
         run = Run("qss", None, mu=1, nu=2)
         assert run.open_chain(1, 2, probe, forced=(aa, cc)) == (aa, cc)
         tau = infer_tau(aa, cc, 1, 2)
-        moved = run.take()
-        assert equal_up_to_phase(moved, StateVector(pauli_matrix(tau) @ probe.amplitudes))
+        assert equal_up_to_phase(run.moved, StateVector(pauli_matrix(tau) @ probe.amplitudes))
+
+
+def test_only_open_chain_hands_the_engine_the_five_wire_register(monkeypatch):
+    """After the sender's Bell measurement a run holds one qubit: every Z
+    measurement is of a one-qubit state, and ``apply_pauli`` sees the
+    five-wire register only inside ``open_chain`` (the sender's input)."""
+    open_chain, measure_qubit, apply_pauli = Run.open_chain, states.measure_qubit, states.apply_pauli
+    inside, moved, measured, applied = [], [], [], []
+
+    def traced_open_chain(self, *args, **kwargs):
+        inside.append(None)
+        result = open_chain(self, *args, **kwargs)
+        inside.pop()
+        moved.append(self.moved.n_qubits)
+        return result
+
+    def traced_measure_qubit(state, *args, **kwargs):
+        measured.append(state.n_qubits)
+        return measure_qubit(state, *args, **kwargs)
+
+    def traced_apply_pauli(state, *args):
+        applied.append((bool(inside), state.n_qubits))
+        return apply_pauli(state, *args)
+
+    monkeypatch.setattr(Run, "open_chain", traced_open_chain)
+    monkeypatch.setattr(states, "measure_qubit", traced_measure_qubit)
+    monkeypatch.setattr(states, "apply_pauli", traced_apply_pauli)
+    for config in FORCED_CONFIGS:  # every protocol, sampled and over its forced cells
+        run_from_config(replace(config, seed=7, mode="sample:1"))
+        for cell in enumeration_cells(config):
+            run_cell(config, dict(cell), None, None)
+    # the skipped relay measurement leaves the moved qubit on the relay's wire
+    run_strategy(RunConfig("qss", secret="q", mode="enumerate"), "charlie-skip-bsm")
+
+    assert set(moved) == {1} and set(measured) == {1}
+    assert {n for in_chain, n in applied if not in_chain} == {1}
+    assert {n for in_chain, n in applied if in_chain} == {5}
 
 
 # --- bit commitment -------------------------------------------------------------

@@ -171,7 +171,7 @@ def test_bsm_post_state_collapses_pair():
     out, post = bsm(state, (2, 3), force=2)
     pair = reduced_density(post, [2, 3])
     expected = projector(bell_state(2))
-    assert trace_distance(pair, expected) <= 1e-12
+    assert trace_distance(pair.matrix, expected.matrix) <= 1e-12
 
 
 # --- wire order -------------------------------------------------------------------
@@ -284,13 +284,14 @@ def test_swap_outcome_distribution_and_label_rule(mu, nu):
     for outcome in LABELS:
         out, post = bsm(state, (1, 2), force=outcome)
         outer = reduced_density(post, [0, 3])
-        assert trace_distance(outer, projector(bell_state(mu ^ nu ^ outcome))) <= 1e-12
+        assert trace_distance(outer.matrix, projector(bell_state(mu ^ nu ^ outcome)).matrix) <= 1e-12
 
 
 def test_swap_identity_channels_outcome_zero_gives_label_zero():
     state = make_register([bell_state(0), bell_state(0)])
     out, post = bsm(state, (1, 2), force=0)
-    assert trace_distance(reduced_density(post, [0, 3]), projector(bell_state(0))) <= 1e-12
+    assert trace_distance(reduced_density(post, [0, 3]).matrix,
+                          projector(bell_state(0)).matrix) <= 1e-12
 
 
 def test_teleport_zero_over_identity_channel():
@@ -397,10 +398,11 @@ def test_density_matrix_validation():
 
 
 def test_trace_distance_basics():
-    a = projector(basis_state("0"))
-    b = projector(basis_state("1"))
+    a = projector(basis_state("0")).matrix
+    b = projector(basis_state("1")).matrix
     assert trace_distance(a, b) == pytest.approx(1.0, abs=1e-12)
     assert trace_distance(a, a) == 0.0
+    assert trace_distance(a, 0) == trace_distance(0, a) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_reduced_density_and_extract_qubit():
