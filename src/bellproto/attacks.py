@@ -27,7 +27,10 @@ One physical caveat is first-class here: the Z half of an announced bit
 pair acts as a global phase on basis states, so no measured-bit check can
 see it.  Strategies that lie only in that unobservable coordinate are kept
 in the catalog with expected detection zero, reported as the known gap
-rather than silently excluded.
+rather than silently excluded.  A second gap lies outside the family, whose
+strategies hold one deviation per hook: bc's checks test one parity, so a
+sender who flips the revealed bit and the X bit of its outcome pair
+together opens the other bit in every cell.  bc does not bind.
 """
 
 from __future__ import annotations
@@ -168,16 +171,14 @@ def strategies_for(protocol: str) -> list[str]:
 def enumeration_cells(config: RunConfig):
     """Kwargs for every forced-outcome / mask cell of a protocol."""
     spec = spec_for(config.protocol)
-    return spec.cells(spec.runner_kwargs(config, None))
+    return spec.cells(spec.runner_kwargs(config))
 
 
 def run_cell(config: RunConfig, cell: dict, cheat: CheatStrategy | None,
              rng: Rng | None) -> RunRecord:
     """Run ``config`` with ``cell``'s kwargs (a forced cell, or none to sample)."""
     spec = spec_for(config.protocol)
-    kwargs = spec.runner_kwargs(config, rng)
-    kwargs.update(cell)
-    return spec.runner(rng=rng, cheat=cheat, **kwargs)
+    return spec.runner(**{**spec.runner_kwargs(config), **cell}, rng=rng, cheat=cheat)
 
 
 def run_strategy(config: RunConfig, name: str,

@@ -98,13 +98,17 @@ class Verdict:
 class RunRecord:
     """What one execution leaves: its verdict, its transcript, the qubit each
     party still holds at the end (``held``: party to amplitudes; a party
-    holding nothing has no key) and the runner's named ``values``."""
+    holding nothing has no key) and the runner's named ``values``.  Its
+    ``config`` is the one its transcript records."""
 
-    config: RunConfig
     verdict: Verdict
     transcript: Transcript
     held: dict[str, np.ndarray]
     values: dict[str, object]
+
+    @property
+    def config(self) -> RunConfig:
+        return self.transcript.config
 
     def view(self, controller: str, cut_step: str | None = None) -> tuple:
         """Ordered observations of one controller, optionally truncated.
@@ -124,15 +128,13 @@ class RunRecord:
 class Run:
     """Shared bookkeeping and the steps the runners repeat, for one execution.
 
-    The stations' controllers come from the protocol's spec.  Without a
-    ``config`` (a replay passes the recorded one), the run's configuration
-    is built from the runner's arguments: the spec's chain count for the
-    secret, the generator's seed (0 without one), the forced cells as
-    ``mode`` and the cheater's name as ``strategy``.  When no generator is
-    passed (forced-outcome runs), streams fall back to one keyed by the
-    config seed, so a replay driven purely by the recorded configuration
-    reproduces masks and share splits exactly.  Besides the Born stream,
-    each stream is derived where it is drawn from.
+    The stations' controllers come from the protocol's spec, and the run's
+    configuration, kept only on its transcript, from ``spec.config`` over
+    the runner's arguments: the generator's seed (0 without one), the
+    forced cells as ``mode`` and the cheater's name as ``strategy``.
+    Without a generator (forced-outcome runs) streams fall back to
+    ``Rng(0)``, the seed the configuration records.  Besides the Born
+    stream, each stream is derived where it is drawn from.
 
     The five-wire register lives only inside ``open_chain``.  After the
     sender's Bell measurement the run holds one qubit, ``moved``: the
@@ -142,19 +144,17 @@ class Run:
     the module attribute sees every transition.
     """
 
-    def __init__(self, protocol: str, rng: Rng | None, cheat: CheatStrategy | None = None,
-                 config: RunConfig | None = None, *, secret="", inputs: str = "",
-                 mu: int = 0, nu: int = 0, forced=None):
+    def __init__(self, protocol: str, rng: Rng | None, cheat: CheatStrategy | None = None, *,
+                 secret="", inputs: str = "", mu: int = 0, nu: int = 0, forced=None):
         spec = SPECS[protocol]
-        self.config = config or RunConfig(
-            protocol, mu, nu, str(secret), inputs, spec.chains(str(secret)),
-            seed=rng.seed if rng is not None else 0, mode=_mode_string(forced),
-            strategy=cheat.name if cheat else "")
         self.cast = spec.cast
         self.controllers = spec.controllers
-        self.transcript = Transcript(self.config)
+        self.transcript = Transcript(spec.config(
+            secret=str(secret), inputs=inputs, mu=mu, nu=nu,
+            seed=rng.seed if rng is not None else 0, mode=_mode_string(forced),
+            strategy=cheat.name if cheat else ""))
         self.cheat = cheat
-        self.base = rng if rng is not None else Rng(self.config.seed)
+        self.base = rng if rng is not None else Rng(0)
         self.born = self.base.derive(_STREAM_BORN)
         self.held: dict[str, np.ndarray] = {}
         self.values: dict[str, object] = {}
@@ -252,7 +252,7 @@ class Run:
         return verdict
 
     def record(self, verdict: Verdict) -> RunRecord:
-        return RunRecord(self.config, verdict, self.transcript, self.held, self.values)
+        return RunRecord(verdict, self.transcript, self.held, self.values)
 
     def conclude(self, party: str, ok: bool, value: str, reason: str) -> RunRecord:
         """Announce ``party``'s verdict, accept with ``value`` or reject with
@@ -318,8 +318,7 @@ def cell_label(cell: dict) -> str:
 
 
 def bc_run(secret: int, rng: Rng | None = None, *, mu: int = 0, nu: int = 0,
-           forced=None, cheat: CheatStrategy | None = None,
-           config: RunConfig | None = None) -> RunRecord:
+           forced=None, cheat: CheatStrategy | None = None) -> RunRecord:
     """Bit commitment: the sender commits one bit, later reveals it.
 
     The receiver controls both the relay and receiver stations; the
@@ -328,7 +327,7 @@ def bc_run(secret: int, rng: Rng | None = None, *, mu: int = 0, nu: int = 0,
     on the revealed (bit, outcome-pair) claim; the Z bit of the claim is a
     global phase on the commitment qubit and is logged as unverifiable.
     """
-    run = Run("bc", rng, cheat, config, secret=secret, mu=mu, nu=nu, forced=forced)
+    run = Run("bc", rng, cheat, secret=secret, mu=mu, nu=nu, forced=forced)
     run.local("setup", "alice", "payload", f"bit={secret}")
     aa, cc = run.open_chain(mu, nu, secret, forced=forced, nu_secret_of="bob")
     moved_bit = run.measure_moved()
@@ -358,8 +357,7 @@ def bc_run(secret: int, rng: Rng | None = None, *, mu: int = 0, nu: int = 0,
 
 
 def ct_run(secret: int, rng: Rng | None = None, *, forced=None,
-           cheat: CheatStrategy | None = None,
-           config: RunConfig | None = None) -> RunRecord:
+           cheat: CheatStrategy | None = None) -> RunRecord:
     """Asynchronous coin toss over the publicly fixed chain (0, 0).
 
     The receiver re-keys the moved payload with its own relay outcome and
@@ -369,7 +367,7 @@ def ct_run(secret: int, rng: Rng | None = None, *, forced=None,
     the measurement randomness.
     """
     mu = nu = 0
-    run = Run("ct", rng, cheat, config, secret=secret, forced=forced)
+    run = Run("ct", rng, cheat, secret=secret, forced=forced)
     run.local("setup", "alice", "payload", f"bit={secret}")
     aa, cc = run.open_chain(mu, nu, secret, forced=forced)
     moved_bit = run.measure_moved()
@@ -394,8 +392,7 @@ def ct_run(secret: int, rng: Rng | None = None, *, forced=None,
 
 
 def ot_run(secret: int, rng: Rng | None = None, *, forced=None,
-           cheat: CheatStrategy | None = None,
-           config: RunConfig | None = None) -> RunRecord:
+           cheat: CheatStrategy | None = None) -> RunRecord:
     """Oblivious transfer flavour of the coin-toss dataflow.
 
     The announced state travels privately to the sender.  The receiver's
@@ -408,7 +405,7 @@ def ot_run(secret: int, rng: Rng | None = None, *, forced=None,
     mu = nu = 0
     bob_message = forced[1] if forced else None
     inputs = str(bob_message) if bob_message is not None else ""
-    run = Run("ot", rng, cheat, config, secret=secret, inputs=inputs, forced=forced)
+    run = Run("ot", rng, cheat, secret=secret, inputs=inputs, forced=forced)
     run.local("setup", "alice", "payload", f"bit={secret}")
     aa, cc = run.open_chain(mu, nu, secret, forced=forced)
     run.measure_moved()
@@ -427,8 +424,7 @@ def ot_run(secret: int, rng: Rng | None = None, *, forced=None,
 def tpsc_run(alice_input: TwoBits, bob_input: TwoBits, public_bit: int,
              rng: Rng | None = None, *, mu: int = 0, nu: int = 0,
              forced=None, masks: tuple[int, int] | None = None,
-             cheat: CheatStrategy | None = None,
-             config: RunConfig | None = None) -> RunRecord:
+             cheat: CheatStrategy | None = None) -> RunRecord:
     """Two-party computation of one output bit from both (message, signature) inputs.
 
     Each party applies an operator whose X exponent is its signature bit
@@ -438,7 +434,7 @@ def tpsc_run(alice_input: TwoBits, bob_input: TwoBits, public_bit: int,
     the output locally and must agree.
     """
     inputs = f"{alice_input},{bob_input}"
-    run = Run("tpsc", rng, cheat, config, secret=public_bit, inputs=inputs, mu=mu, nu=nu,
+    run = Run("tpsc", rng, cheat, secret=public_bit, inputs=inputs, mu=mu, nu=nu,
               forced=forced)
     mask_a, mask_b = masks if masks is not None else run.masks(("alice", "bob"))
     run.announce("setup", "alice", "public_payload", f"bit={public_bit}")
@@ -481,26 +477,30 @@ def tpsc_run(alice_input: TwoBits, bob_input: TwoBits, public_bit: int,
 
 def qss_run(secret, rng: Rng | None = None, *, mu: int = 0, nu: int = 0,
             forced=None, cheat: CheatStrategy | None = None,
-            reconstruct: bool = True,
-            config: RunConfig | None = None) -> RunRecord:
+            reconstruct: bool = True) -> RunRecord:
     """(2, 2) secret sharing of a bit or qubit across receiver and relay.
 
-    The receiver ends up holding the payload under an unknown correction;
-    the sender's outcome pair goes to the receiver only, after the
-    receiver confirms it holds a qubit, and the relay's outcome pair is
-    the second share.  Either share alone leaves the payload maximally
-    mixed; both together invert the correction exactly.  With ``reconstruct=False``
-    the relay keeps its share: the receiver holds its qubit and rejects.
+    ``secret`` is a bit, a 1-qubit state or ``"q"``: a random qubit from the
+    generator's secret stream, or ``_QSS_PROBE`` without a generator; the
+    configuration records its amplitudes.  The receiver ends up holding the
+    payload under an unknown correction; the sender's outcome pair goes to
+    the receiver only, after the receiver confirms it holds a qubit, and
+    the relay's outcome pair is the second share.  Either share alone
+    leaves the payload maximally mixed; both together invert the correction
+    exactly.  With ``reconstruct=False`` the relay keeps its share: the
+    receiver holds its qubit and rejects.
 
     The record's ``held`` keeps the qubit a party is left with: the
     receiver's, when it keeps the uncorrected one (``reconstruct=False``)
     or recovers a quantum secret, and the relay's, when it skips its
     measurement (the ``relay_bsm`` skip) and captures the payload.
     """
+    if secret == "q":
+        secret = rng.derive(_STREAM_SECRET).unit_qubit() if rng is not None else _QSS_PROBE
     payload = _payload_state(secret)
     classical = not isinstance(secret, StateVector)
     secret_text = str(secret) if classical else _encode_qubit(payload)
-    run = Run("qss", rng, cheat, config, secret=secret_text, mu=mu, nu=nu, forced=forced)
+    run = Run("qss", rng, cheat, secret=secret_text, mu=mu, nu=nu, forced=forced)
     run.local("setup", "alice", "payload", f"value={secret_text}")
 
     skip = run.deviation("relay_bsm", "skip") is not None
@@ -527,8 +527,7 @@ def qss_run(secret, rng: Rng | None = None, *, mu: int = 0, nu: int = 0,
 
 
 def qds_run(message: Sequence[int], rng: Rng | None = None, *, mu: int = 0, nu: int = 0,
-            forced=None, cheat: CheatStrategy | None = None,
-            config: RunConfig | None = None) -> RunRecord:
+            forced=None, cheat: CheatStrategy | None = None) -> RunRecord:
     """Digital signature of a bit string, one chain instance per bit.
 
     The receiver's moved bits and the sender's outcome-keyed twins are the
@@ -545,7 +544,7 @@ def qds_run(message: Sequence[int], rng: Rng | None = None, *, mu: int = 0, nu: 
     forced_cells = forced if forced is not None else [None] * k
     if len(forced_cells) != k:
         raise ValueError("forced cell list must match the message length")
-    run = Run("qds", rng, cheat, config, secret="".join(map(str, message)), mu=mu, nu=nu,
+    run = Run("qds", rng, cheat, secret="".join(map(str, message)), mu=mu, nu=nu,
               forced=forced if forced is None else list(forced_cells))
 
     # per position: outcome pairs, moved and twin bits, X bit of the correction
@@ -615,8 +614,7 @@ def qds_run(message: Sequence[int], rng: Rng | None = None, *, mu: int = 0, nu: 
 def mpsc_run(alice_input: TwoBits, bob_input: TwoBits, public_bit: int,
              rng: Rng | None = None, *, mu: int = 0, nu: int = 0,
              forced=None, masks: tuple[int, int, int] | None = None,
-             cheat: CheatStrategy | None = None,
-             config: RunConfig | None = None) -> RunRecord:
+             cheat: CheatStrategy | None = None) -> RunRecord:
     """Three-party computation over a public payload bit.
 
     The relay's (message, signature) input is realised by its own Bell
@@ -628,7 +626,7 @@ def mpsc_run(alice_input: TwoBits, bob_input: TwoBits, public_bit: int,
     """
     charlie_input = forced[1] if forced else None
     inputs = f"{alice_input},{bob_input},{charlie_input if charlie_input else '--'}"
-    run = Run("mpsc", rng, cheat, config, secret=public_bit, inputs=inputs, mu=mu, nu=nu,
+    run = Run("mpsc", rng, cheat, secret=public_bit, inputs=inputs, mu=mu, nu=nu,
               forced=forced)
     mask_a, mask_b, mask_c = masks if masks is not None else run.masks(
         ("alice", "bob", "charlie"))
@@ -682,12 +680,13 @@ class ProtocolSpec:
     (``parse``, which raises ConfigError with a user-facing message on a bad
     value), which configuration fields it never reads (``ignores``; they
     must stay unset), how many private mask bits its forced cells fix and
-    what its enumeration table rows add.
+    what its enumeration table rows add.  Parsing draws nothing: it is a pure
+    function of the configuration, which only ``config`` builds.
     """
 
     name: str
     cast: Mapping[str, str]
-    parse: Callable[[RunConfig, Rng | None], dict]
+    parse: Callable[[RunConfig], dict]
     row_extra: Callable[[RunRecord], str] = lambda record: ""
     default_inputs: str = ""
     k_from_secret: bool = False  # qds runs one chain per message bit
@@ -715,8 +714,8 @@ class ProtocolSpec:
                          inputs=inputs or self.default_inputs,
                          k=self.chains(secret), **fields)
 
-    def runner_kwargs(self, config: RunConfig, rng: Rng | None) -> dict:
-        """Keyword arguments of the runner (besides rng, cheat and config)."""
+    def runner_kwargs(self, config: RunConfig) -> dict:
+        """Keyword arguments of the runner (besides rng and cheat)."""
         if config.mu not in LABELS or config.nu not in LABELS:
             raise ConfigError("channel labels must be in 0..3")
         if config.seed < 0:
@@ -727,7 +726,7 @@ class ProtocolSpec:
                                   f"(got {getattr(config, field)!r})")
         if not config.inputs and self.default_inputs:
             config = replace(config, inputs=self.default_inputs)
-        kwargs = self.parse(config, rng)
+        kwargs = self.parse(config)
         if config.k != self.chains(config.secret):
             raise ConfigError(f"{self.name} runs k={self.chains(config.secret)} chains for "
                               f"secret {config.secret!r}, got k={config.k}")
@@ -780,14 +779,13 @@ def _chain_args(config: RunConfig) -> dict:
     return {"mu": config.mu, "nu": config.nu, "forced": _first_forced(config)}
 
 
-def _qss_secret(config: RunConfig, rng: Rng | None):
-    """A bit, the stated amplitudes, or for ``q`` a random qubit (a fixed
-    probe when the run has no generator, as in forced cells)."""
+def _qss_secret(config: RunConfig):
+    """A bit, the stated amplitudes, or ``q``, which ``qss_run`` resolves."""
     text = config.secret
     if text in ("0", "1"):
         return int(text)
     if text == "q":
-        return rng.derive(_STREAM_SECRET).unit_qubit() if rng is not None else _QSS_PROBE
+        return text
     if text.startswith("q:"):
         try:
             return _decode_qubit(text)
@@ -801,28 +799,28 @@ def _cell_or_none(aa: TwoBits | None, cc: TwoBits | None):
     return None if aa is None and cc is None else (aa, cc)
 
 
-def _ot_args(config: RunConfig, rng: Rng | None) -> dict:
+def _ot_args(config: RunConfig) -> dict:
     aa, cc = _first_forced(config) or (None, None)
     if cc is None and config.inputs:
         [cc] = _pairs(config.inputs, 1, "ot takes --inputs as the receiver pair, e.g. 01")
     return {"secret": _bit_secret(config), "forced": _cell_or_none(aa, cc)}
 
 
-def _tpsc_args(config: RunConfig, rng: Rng | None) -> dict:
+def _tpsc_args(config: RunConfig) -> dict:
     alice, bob = _pairs(config.inputs, 2,
                         "tpsc needs --inputs like 10,01 (sender pair, receiver pair)")
     return {"alice_input": alice, "bob_input": bob, "public_bit": _bit_secret(config),
             **_chain_args(config)}
 
 
-def _qds_args(config: RunConfig, rng: Rng | None) -> dict:
+def _qds_args(config: RunConfig) -> dict:
     if not config.secret or any(c not in "01" for c in config.secret):
         raise ConfigError("qds needs --secret as a bit string, e.g. 1011")
     return {"message": [int(c) for c in config.secret], "mu": config.mu,
             "nu": config.nu, "forced": parse_forced(config.mode)}
 
 
-def _mpsc_args(config: RunConfig, rng: Rng | None) -> dict:
+def _mpsc_args(config: RunConfig) -> dict:
     alice, bob, charlie = _pairs(config.inputs, 3,
                                  "mpsc needs --inputs like 10,01,11 (one pair per party)",
                                  open_last=True)
@@ -837,18 +835,18 @@ def _output_extra(record: RunRecord) -> str:
 
 SPECS: dict[str, ProtocolSpec] = {spec.name: spec for spec in (
     ProtocolSpec("bc", _TWO_PARTY,
-                 lambda c, rng: {"secret": _bit_secret(c), **_chain_args(c)},
+                 lambda c: {"secret": _bit_secret(c), **_chain_args(c)},
                  ignores=("inputs",)),
     # ct and ot run over the publicly fixed chain (0, 0)
     ProtocolSpec("ct", _TWO_PARTY,
-                 lambda c, rng: {"secret": _bit_secret(c), "forced": _first_forced(c)},
+                 lambda c: {"secret": _bit_secret(c), "forced": _first_forced(c)},
                  row_extra=lambda record: f" coin={record.values['coin']}",
                  ignores=("mu", "nu", "inputs")),
     ProtocolSpec("ot", _TWO_PARTY, _ot_args, ignores=("mu", "nu")),
     ProtocolSpec("tpsc", _TWO_PARTY, _tpsc_args,
                  row_extra=_output_extra, default_inputs="00,00", masks=2),
     ProtocolSpec("qss", _THREE_PARTY,
-                 lambda c, rng: {"secret": _qss_secret(c, rng), **_chain_args(c)},
+                 lambda c: {"secret": _qss_secret(c), **_chain_args(c)},
                  row_extra=lambda record: f" fidelity={record.values['fidelity']:.12f}",
                  ignores=("inputs",)),
     ProtocolSpec("qds", _THREE_PARTY, _qds_args, k_from_secret=True, ignores=("inputs",)),
@@ -869,15 +867,18 @@ def spec_for(protocol: str) -> ProtocolSpec:
 def run_from_config(config: RunConfig) -> RunRecord:
     """Execute the protocol a configuration describes, reproducibly.
 
-    A configuration naming a strategy is rejected: it records the cheater's
-    name, not its hooks, so it cannot be re-run.
+    The record keeps ``config`` itself, not the runner's own encoding of it
+    (drawn ``q`` amplitudes, a forced mode for an input pair, default
+    inputs).  A configuration naming a strategy is rejected: it records the
+    cheater's name, not its hooks, so it cannot be re-run.
     """
     spec = spec_for(config.protocol)
     if config.strategy:
         raise ConfigError(f"config names strategy {config.strategy!r}; "
                           "strategy runs are not replayable")
-    rng = Rng(config.seed)
-    return spec.runner(**spec.runner_kwargs(config, rng), rng=rng, config=config)
+    record = spec.runner(**spec.runner_kwargs(config), rng=Rng(config.seed))
+    record.transcript.config = config
+    return record
 
 
 def _encode_qubit(state: StateVector) -> str:

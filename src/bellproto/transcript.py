@@ -49,10 +49,7 @@ class RunConfig:
     @classmethod
     def from_text(cls, text: str) -> "RunConfig":
         pairs = {}
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
+        for line in text.split("\n"):  # a blank or padded line is malformed
             if "=" not in line:
                 raise ValueError(f"bad config line: {line!r}")
             key, value = line.split("=", 1)

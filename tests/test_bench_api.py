@@ -74,6 +74,22 @@ def test_traced_pass_reaches_every_required_engine_name(workloads, name, tmp_pat
     assert {key: counts.get(key) for key in ENGINE_WORK[name]} == ENGINE_WORK[name]
 
 
+def test_tracer_patch_points_name_what_exists(monkeypatch):
+    """``bench/tracer.py`` skips a name its module or class lacks, so a
+    rename would silently stop tracing it; ``states.apply_matrix`` is the one
+    stale entry known today."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    import tracer
+
+    missing = [f"{module.__name__.split('.')[-1]}.{name}"
+               for _layer, module, names in tracer.FUNCTIONS
+               for name in names if not hasattr(module, name)]
+    missing += [f"{cls.__module__.split('.')[-1]}.{cls.__name__}.{name}"
+                for _layer, cls, names in tracer.METHODS
+                for name in names if not hasattr(cls, name)]
+    assert missing == ["states.apply_matrix"]
+
+
 @pytest.mark.parametrize("name", ("enumerate-sweep", "sample-replay"))
 def test_traced_cycles_repeat_every_counter(workloads, name, tmp_path):
     """``bench/run.py --trace 1`` requires every traced cycle to reproduce the

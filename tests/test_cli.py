@@ -304,6 +304,12 @@ BAD_INPUTS = {
         tmp, lambda lines: lines.insert(-1, ""))], EXIT_IO),
     "replay-config-after-events": (lambda tmp: ["replay", _relaid_transcript(
         tmp, lambda lines: lines.insert(-1, lines.pop(1)))], EXIT_IO),
+    # a config line is exactly ``config key=value``: no blank one, no padding
+    "replay-config-blank-line": (lambda tmp: ["replay", _relaid_transcript(
+        tmp, lambda lines: lines.insert(lines.index("config strategy=") + 1, "config "))],
+                                 EXIT_IO),
+    "replay-config-padded-line": (lambda tmp: ["replay", _edited_transcript(
+        tmp, "config mu=0", "config  mu=0 ")], EXIT_IO),
     # values a protocol never reads are rejected, not written into the transcript
     "ct-channel-labels": (lambda tmp: ["run", "--protocol", "ct", "--mu", "2", "--nu", "3",
                                        "--seed", "1"], EXIT_CONFIG),

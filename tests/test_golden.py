@@ -118,7 +118,7 @@ def _forced_groups():
 
 
 _MASKS_NOT_IN_MODE = pytest.mark.xfail(
-    strict=True, reason="ROADMAP item 5: forced tpsc/mpsc cells leave their masks out of "
+    strict=True, reason="ROADMAP item 8: forced tpsc/mpsc cells leave their masks out of "
                         "mode, so a replay draws them from the config seed")
 
 

@@ -150,6 +150,26 @@ def test_bc_reveal_flip_rejected_in_every_cell():
             assert rec.verdict.reason == "commit_mismatch"
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "bc does not bind: both checks test one parity, reveal_bit ^ reveal_aa.lo, so a sender "
+    "who flips the revealed bit and the X bit of aa together opens the other bit"))
+def test_bc_rejects_a_joint_bit_and_x_flip(monkeypatch):
+    """A sender that reveals the other bit and flips the X bit of its outcome
+    pair with it; a catalog strategy holds one deviation per hook, so the
+    reveal hook is patched to answer both."""
+    joint = {"flip_secret": Deviation("flip_secret"), "xor_aa": Deviation("xor_aa", 1)}
+    monkeypatch.setattr(Run, "deviation",
+                        lambda self, step, kind: joint.get(kind) if step == "reveal" else None)
+    cheat = CheatStrategy("bit-and-x-flip", "alice", {})
+    opened = []
+    for mu, nu, secret in itertools.product(LABELS, LABELS, (0, 1)):
+        for aa, cc in ALL_CELLS:
+            rec = bc_run(secret, None, mu=mu, nu=nu, forced=(aa, cc), cheat=cheat)
+            if rec.verdict.accepted:
+                opened.append((mu, nu, secret, str(aa), str(cc), rec.verdict.value))
+    assert opened == []
+
+
 def test_bc_withhold_is_incomplete_transcript():
     cheat = CheatStrategy("withhold", "alice", {"reveal": Deviation("withhold")})
     rec = bc_run(1, None, forced=(TwoBits(0, 1), TwoBits(1, 0)), cheat=cheat)
@@ -312,6 +332,26 @@ def test_qss_quantum_secret_reconstruction():
         assert rec.values["fidelity"] == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("seed", (0, 1, 6, 23))
+def test_qss_run_draws_q_from_its_generator(seed):
+    direct = qss_run("q", Rng(seed))
+    replayed = run_from_config(RunConfig(protocol="qss", secret="q", seed=seed,
+                                         mode="sample:1"))
+    assert direct.transcript.events == replayed.transcript.events
+    assert direct.held.keys() == replayed.held.keys() == {"bob"}
+    assert np.array_equal(direct.held["bob"], replayed.held["bob"])
+    # the runner records the drawn amplitudes, the replay the config it ran
+    assert direct.config.secret.startswith("q:") and replayed.config.secret == "q"
+
+
+def test_qss_run_without_a_generator_takes_the_probe_for_q():
+    for aa, cc in ALL_CELLS:
+        rec = qss_run("q", None, forced=(aa, cc))
+        probe = qss_run(protocols._QSS_PROBE, None, forced=(aa, cc))
+        assert rec.transcript.to_text() == probe.transcript.to_text()
+        assert np.array_equal(rec.held["bob"], probe.held["bob"])
+
+
 def test_qss_single_share_is_rejected():
     rec = qss_run(1, None, forced=(TwoBits(0, 1), TwoBits(1, 1)), reconstruct=False)
     assert not rec.verdict.accepted
@@ -462,10 +502,24 @@ def test_two_party_runs_never_show_relay_pair_to_sender():
         assert actors <= {"alice", "bob"}
 
 
-def test_run_from_config_round_trip():
-    config = RunConfig(protocol="ct", secret="1", seed=17, mode="sample:1")
+@pytest.mark.parametrize("config", [
+    pytest.param(RunConfig(protocol="ct", secret="1", seed=17, mode="sample:1"), id="ct"),
+    # the runner's own encoding of these differs: the drawn amplitudes, a
+    # forced mode for the input pair, the default inputs
+    pytest.param(RunConfig(protocol="qss", secret="q", seed=17, mode="sample:1"), id="qss-q"),
+    pytest.param(RunConfig(protocol="ot", secret="1", inputs="01", seed=17, mode="sample:1"),
+                 id="ot-input-pair"),
+    pytest.param(RunConfig(protocol="mpsc", secret="1", inputs="10,01,11", seed=17,
+                           mode="sample:1"), id="mpsc-input-pair"),
+    pytest.param(RunConfig(protocol="tpsc", secret="1", seed=17, mode="sample:1"),
+                 id="tpsc-empty-inputs"),
+    pytest.param(RunConfig(protocol="mpsc", secret="1", seed=17, mode="sample:1"),
+                 id="mpsc-empty-inputs"),
+])
+def test_run_from_config_round_trip(config):
     rec = run_from_config(config)
     assert rec.verdict.accepted
+    assert rec.config == config
     again = run_from_config(config)
     assert rec.transcript.to_text() == again.transcript.to_text()
 
@@ -497,7 +551,7 @@ def test_run_from_config_rejects_unknown_protocol():
 ])
 def test_spec_parse_names_the_bad_value(config, message):
     with pytest.raises(ConfigError, match=re.escape(message)):
-        spec_for(config.protocol).runner_kwargs(config, None)
+        spec_for(config.protocol).runner_kwargs(config)
 
 
 @pytest.mark.parametrize("protocol, default", [("tpsc", "00,00"), ("mpsc", "00,00,--")])
