@@ -176,7 +176,8 @@ def enumeration_cells(config: RunConfig):
 
 def run_cell(config: RunConfig, cell: dict, cheat: CheatStrategy | None,
              rng: Rng | None) -> RunRecord:
-    """Run ``config`` with ``cell``'s kwargs (a forced cell, or none to sample)."""
+    """Run ``config`` with ``cell``'s kwargs (a forced cell, or none to sample)
+    over the configuration's parse, which every cell of it shares."""
     spec = spec_for(config.protocol)
     return spec.runner(**{**spec.runner_kwargs(config), **cell}, rng=rng, cheat=cheat)
 

@@ -81,7 +81,7 @@ def _config(args, mode: str, strategy: str = "") -> RunConfig:
     spec = spec_for(args.protocol)
     config = spec.config(secret=args.secret, inputs=args.inputs, mu=args.mu, nu=args.nu,
                          seed=args.seed, mode=mode, strategy=strategy)
-    spec.runner_kwargs(config)  # raises ConfigError on a bad value
+    spec.runner_kwargs(config)  # raises ConfigError on a bad value; the run reuses the parse
     return config
 
 

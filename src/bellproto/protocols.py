@@ -39,8 +39,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
-from functools import cached_property, reduce
+from dataclasses import dataclass
+from functools import cached_property, lru_cache, reduce
+from types import MappingProxyType
 from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -99,7 +100,7 @@ class RunRecord:
     """What one execution leaves: its verdict, its transcript, the qubit each
     party still holds at the end (``held``: party to amplitudes; a party
     holding nothing has no key) and the runner's named ``values``.  Its
-    ``config`` is the one its transcript records."""
+    ``config`` is the one its transcript records, built on first read."""
 
     verdict: Verdict
     transcript: Transcript
@@ -131,7 +132,9 @@ class Run:
     The stations' controllers come from the protocol's spec, and the run's
     configuration, kept only on its transcript, from ``spec.config`` over
     the runner's arguments: the generator's seed (0 without one), the
-    forced cells as ``mode`` and the cheater's name as ``strategy``.
+    forced cells as ``mode`` and the cheater's name as ``strategy``.  The
+    transcript builds it, ``mode`` string included, the first time
+    something reads it, so a run whose verdict alone is read builds none.
     Without a generator (forced-outcome runs) streams fall back to
     ``Rng(0)``, the seed the configuration records.  Besides the Born
     stream, each stream is derived where it is drawn from.
@@ -149,7 +152,7 @@ class Run:
         spec = SPECS[protocol]
         self.cast = spec.cast
         self.controllers = spec.controllers
-        self.transcript = Transcript(spec.config(
+        self.transcript = Transcript(build=lambda: spec.config(
             secret=str(secret), inputs=inputs, mu=mu, nu=nu,
             seed=rng.seed if rng is not None else 0, mode=_mode_string(forced),
             strategy=cheat.name if cheat else ""))
@@ -670,9 +673,10 @@ _THREE_PARTY = {"A": "alice", "B": "bob", "C": "charlie"}
 _QSS_PROBE = qubit(0.6, 0.8j)  # the forced cells' secret for ``q``
 _QSS_SECRET_HELP = ("qss needs --secret 0, 1, q (seeded random qubit) or "
                     "q:re,im,re,im (explicit amplitudes)")
+_PARSE_CACHE = 256  # parsed configurations kept, shared by every spec
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # hashed by identity, so it can key the parse cache
 class ProtocolSpec:
     """Everything the CLI and the attack evaluator need to know about one protocol.
 
@@ -681,7 +685,8 @@ class ProtocolSpec:
     value), which configuration fields it never reads (``ignores``; they
     must stay unset), how many private mask bits its forced cells fix and
     what its enumeration table rows add.  Parsing draws nothing: it is a pure
-    function of the configuration, which only ``config`` builds.
+    function of the configuration, which only ``config`` builds, so
+    ``runner_kwargs`` memoises it.
     """
 
     name: str
@@ -714,8 +719,13 @@ class ProtocolSpec:
                          inputs=inputs or self.default_inputs,
                          k=self.chains(secret), **fields)
 
-    def runner_kwargs(self, config: RunConfig) -> dict:
-        """Keyword arguments of the runner (besides rng and cheat)."""
+    @lru_cache(maxsize=_PARSE_CACHE)
+    def runner_kwargs(self, config: RunConfig) -> Mapping[str, object]:
+        """Keyword arguments of the runner (besides rng and cheat), read-only.
+
+        Memoised: the cells of one enumeration, its CLI check and its
+        evaluation share one parse.  A bad value raises on every call.
+        """
         if config.mu not in LABELS or config.nu not in LABELS:
             raise ConfigError("channel labels must be in 0..3")
         if config.seed < 0:
@@ -724,13 +734,11 @@ class ProtocolSpec:
             if getattr(config, field):
                 raise ConfigError(f"{self.name} does not use --{field} "
                                   f"(got {getattr(config, field)!r})")
-        if not config.inputs and self.default_inputs:
-            config = replace(config, inputs=self.default_inputs)
         kwargs = self.parse(config)
         if config.k != self.chains(config.secret):
             raise ConfigError(f"{self.name} runs k={self.chains(config.secret)} chains for "
                               f"secret {config.secret!r}, got k={config.k}")
-        return kwargs
+        return MappingProxyType(kwargs)
 
     def cells(self, kwargs: dict) -> Iterator[dict]:
         """Runner kwargs of every forced cell, given the parsed arguments.
@@ -753,10 +761,11 @@ def _bit_secret(config: RunConfig) -> int:
     return int(config.secret)
 
 
-def _pairs(inputs: str, count: int, usage: str, open_last: bool = False) -> list:
-    """``count`` comma-separated bit pairs; with ``open_last`` the last may be
-    ``--`` (None: that party's pair is its sampled Bell outcome)."""
-    parts = inputs.split(",")
+def _pairs(config: RunConfig, count: int, usage: str, open_last: bool = False) -> list:
+    """``count`` comma-separated bit pairs of the inputs (the protocol's
+    default when empty); with ``open_last`` the last may be ``--`` (None:
+    that party's pair is its sampled Bell outcome)."""
+    parts = (config.inputs or SPECS[config.protocol].default_inputs).split(",")
     if len(parts) != count:
         raise ConfigError(usage)
     try:
@@ -802,12 +811,12 @@ def _cell_or_none(aa: TwoBits | None, cc: TwoBits | None):
 def _ot_args(config: RunConfig) -> dict:
     aa, cc = _first_forced(config) or (None, None)
     if cc is None and config.inputs:
-        [cc] = _pairs(config.inputs, 1, "ot takes --inputs as the receiver pair, e.g. 01")
+        [cc] = _pairs(config, 1, "ot takes --inputs as the receiver pair, e.g. 01")
     return {"secret": _bit_secret(config), "forced": _cell_or_none(aa, cc)}
 
 
 def _tpsc_args(config: RunConfig) -> dict:
-    alice, bob = _pairs(config.inputs, 2,
+    alice, bob = _pairs(config, 2,
                         "tpsc needs --inputs like 10,01 (sender pair, receiver pair)")
     return {"alice_input": alice, "bob_input": bob, "public_bit": _bit_secret(config),
             **_chain_args(config)}
@@ -816,12 +825,13 @@ def _tpsc_args(config: RunConfig) -> dict:
 def _qds_args(config: RunConfig) -> dict:
     if not config.secret or any(c not in "01" for c in config.secret):
         raise ConfigError("qds needs --secret as a bit string, e.g. 1011")
-    return {"message": [int(c) for c in config.secret], "mu": config.mu,
-            "nu": config.nu, "forced": parse_forced(config.mode)}
+    forced = parse_forced(config.mode)
+    return {"message": tuple(map(int, config.secret)), "mu": config.mu,
+            "nu": config.nu, "forced": forced if forced is None else tuple(forced)}
 
 
 def _mpsc_args(config: RunConfig) -> dict:
-    alice, bob, charlie = _pairs(config.inputs, 3,
+    alice, bob, charlie = _pairs(config, 3,
                                  "mpsc needs --inputs like 10,01,11 (one pair per party)",
                                  open_last=True)
     aa, _cc = _first_forced(config) or (None, None)

@@ -14,14 +14,18 @@ means re-running its embedded configuration and comparing event lines.
 Payloads are hex-encoded UTF-8 so the format survives any payload content.
 Events are logged through :meth:`Transcript.append` only, each as an
 :class:`Event` named tuple: a read-only value that costs one tuple to build,
-since a forced enumeration logs about fifteen of them per run.
+since a forced enumeration logs about fifteen of them per run.  A run hands
+its transcript a builder instead of a configuration, and the configuration
+is built the first time something reads it (``to_text``, the record's
+``config``): a detection-only enumeration reads none.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import NamedTuple
+from functools import cached_property
+from typing import Callable, NamedTuple
 
 FORMAT_VERSION = "PWV1"
 
@@ -85,17 +89,32 @@ class Event(NamedTuple):
         return f"event {run_id} {self.step} {self.actor} {self.action} {payload_hex} {self.kind}"
 
 
-class Transcript:
-    """Append-only event log for one run, replayable bit for bit."""
+_new_event = tuple.__new__  # builds an Event without its generated __new__
 
-    def __init__(self, config: RunConfig):
-        self.config = config
+
+class Transcript:
+    """Append-only event log for one run, replayable bit for bit.
+
+    It holds its ``config`` built, or a ``build`` callable that makes it on
+    the first read; assigning ``config`` replaces either.
+    """
+
+    def __init__(self, config: RunConfig | None = None, *,
+                 build: Callable[[], RunConfig] | None = None):
+        if config is not None:
+            self.config = config
+        self._build = build
         self.events: list[Event] = []
+
+    @cached_property
+    def config(self) -> RunConfig:
+        return self._build()
 
     def append(self, step: str, actor: str, action: str, payload: str, kind: str,
                visible: tuple[str, ...]) -> Event:
-        ev = Event(len(self.events), step, actor, action, payload, kind, visible)
-        self.events.append(ev)
+        events = self.events
+        ev = _new_event(Event, (len(events), step, actor, action, payload, kind, visible))
+        events.append(ev)
         return ev
 
     def to_text(self) -> str:

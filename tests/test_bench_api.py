@@ -47,12 +47,17 @@ ENGINE_NAMES = ("states.bsm", "states.measure_qubit", "states.apply_pauli",
 # faster engine makes the same Bell measurements and derives the same streams.
 # It builds a StateVector only for what its caches have not yet computed and
 # for each run's twin qubits; |0> and |1> payloads are built once per process,
-# and after the sender's Bell measurement a run's transitions act on one qubit
+# and after the sender's Bell measurement a run's transitions act on one qubit.
+# Cheaper bookkeeping logs the same events and takes the same Pauli matrices.
 ENGINE_WORK = {
     "enumerate-sweep": {"states.StateVector.__init__.calls": 776, "states.bsm.calls": 1796,
-                        "states.Rng.__init__.calls": 1704},
+                        "states.Rng.__init__.calls": 1704,
+                        "transcript.Transcript.append.calls": 12736,
+                        "algebra.pauli_matrix.calls": 712},
     "sample-replay": {"states.StateVector.__init__.calls": 140, "states.bsm.calls": 84,
-                      "states.Rng.__init__.calls": 87},
+                      "states.Rng.__init__.calls": 87,
+                      "transcript.Transcript.append.calls": 441,
+                      "algebra.pauli_matrix.calls": 47},
 }
 
 
