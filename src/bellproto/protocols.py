@@ -132,8 +132,8 @@ class Run:
     The stations' controllers come from the protocol's spec, and the run's
     configuration, kept only on its transcript, from ``spec.config`` over
     the runner's arguments: the generator's seed (0 without one), the
-    forced cells as ``mode`` and the cheater's name as ``strategy``.  The
-    transcript builds it, ``mode`` string included, the first time
+    forced cells and any given masks as ``mode`` and the cheater's name as
+    ``strategy``.  The transcript builds it, ``mode`` string included, the first time
     something reads it, so a run whose verdict alone is read builds none.
     Without a generator (forced-outcome runs) streams fall back to
     ``Rng(0)``, the seed the configuration records.  Besides the Born
@@ -148,13 +148,14 @@ class Run:
     """
 
     def __init__(self, protocol: str, rng: Rng | None, cheat: CheatStrategy | None = None, *,
-                 secret="", inputs: str = "", mu: int = 0, nu: int = 0, forced=None):
+                 secret="", inputs: str = "", mu: int = 0, nu: int = 0, forced=None,
+                 masks: tuple[int, ...] | None = None):
         spec = SPECS[protocol]
         self.cast = spec.cast
         self.controllers = spec.controllers
         self.transcript = Transcript(build=lambda: spec.config(
             secret=str(secret), inputs=inputs, mu=mu, nu=nu,
-            seed=rng.seed if rng is not None else 0, mode=_mode_string(forced),
+            seed=rng.seed if rng is not None else 0, mode=_mode_string(forced, masks),
             strategy=cheat.name if cheat else ""))
         self.cheat = cheat
         self.base = rng if rng is not None else Rng(0)
@@ -284,16 +285,33 @@ def _payload_state(secret) -> StateVector:
     raise ValueError(f"secret must be a bit or a 1-qubit state, got {secret!r}")
 
 
-def _mode_string(forced) -> str:
+_MASKS = ";masks:"
+
+
+def _mode_string(forced, masks=None) -> str:
+    """Config ``mode`` of a run: ``sample:1`` or its forced cells, then the
+    mask bits when the caller fixed them, as in ``forced:10:01;masks:01``."""
     if forced is None:
-        return "sample:1"
-    cells = forced if isinstance(forced, list) else [forced]
-    return "forced:" + ",".join(
-        f"{aa if aa is not None else '--'}:{cc if cc is not None else '--'}" for aa, cc in cells)
+        mode = "sample:1"
+    else:
+        cells = forced if isinstance(forced, list) else [forced]
+        mode = "forced:" + ",".join(f"{aa if aa is not None else '--'}:"
+                                    f"{cc if cc is not None else '--'}" for aa, cc in cells)
+    return mode if masks is None else mode + _MASKS + "".join(map(str, masks))
+
+
+def parse_masks(mode: str) -> tuple[int, ...] | None:
+    """The mask bits a config ``mode`` fixes, or None: the run draws them."""
+    _, fixed, bits = mode.partition(_MASKS)
+    if fixed and (not bits or bits.strip("01")):
+        raise ConfigError(f"masks {bits!r} in mode {mode!r} are not a bit string")
+    return tuple(map(int, bits)) if fixed else None
 
 
 def parse_forced(mode: str):
-    """Inverse of the forced-outcome encoding used in config ``mode``."""
+    """Inverse of the forced-outcome encoding used in config ``mode``: the
+    forced cells, or None (the masks it may fix: :func:`parse_masks`)."""
+    mode = mode.partition(_MASKS)[0]
     if not mode.startswith("forced:"):
         return None
     cells = []
@@ -438,7 +456,7 @@ def tpsc_run(alice_input: TwoBits, bob_input: TwoBits, public_bit: int,
     """
     inputs = f"{alice_input},{bob_input}"
     run = Run("tpsc", rng, cheat, secret=public_bit, inputs=inputs, mu=mu, nu=nu,
-              forced=forced)
+              forced=forced, masks=masks)
     mask_a, mask_b = masks if masks is not None else run.masks(("alice", "bob"))
     run.announce("setup", "alice", "public_payload", f"bit={public_bit}")
 
@@ -630,7 +648,7 @@ def mpsc_run(alice_input: TwoBits, bob_input: TwoBits, public_bit: int,
     charlie_input = forced[1] if forced else None
     inputs = f"{alice_input},{bob_input},{charlie_input if charlie_input else '--'}"
     run = Run("mpsc", rng, cheat, secret=public_bit, inputs=inputs, mu=mu, nu=nu,
-              forced=forced)
+              forced=forced, masks=masks)
     mask_a, mask_b, mask_c = masks if masks is not None else run.masks(
         ("alice", "bob", "charlie"))
     run.announce("setup", "alice", "public_payload", f"bit={public_bit}")
@@ -738,6 +756,12 @@ class ProtocolSpec:
         if config.k != self.chains(config.secret):
             raise ConfigError(f"{self.name} runs k={self.chains(config.secret)} chains for "
                               f"secret {config.secret!r}, got k={config.k}")
+        masks = parse_masks(config.mode)
+        if masks is not None:
+            if len(masks) != self.masks:
+                raise ConfigError(f"{self.name} takes {self.masks} mask bits, "
+                                  f"got {len(masks)} in mode {config.mode!r}")
+            kwargs["masks"] = masks
         return MappingProxyType(kwargs)
 
     def cells(self, kwargs: dict) -> Iterator[dict]:

@@ -294,6 +294,8 @@ BAD_INPUTS = {
     # a single-chain protocol takes one forced cell, not the first of several
     "replay-two-forced-cells": (lambda tmp: ["replay", _edited_transcript(
         tmp, "config mode=sample:1", "config mode=forced:00:01,11:10")], EXIT_IO),
+    "replay-bad-masks": (lambda tmp: ["replay", _edited_transcript(
+        tmp, "config mode=sample:1", "config mode=sample:1;masks:2", "tpsc")], EXIT_IO),
     "replay-not-utf8": (lambda tmp: ["replay", _binary_file(tmp)], EXIT_IO),
     # PWV1 is the header, the config lines, the event lines and a last end line
     "replay-event-after-end": (lambda tmp: ["replay", _relaid_transcript(

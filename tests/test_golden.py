@@ -117,15 +117,9 @@ def _forced_groups():
                lambda config=config: _forced_texts(config))
 
 
-_MASKS_NOT_IN_MODE = pytest.mark.xfail(
-    strict=True, reason="ROADMAP item 8: forced tpsc/mpsc cells leave their masks out of "
-                        "mode, so a replay draws them from the config seed")
-
-
 @pytest.mark.parametrize("config", [
     pytest.param(config, id=f"{config.protocol}-mu{config.mu}-nu{config.nu}-{config.secret}"
-                            f"-{config.inputs or '-'}",
-                 marks=[_MASKS_NOT_IN_MODE] if config.protocol in ("tpsc", "mpsc") else [])
+                            f"-{config.inputs or '-'}")
     for config in FORCED_CONFIGS])
 def test_forced_cells_replay_byte_identically(config):
     for cell in enumeration_cells(config):

@@ -104,7 +104,8 @@ def _eager_config(config: RunConfig, cell: dict) -> RunConfig:
         inputs = f"{inputs.rsplit(',', 1)[0]},{cc}"
     secret = _encode_qubit(_QSS_PROBE) if config.secret == "q" else config.secret
     return RunConfig(config.protocol, mu=config.mu, nu=config.nu, secret=secret,
-                     inputs=inputs, k=config.k, seed=0, mode=_mode_string(forced))
+                     inputs=inputs, k=config.k, seed=0,
+                     mode=_mode_string(forced, cell.get("masks")))
 
 
 @pytest.mark.parametrize("config", FORCED_CONFIGS,

@@ -172,3 +172,36 @@ def test_forced_outcome_list_round_trips_through_config():
     assert rec.config.mode == "forced:00:11,10:01"
     again = run_from_config(rec.config)
     assert again.transcript.to_text() == rec.transcript.to_text()
+
+
+def test_forced_masks_round_trip_through_config():
+    from bellproto.algebra import TwoBits
+    from bellproto.protocols import mpsc_run, parse_forced, parse_masks, tpsc_run
+
+    cell = (TwoBits(0, 1), TwoBits(1, 0))
+    rec = tpsc_run(TwoBits(1, 0), TwoBits(0, 1), 1, None, forced=cell, masks=(1, 0))
+    assert rec.config.mode == "forced:01:10;masks:10"
+    assert parse_forced(rec.config.mode) == [cell]
+    assert parse_masks(rec.config.mode) == (1, 0)
+    again = run_from_config(rec.config)
+    assert again.values["masks"] == (1, 0)
+    assert again.transcript.to_text() == rec.transcript.to_text()
+
+    rec = mpsc_run(TwoBits(1, 0), TwoBits(0, 1), 0, None, forced=cell, masks=(0, 1, 1))
+    assert rec.config.mode == "forced:01:10;masks:011"
+    assert run_from_config(rec.config).transcript.to_text() == rec.transcript.to_text()
+
+
+def test_runs_without_given_masks_keep_their_mode():
+    from bellproto.algebra import TwoBits
+    from bellproto.protocols import mpsc_run, ot_run, spec_for, tpsc_run
+    from bellproto.states import Rng
+
+    assert tpsc_run(TwoBits(1, 0), TwoBits(0, 1), 1, Rng(3)).config.mode == "sample:1"
+    assert mpsc_run(TwoBits(1, 0), TwoBits(0, 1), 1, Rng(3),
+                    forced=(None, TwoBits(1, 1))).config.mode == "forced:--:11"
+    assert ot_run(1, Rng(3), forced=(None, TwoBits(1, 0))).config.mode == "forced:--:10"
+    # a forced mode recorded without masks still parses, and its masks are drawn
+    config = RunConfig(protocol="tpsc", secret="1", inputs="10,01", mode="forced:01:10")
+    assert "masks" not in spec_for("tpsc").runner_kwargs(config)
+    assert run_from_config(config).transcript.config == config
