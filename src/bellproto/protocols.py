@@ -133,8 +133,8 @@ class Run:
     configuration, kept only on its transcript, from ``spec.config`` over
     the runner's arguments: the generator's seed (0 without one), the
     forced cells and any given masks as ``mode`` and the cheater's name as
-    ``strategy``.  The transcript builds it, ``mode`` string included, the first time
-    something reads it, so a run whose verdict alone is read builds none.
+    ``strategy``.  The transcript builds it, ``mode`` string included, the
+    first time something reads it, so a run read for its verdict builds none.
     Without a generator (forced-outcome runs) streams fall back to
     ``Rng(0)``, the seed the configuration records.  Besides the Born
     stream, each stream is derived where it is drawn from.
@@ -291,12 +291,9 @@ _MASKS = ";masks:"
 def _mode_string(forced, masks=None) -> str:
     """Config ``mode`` of a run: ``sample:1`` or its forced cells, then the
     mask bits when the caller fixed them, as in ``forced:10:01;masks:01``."""
-    if forced is None:
-        mode = "sample:1"
-    else:
-        cells = forced if isinstance(forced, list) else [forced]
-        mode = "forced:" + ",".join(f"{aa if aa is not None else '--'}:"
-                                    f"{cc if cc is not None else '--'}" for aa, cc in cells)
+    cells = forced if isinstance(forced, list) else [forced]
+    mode = "sample:1" if forced is None else "forced:" + ",".join(
+        ":".join("--" if half is None else str(half) for half in cell) for cell in cells)
     return mode if masks is None else mode + _MASKS + "".join(map(str, masks))
 
 
@@ -691,7 +688,6 @@ _THREE_PARTY = {"A": "alice", "B": "bob", "C": "charlie"}
 _QSS_PROBE = qubit(0.6, 0.8j)  # the forced cells' secret for ``q``
 _QSS_SECRET_HELP = ("qss needs --secret 0, 1, q (seeded random qubit) or "
                     "q:re,im,re,im (explicit amplitudes)")
-_PARSE_CACHE = 256  # parsed configurations kept, shared by every spec
 
 
 @dataclass(frozen=True, eq=False)  # hashed by identity, so it can key the parse cache
@@ -737,7 +733,7 @@ class ProtocolSpec:
                          inputs=inputs or self.default_inputs,
                          k=self.chains(secret), **fields)
 
-    @lru_cache(maxsize=_PARSE_CACHE)
+    @lru_cache(maxsize=256)  # parsed configurations, shared by every spec
     def runner_kwargs(self, config: RunConfig) -> Mapping[str, object]:
         """Keyword arguments of the runner (besides rng and cheat), read-only.
 
@@ -757,14 +753,12 @@ class ProtocolSpec:
             raise ConfigError(f"{self.name} runs k={self.chains(config.secret)} chains for "
                               f"secret {config.secret!r}, got k={config.k}")
         masks = parse_masks(config.mode)
-        if masks is not None:
-            if len(masks) != self.masks:
-                raise ConfigError(f"{self.name} takes {self.masks} mask bits, "
-                                  f"got {len(masks)} in mode {config.mode!r}")
-            kwargs["masks"] = masks
-        return MappingProxyType(kwargs)
+        if masks is not None and len(masks) != self.masks:
+            raise ConfigError(f"{self.name} takes {self.masks} mask bits, "
+                              f"got {len(masks)} in mode {config.mode!r}")
+        return MappingProxyType(kwargs if masks is None else {**kwargs, "masks": masks})
 
-    def cells(self, kwargs: dict) -> Iterator[dict]:
+    def cells(self, kwargs: Mapping[str, object]) -> Iterator[dict]:
         """Runner kwargs of every forced cell, given the parsed arguments.
 
         The order is aa, then cc, then the masks.  A cc the parsed ``forced``

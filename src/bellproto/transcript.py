@@ -89,15 +89,9 @@ class Event(NamedTuple):
         return f"event {run_id} {self.step} {self.actor} {self.action} {payload_hex} {self.kind}"
 
 
-_new_event = tuple.__new__  # builds an Event without its generated __new__
-
-
 class Transcript:
-    """Append-only event log for one run, replayable bit for bit.
-
-    It holds its ``config`` built, or a ``build`` callable that makes it on
-    the first read; assigning ``config`` replaces either.
-    """
+    """Append-only event log for one run, replayable bit for bit.  Its
+    ``config`` is given built, or made by ``build`` on the first read."""
 
     def __init__(self, config: RunConfig | None = None, *,
                  build: Callable[[], RunConfig] | None = None):
@@ -112,9 +106,9 @@ class Transcript:
 
     def append(self, step: str, actor: str, action: str, payload: str, kind: str,
                visible: tuple[str, ...]) -> Event:
-        events = self.events
-        ev = _new_event(Event, (len(events), step, actor, action, payload, kind, visible))
-        events.append(ev)
+        # tuple.__new__ skips the Python-level __new__ that NamedTuple generates
+        ev = tuple.__new__(Event, (len(self.events), step, actor, action, payload, kind, visible))
+        self.events.append(ev)
         return ev
 
     def to_text(self) -> str:
