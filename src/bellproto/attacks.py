@@ -179,7 +179,7 @@ def run_cell(config: RunConfig, cell: dict, cheat: CheatStrategy | None,
     """Run ``config`` with ``cell``'s kwargs (a forced cell, or none to sample)
     over the configuration's parse, which every cell of it shares."""
     spec = spec_for(config.protocol)
-    return spec.runner(**{**spec.runner_kwargs(config), **cell}, rng=rng, cheat=cheat)
+    return spec.runner(**spec.runner_kwargs(config) | cell, rng=rng, cheat=cheat)
 
 
 def run_strategy(config: RunConfig, name: str,

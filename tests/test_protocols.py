@@ -546,6 +546,8 @@ def test_run_from_config_rejects_unknown_protocol():
       for p, inputs in [("bc", ""), ("ct", ""), ("ot", ""), ("tpsc", "10,01"), ("qss", ""),
                         ("mpsc", "10,01,11")]),
     (RunConfig(protocol="bc", secret="1", mode="forced:00"), "'00' is not of the form aa:cc"),
+    (RunConfig(protocol="qds", secret="1", mode="forced:01:10:11"),
+     "'01:10:11' is not of the form aa:cc"),
     (RunConfig(protocol="tpsc", secret="1", mode="forced:00:01;masks:1"),
      "tpsc takes 2 mask bits, got 1"),
     (RunConfig(protocol="mpsc", secret="1", mode="forced:00:01;masks:0110"),
@@ -554,8 +556,6 @@ def test_run_from_config_rejects_unknown_protocol():
      "bc takes 0 mask bits, got 1"),
     (RunConfig(protocol="tpsc", secret="1", mode="forced:00:01;masks:12"), "masks '12'"),
     (RunConfig(protocol="tpsc", secret="1", mode="sample:1;masks:"), "masks ''"),
-    (RunConfig(protocol="qds", secret="1", mode="forced:01:10:11"),
-     "'01:10:11' is not of the form aa:cc"),
 ])
 def test_spec_parse_names_the_bad_value(config, message):
     with pytest.raises(ConfigError, match=re.escape(message)):
