@@ -89,7 +89,7 @@ def test_detection_only_enumeration_builds_no_run_config(builds):
         run_strategy(REPORT_CONFIGS[protocol], name)
     for config in FORCED_CONFIGS:
         for cell in enumeration_cells(config):
-            run_cell(config, dict(cell), None, None).verdict
+            assert run_cell(config, dict(cell), None, None).verdict.accepted
     assert builds == [0]
 
 
