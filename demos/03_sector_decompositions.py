@@ -19,11 +19,13 @@ import numpy as np
 from bellproto.algebra import LABELS
 from bellproto.states import (
     Rng,
+    bell_state,
     chain_register,
     convention_sign_gaps,
     decompose_chain,
     decompose_swap,
     decompose_teleport,
+    make_register,
 )
 
 payload = Rng(7).unit_qubit()
@@ -40,8 +42,6 @@ print(f"  chain (16 terms, 16 channel pairs):    {worst:.3e}")
 
 worst = 0.0
 for mu, nu in itertools.product(LABELS, repeat=2):
-    from bellproto.states import bell_state, make_register
-
     ref = make_register([bell_state(mu), bell_state(nu)]).amplitudes
     total = np.zeros_like(ref)
     for _rho, term in decompose_swap(mu, nu):
@@ -51,8 +51,6 @@ print(f"  swap (4 terms, 16 channel pairs):      {worst:.3e}")
 
 worst = 0.0
 for channel in LABELS:
-    from bellproto.states import bell_state, make_register
-
     ref = make_register([payload, bell_state(channel)]).amplitudes
     total = np.zeros_like(ref)
     for _tau, term in decompose_teleport(channel, payload):

@@ -385,13 +385,13 @@ def infer_tau(aa: TwoBits, cc: TwoBits, mu: int, nu: int) -> int:
 #
 # The product states used by the protocols decompose exactly into one
 # product term per Bell-measurement sector.  The term labels follow the
-# XOR rule; the term signs do not follow from composing the operator
-# action tables factor by factor, so they are frozen here from a direct
-# projector computation, and the naive factorwise signs are recorded as
-# `convention_sign_gaps` for anyone comparing against the operator-ordered
-# way of writing these expansions.  The decomposition tests and identity
-# checks rebuild every register from these terms, so a wrong sign fails
-# there.
+# XOR rule.  The exact term signs are frozen below from a direct projector
+# computation.  Each split has one +/-1 fix: the exact sign is the phase
+# from composing the operator action tables factor by factor, times the
+# fix.  The chain's fix is the swap's times the teleport's, and a gap in
+# `convention_sign_gaps` is a fix of -1.  The decomposition tests and
+# identity checks rebuild every register from these terms, so a wrong sign
+# fails there.
 
 # payload (x) Bell(channel), sender outcome aa: index 4*channel + aa
 _TELEPORT_SIGNS = "+++-++-++++---+-"
@@ -399,18 +399,21 @@ _TELEPORT_SIGNS = "+++-++-++++---+-"
 _SWAP_SIGNS = "+++++++++-+-+-+-++--++---++--++-+++++++++-+-+-+-++--++---++--++-"
 
 
-def _teleport_sign(channel: int, aa: int) -> int:
-    return 1 if _TELEPORT_SIGNS[4 * channel + aa] == "+" else -1
+def _teleport_fix(channel: int, aa: int) -> int:
+    exact = 1 if _TELEPORT_SIGNS[4 * channel + aa] == "+" else -1
+    return exact * apply_omega_to_bell(aa ^ channel, channel).phase
 
 
-def _swap_sign(mu: int, nu: int, cc: int) -> int:
-    return 1 if _SWAP_SIGNS[16 * mu + 4 * nu + cc] == "+" else -1
+def _swap_fix(mu: int, nu: int, cc: int) -> int:
+    exact = 1 if _SWAP_SIGNS[16 * mu + 4 * nu + cc] == "+" else -1
+    rho = cc ^ nu
+    return exact * apply_omega_to_bell(rho, mu).phase * apply_omega_to_bell(rho, nu).phase
 
 
-def _chain_sign(mu: int, nu: int, aa: int, cc: int) -> int:
+def _chain_fix(mu: int, nu: int, aa: int, cc: int) -> int:
     """The relay swap leaves the outer pair in Bell(mu ^ nu ^ cc), then the
-    sender teleports over it, so the chain sign is the product of the two."""
-    return _swap_sign(mu, nu, cc) * _teleport_sign(mu ^ nu ^ cc, aa)
+    sender teleports over it."""
+    return _swap_fix(mu, nu, cc) * _teleport_fix(mu ^ nu ^ cc, aa)
 
 
 def _place_pairs(blocks: Sequence[tuple[Sequence[int], np.ndarray]]) -> np.ndarray:
@@ -434,8 +437,8 @@ def _teleport_terms(channel: int, payload: np.ndarray, omegas):
     """(tau, sqrt(2) * term) of payload (x) Bell(channel); the scaled terms
     sum to 2 * payload (x) bell_vector_int(channel)."""
     for tau in LABELS:
-        sign = _teleport_sign(channel, tau ^ channel) * apply_omega_to_bell(tau, channel).phase
-        bell_part = sign * (omegas[tau] @ bell_vector_int(channel))
+        fix = _teleport_fix(channel, tau ^ channel)
+        bell_part = fix * (omegas[tau] @ bell_vector_int(channel))
         moved = pauli_matrix_int(tau) @ payload
         yield tau, _place_pairs([((0, 1), bell_part), ((2,), moved)])
 
@@ -444,12 +447,7 @@ def _swap_terms(mu: int, nu: int, omegas):
     """(rho, 2 * term) of Bell(mu) (x) Bell(nu); the scaled terms sum to
     2 * bell_vector_int(mu) (x) bell_vector_int(nu)."""
     for rho in LABELS:
-        sign = (
-            _swap_sign(mu, nu, rho ^ nu)
-            * apply_omega_to_bell(rho, mu).phase
-            * apply_omega_to_bell(rho, nu).phase
-        )
-        outer = sign * (omegas[rho] @ bell_vector_int(mu))
+        outer = _swap_fix(mu, nu, rho ^ nu) * (omegas[rho] @ bell_vector_int(mu))
         relay = omegas[rho] @ bell_vector_int(nu)
         yield rho, _place_pairs([((0, 3), outer), ((1, 2), relay)])
 
@@ -458,15 +456,8 @@ def _chain_terms(mu: int, nu: int, payload: np.ndarray, omegas):
     """(tau, rho, 2 * term) of payload (x) Bell(mu) (x) Bell(nu); the scaled
     terms sum to 4 * payload (x) bell_vector_int(mu) (x) bell_vector_int(nu)."""
     for tau, rho in itertools.product(LABELS, repeat=2):
-        step1 = apply_omega_to_bell(rho, mu)
-        step2 = apply_omega_to_bell(tau, step1.label)
-        sign = (
-            _chain_sign(mu, nu, tau ^ rho ^ mu, rho ^ nu)
-            * step1.phase
-            * step2.phase
-            * apply_omega_to_bell(rho, nu).phase
-        )
-        sender = sign * (omegas[tau] @ omegas[rho] @ bell_vector_int(mu))
+        fix = _chain_fix(mu, nu, tau ^ rho ^ mu, rho ^ nu)
+        sender = fix * (omegas[tau] @ omegas[rho] @ bell_vector_int(mu))
         relay = omegas[rho] @ bell_vector_int(nu)
         moved = pauli_matrix_int(tau) @ payload
         yield tau, rho, _place_pairs([((0, 1), sender), ((2, 3), relay), ((4,), moved)])
@@ -508,37 +499,19 @@ def decompose_chain(mu: int, nu: int, payload: StateVector) -> list[tuple[int, i
 
 
 def convention_sign_gaps() -> dict[str, tuple]:
-    """Sectors whose exact sign differs from the factorwise operator phases.
+    """Sector cells whose sign fix is -1, in ``itertools.product`` order.
 
-    Composing the operator action tables factor by factor predicts a sign
-    for every sector term; the prediction is wrong on the cells listed
-    here, which is why the decompositions above carry explicit sign
-    tables.  Returned purely as a record of the convention mismatch.
+    A sector's exact sign is its factor-by-factor operator phase times the
+    fix of its split, and the chain's fix is the swap's times the
+    teleport's; on the cells listed here the factor-by-factor phase alone
+    has the wrong sign.  Returned purely as a record of the convention
+    mismatch.
     """
-    tele = tuple(
-        (chan, aa)
-        for chan, aa in itertools.product(LABELS, repeat=2)
-        if _teleport_sign(chan, aa) != apply_omega_to_bell(aa ^ chan, chan).phase
-    )
-    swap = []
-    for mu, nu, cc in itertools.product(LABELS, repeat=3):
-        rho = cc ^ nu
-        predicted = apply_omega_to_bell(rho, mu).phase * apply_omega_to_bell(rho, nu).phase
-        if _swap_sign(mu, nu, cc) != predicted:
-            swap.append((mu, nu, cc))
-    chain = []
-    for mu, nu, aa, cc in itertools.product(LABELS, repeat=4):
-        rho = cc ^ nu
-        tau = aa ^ rho ^ mu
-        step1 = apply_omega_to_bell(rho, mu)
-        predicted = (
-            step1.phase
-            * apply_omega_to_bell(tau, step1.label).phase
-            * apply_omega_to_bell(rho, nu).phase
-        )
-        if _chain_sign(mu, nu, aa, cc) != predicted:
-            chain.append((mu, nu, aa, cc))
-    return {"teleport": tele, "swap": tuple(swap), "chain": tuple(chain)}
+    return {
+        "teleport": tuple(c for c in itertools.product(LABELS, repeat=2) if _teleport_fix(*c) < 0),
+        "swap": tuple(c for c in itertools.product(LABELS, repeat=3) if _swap_fix(*c) < 0),
+        "chain": tuple(c for c in itertools.product(LABELS, repeat=4) if _chain_fix(*c) < 0),
+    }
 
 
 # --- density matrices ------------------------------------------------------

@@ -61,12 +61,16 @@ class RunConfig:
                 raise ValueError(f"unknown config key: {key!r}")
             if key in pairs:
                 raise ValueError(f"repeated config key: {key!r}")
+            if key in _INT_KEYS:
+                number = int(value)
+                if value != str(number):  # e.g. " 0", "+0", "-0", "03", "0_0"
+                    raise ValueError(f"non-canonical config integer: {line!r}")
+                value = number
             pairs[key] = value
         missing = [k for k in CONFIG_KEYS if k not in pairs]
         if missing:
             raise ValueError(f"config is missing keys: {missing}")
-        return cls(**{key: int(pairs[key]) if key in _INT_KEYS else pairs[key]
-                      for key in CONFIG_KEYS})
+        return cls(**pairs)
 
     @property
     def run_id(self) -> str:

@@ -312,6 +312,24 @@ BAD_INPUTS = {
                                  EXIT_IO),
     "replay-config-padded-line": (lambda tmp: ["replay", _edited_transcript(
         tmp, "config mu=0", "config  mu=0 ")], EXIT_IO),
+    # an integer value is written as str(int) writes it, so an edit to any
+    # other spelling is malformed input, not a replay mismatch
+    "replay-config-int-space": (lambda tmp: ["replay", _edited_transcript(
+        tmp, "config mu=0", "config mu= 0")], EXIT_IO),
+    "replay-config-int-plus": (lambda tmp: ["replay", _edited_transcript(
+        tmp, "config mu=0", "config mu=+0")], EXIT_IO),
+    "replay-config-int-underscore": (lambda tmp: ["replay", _edited_transcript(
+        tmp, "config mu=0", "config mu=0_0")], EXIT_IO),
+    "replay-config-int-arabic-digit": (lambda tmp: ["replay", _edited_transcript(
+        tmp, "config mu=0", "config mu=\u0660")], EXIT_IO),
+    "replay-config-int-minus-zero": (lambda tmp: ["replay", _edited_transcript(
+        tmp, "config nu=0", "config nu=-0")], EXIT_IO),
+    "replay-config-int-leading-zero": (lambda tmp: ["replay", _edited_transcript(
+        tmp, "config seed=3", "config seed=03")], EXIT_IO),
+    "replay-config-int-seed-trailing-space": (lambda tmp: ["replay", _edited_transcript(
+        tmp, "config seed=3", "config seed=3 ")], EXIT_IO),
+    "replay-config-int-k-trailing-space": (lambda tmp: ["replay", _edited_transcript(
+        tmp, "config k=1", "config k=1 ")], EXIT_IO),
     # values a protocol never reads are rejected, not written into the transcript
     "ct-channel-labels": (lambda tmp: ["run", "--protocol", "ct", "--mu", "2", "--nu", "3",
                                        "--seed", "1"], EXIT_CONFIG),

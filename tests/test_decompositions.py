@@ -10,6 +10,7 @@ import itertools
 import numpy as np
 import pytest
 
+from bellproto import states
 from bellproto.algebra import LABELS, apply_omega_to_bell, bell_vector, pauli_matrix
 from bellproto.states import (
     Rng,
@@ -132,3 +133,46 @@ def test_diagonal_chain_cells_are_gap_free():
     for aa, cc in itertools.product(LABELS, repeat=2):
         if aa == 0 and cc == 0:
             assert (0, 0, aa, cc) not in gaps
+
+
+def _phase(rho, mu):
+    return apply_omega_to_bell(rho, mu).phase
+
+
+def _exact_teleport(channel, aa):
+    return 1 if states._TELEPORT_SIGNS[4 * channel + aa] == "+" else -1
+
+
+def _exact_swap(mu, nu, cc):
+    return 1 if states._SWAP_SIGNS[16 * mu + 4 * nu + cc] == "+" else -1
+
+
+def test_gap_record_matches_its_factorwise_definition():
+    """Each recorded cell is one where the literal exact sign differs from
+    the product of action-table phases, composed one factor at a time."""
+    tele = tuple((chan, aa) for chan, aa in itertools.product(LABELS, repeat=2)
+                 if _exact_teleport(chan, aa) != _phase(aa ^ chan, chan))
+    swap = tuple((mu, nu, cc) for mu, nu, cc in itertools.product(LABELS, repeat=3)
+                 if _exact_swap(mu, nu, cc) != _phase(cc ^ nu, mu) * _phase(cc ^ nu, nu))
+    chain = []
+    for mu, nu, aa, cc in itertools.product(LABELS, repeat=4):
+        rho = cc ^ nu
+        tau = aa ^ rho ^ mu
+        step1 = apply_omega_to_bell(rho, mu)
+        predicted = step1.phase * _phase(tau, step1.label) * _phase(rho, nu)
+        exact = _exact_swap(mu, nu, cc) * _exact_teleport(mu ^ nu ^ cc, aa)
+        if exact != predicted:
+            chain.append((mu, nu, aa, cc))
+    assert convention_sign_gaps() == {"teleport": tele, "swap": swap, "chain": tuple(chain)}
+
+
+def test_chain_gap_is_exactly_one_split_gap():
+    """A chain cell is a gap when its swap cell or its teleport cell over
+    the swapped pair is one, but not both."""
+    gaps = convention_sign_gaps()
+    tele, swap = set(gaps["teleport"]), set(gaps["swap"])
+    expected = tuple(
+        (mu, nu, aa, cc) for mu, nu, aa, cc in itertools.product(LABELS, repeat=4)
+        if ((mu, nu, cc) in swap) != ((mu ^ nu ^ cc, aa) in tele)
+    )
+    assert gaps["chain"] == expected

@@ -39,6 +39,18 @@ def test_config_bad_key_rejected(line, problem):
         RunConfig.from_text(PROTO_CONFIGS[0].to_text() + "\n" + line)
 
 
+# int() reads each of these, but the text is not what str() writes back
+@pytest.mark.parametrize("old,new", [("mu=0", "mu= 0"), ("mu=0", "mu=+0"), ("mu=0", "mu=0_0"),
+                                     ("mu=0", "mu=\u0660"), ("nu=0", "nu=-0"),
+                                     ("seed=7", "seed=07"), ("seed=7", "seed=7 "),
+                                     ("k=1", "k=1 ")])
+def test_config_noncanonical_integer_rejected(old, new):
+    text = PROTO_CONFIGS[0].to_text()
+    assert old in text.split("\n")
+    with pytest.raises(ValueError, match="non-canonical config integer"):
+        RunConfig.from_text(text.replace(old, new, 1))
+
+
 def test_run_id_is_config_determined():
     a = RunConfig(protocol="bc", secret="1", seed=7)
     b = RunConfig(protocol="bc", secret="1", seed=7)
