@@ -12,22 +12,18 @@ import itertools
 import numpy as np
 
 from bellproto.algebra import LABELS, TwoBits, pauli_matrix
-from bellproto.states import (
-    Rng,
-    StateVector,
+from bellproto.dense import (
     bell_state,
     bsm,
     bsm_probabilities,
     chain_register,
     extract_qubit,
-    fidelity,
-    infer_tau,
     make_register,
     mixture_density,
     projector,
     reduced_density,
-    trace_distance,
 )
+from bellproto.states import Rng, StateVector, fidelity, infer_tau, trace_distance
 
 rng = Rng(2024)
 

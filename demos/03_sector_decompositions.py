@@ -17,8 +17,7 @@ import itertools
 import numpy as np
 
 from bellproto.algebra import LABELS
-from bellproto.states import (
-    Rng,
+from bellproto.dense import (
     bell_state,
     chain_register,
     convention_sign_gaps,
@@ -27,6 +26,7 @@ from bellproto.states import (
     decompose_teleport,
     make_register,
 )
+from bellproto.states import Rng
 
 payload = Rng(7).unit_qubit()
 

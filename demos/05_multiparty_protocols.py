@@ -11,7 +11,8 @@ import numpy as np
 
 from bellproto.algebra import TwoBits
 from bellproto.protocols import CheatStrategy, Deviation, mpsc_run, qds_run, qss_run
-from bellproto.states import Rng, StateVector, is_maximally_mixed, mixture_density
+from bellproto.dense import is_maximally_mixed, mixture_density
+from bellproto.states import Rng, StateVector
 
 ALL_PAIRS = [TwoBits.from_label(t) for t in range(4)]
 

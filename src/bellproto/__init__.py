@@ -1,13 +1,19 @@
 """Deterministic simulator for Bell-channel cryptographic protocols.
 
-The package splits into five layers:
+The package splits into six layers:
 
 * :mod:`bellproto.algebra` - exact tables for the all-real operator set
   {I, X, Z, ZX}, the four Bell states, their signed composition rules and
   the bit pair :class:`TwoBits`.
-* :mod:`bellproto.states` - a dense state-vector engine whose one Bell-basis
-  measurement does both entanglement swapping and teleportation, the exact
-  Bell-sector decompositions, and density-matrix mixing oracles.
+* :mod:`bellproto.states` - the runtime engine: a Pauli frame that tracks
+  a chain as its payload under one Pauli label, with seeded streams and
+  one-qubit state helpers.
+* :mod:`bellproto.dense` - the dense state-vector engine, kept as the
+  public reference oracle: one Bell-basis measurement that does both
+  entanglement swapping and teleportation, the exact Bell-sector
+  decompositions, and density-matrix mixing oracles.  The engine names
+  exported here (``bsm``, ``apply_pauli``, ``measure_qubit``,
+  ``extract_qubit``, ...) are the dense ones.
 * :mod:`bellproto.protocols` - seven protocol runtimes over a shared
   five-wire chain: bit commitment (bc), coin tossing (ct), oblivious
   transfer (ot), two-party computation (tpsc), secret sharing (qss),
@@ -34,6 +40,12 @@ from .states import (
     MeasurementError,
     Rng,
     StateVector,
+    fidelity,
+    infer_tau,
+    qubit,
+    trace_distance,
+)
+from .dense import (
     apply_pauli,
     basis_state,
     bell_state,
@@ -44,15 +56,11 @@ from .states import (
     decompose_swap,
     decompose_teleport,
     extract_qubit,
-    fidelity,
-    infer_tau,
     is_maximally_mixed,
     make_register,
     measure_qubit,
     mixture_density,
-    qubit,
     reduced_density,
-    trace_distance,
 )
 from .protocols import (
     CheatStrategy,

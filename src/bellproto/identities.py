@@ -3,7 +3,7 @@
 Each check reports its worst residual.  Every algebraic check computes on
 the integer tables of :mod:`bellproto.algebra`, so its residual is an exact
 integer or count and must be exactly zero; only correction-table, which
-checks the floating-point engine against the correction lookup, allows
+checks the dense reference engine against the correction lookup, allows
 1e-12.  Where a claim holds for every payload, linearity reduces it to a
 finite exact set: the Bell-sector decompositions are linear in the payload
 amplitudes, so the basis payloads prove them, and outcome uniformity and
@@ -35,21 +35,18 @@ from .algebra import (
     pauli_matrix,
     pauli_matrix_int,
 )
-from .states import (
-    StateVector,
-    TOL_EQ,
+from .dense import (
     _chain_terms,
     _swap_terms,
     _teleport_terms,
     bsm,
     chain_register,
     extract_qubit,
-    infer_tau,
     is_maximally_mixed,
     mixture_density,
-    qubit,
     wires_first,
 )
+from .states import TOL_EQ, StateVector, infer_tau, qubit
 
 _BASIS = (np.array([1, 0]), np.array([0, 1]))
 # |0>, |1>, sqrt(2)|+> and sqrt(2)|+i> as Gaussian integers, each with its

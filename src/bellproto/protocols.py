@@ -1,4 +1,4 @@
-"""Multiparty protocol runtime over the five-wire chain register.
+"""Multiparty protocol runtime over one Bell chain, tracked as a Pauli frame.
 
 Seven protocols share the same backbone: a relay Bell measurement that
 swaps entanglement onto the outer stations, a sender Bell measurement that
@@ -19,15 +19,15 @@ cell per chain, and tpsc and mpsc also take their private ``masks``.  All
 classical and quantum traffic is logged to a transcript with per-event
 visibility, from which each party's view is reconstructed for the
 information-hiding checks.  The steps the runners repeat are written once
-on :class:`Run`.  Only ``open_chain`` builds the five-wire register: it
-runs the Bell measurements and keeps the freed wire as the run's one
-qubit, on which ``apply``, ``measure`` and ``measure_moved`` act.
-``twin_bit`` measures a sender's twin qubit, ``conclude`` announces and
-records a verdict, and ``masks`` and ``mask`` draw and apply private input
-masks.  What does not change from run to run
-is built once: the |0> and |1> payloads every classical secret and twin
-qubit start from, the forced qss probe qubit and each protocol's sorted
-controllers.
+on :class:`Run`.  The engine is the Pauli frame of :mod:`bellproto.states`:
+``open_chain`` runs the Bell measurements and keeps the freed wire's
+qubit, the payload under a Pauli label, on which ``apply``, ``measure``
+and ``measure_moved`` act.  ``twin_bit`` measures a sender's twin qubit,
+``conclude`` announces and records a verdict, and ``masks`` and ``mask``
+draw and apply private input masks.  Amplitudes are built only where a
+runner reads them (qss's fidelity and held qubits).  What does not change
+from run to run is built once: the forced qss probe qubit and each
+protocol's sorted controllers.
 
 Measured-bit verification can see only the X part of a claimed bit pair:
 the Z exponent of a correction acts as a global phase on basis states, so
@@ -41,14 +41,15 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
+from operator import xor
 from types import MappingProxyType
 from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from . import states
-from .algebra import LABELS, TwoBits, label_from_zx, pauli_matrix, x_bit
-from .states import Rng, StateVector, basis_state, fidelity, infer_tau, qubit
+from .algebra import LABELS, TwoBits, label_from_zx, x_bit
+from .states import BASIS, Frame, Rng, StateVector, fidelity, infer_tau, qubit
 from .transcript import RunConfig, Transcript
 
 # fixed derived-stream indices so replays are stable
@@ -139,12 +140,13 @@ class Run:
     ``Rng(0)``, the seed the configuration records.  Besides the Born
     stream, each stream is derived where it is drawn from.
 
-    The five-wire register lives only inside ``open_chain``.  After the
-    sender's Bell measurement the run holds one qubit, ``moved``: the
-    payload under its correction, on the receiver's wire or, after a
-    skipped relay measurement, the relay's.  Every later step acts on it
-    alone.  The steps call ``states.<name>`` at call time, so a wrapper on
-    the module attribute sees every transition.
+    After the sender's Bell measurement the run holds one qubit, ``moved``:
+    a :class:`~bellproto.states.Frame`, the payload under its correction,
+    on the receiver's wire or, after a skipped relay measurement, the
+    relay's.  Every later step acts on it alone, and ``moved_state``
+    builds its amplitudes for a reader.  The steps call ``states.<name>``
+    at call time, so a wrapper on the module attribute sees every
+    transition.
     """
 
     def __init__(self, protocol: str, rng: Rng | None, cheat: CheatStrategy | None = None, *,
@@ -191,9 +193,8 @@ class Run:
 
     def twin_bit(self, bit: int, *labels: int) -> int:
         """Measured bit of the basis state ``bit`` keyed by the labelled
-        operators (the rightmost acts first): a sender's twin qubit."""
-        amps = reduce(np.matmul, map(pauli_matrix, labels)) @ _BASIS_PAYLOADS[bit].amplitudes
-        return states.measure_qubit(StateVector(amps), 0, self.born)[0]
+        operators: a sender's twin qubit."""
+        return states.measure_qubit(Frame(BASIS[bit], reduce(xor, labels)), self.born)[0]
 
     def open_chain(self, mu: int, nu: int, secret, *, forced=None,
                    nu_secret_of: str | None = None, sender_pre_label: int | None = None,
@@ -212,7 +213,10 @@ class Run:
         """
         sender, relay = self.cast["A"], self.cast["C"]
         forced_aa, forced_cc = forced or (None, None)
-        register = states.chain_register(mu, nu, _payload_state(secret))
+        # the payload has both Bell pairs to cross, or only the sender's
+        # when the relay withholds its measurement
+        payload = _payload(secret)
+        frame = Frame(payload, mu, 1) if skip_relay else Frame(payload, mu ^ nu, 2)
         self.announce("setup", sender, "channel_sender_relay", f"mu={mu}")
         if nu_secret_of is None:
             self.announce("setup", relay, "channel_relay_receiver", f"nu={nu}")
@@ -223,26 +227,29 @@ class Run:
         if skip_relay:
             self.local("1", relay, "relay_bsm_skipped", "withheld")
         else:
-            cc, register = states.bsm(register, (2, 3), self.born, force=forced_cc)
+            cc, frame = states.bsm(frame, self.born, force=forced_cc)
             self.local("1", relay, "relay_bsm", f"cc={cc}")
 
         if sender_pre_label is not None:
-            register = states.apply_pauli(register, sender_pre_label, 0)
+            frame = states.apply_pauli(frame, sender_pre_label)
             self.local("2", sender, "apply_input", "label=private")
-        aa, register = states.bsm(register, (0, 1), self.born, force=forced_aa)
+        aa, frame = states.bsm(frame, self.born, force=forced_aa)
         self.local("2", sender, "sender_bsm", f"aa={aa}")
-        # raises if the freed wire were still entangled
-        self.moved = states.extract_qubit(register, 2 if skip_relay else 4)
+        self.moved = states.extract_qubit(frame)
         return aa, cc
 
     def apply(self, label: int) -> None:
         """Apply the labelled operator to the moved qubit."""
-        self.moved = states.apply_pauli(self.moved, label, 0)
+        self.moved = states.apply_pauli(self.moved, label)
 
     def measure(self) -> int:
         """Z-measure the moved qubit (a Born draw unless its bit is certain)."""
-        bit, self.moved = states.measure_qubit(self.moved, 0, self.born)
+        bit, self.moved = states.measure_qubit(self.moved, self.born)
         return bit
+
+    def moved_state(self) -> StateVector:
+        """The moved qubit's amplitudes, built for a reader."""
+        return self.moved.state()
 
     def measure_moved(self) -> int:
         """Step 3: the receiver measures the moved qubit and logs the bit."""
@@ -271,8 +278,8 @@ def _endpoints(frm: str, to: str) -> tuple[str, ...]:
     return (frm, to) if frm < to else (to, frm)
 
 
-# |0> and |1>, built once: every classical payload and twin qubit starts here
-_BASIS_PAYLOADS = (basis_state([0]), basis_state([1]))
+# |0> and |1> as states, built once: a classical qss secret's fidelity reads them
+_BASIS_STATES = (qubit(1, 0), qubit(0, 1))
 
 
 def _payload_state(secret) -> StateVector:
@@ -281,11 +288,18 @@ def _payload_state(secret) -> StateVector:
             raise ValueError("payload must be a single qubit")
         return secret
     if secret in (0, 1):
-        return _BASIS_PAYLOADS[secret]
+        return _BASIS_STATES[secret]
     raise ValueError(f"secret must be a bit or a 1-qubit state, got {secret!r}")
 
 
+def _payload(secret) -> tuple[complex, complex]:
+    """The payload 2-vector of a bit or a 1-qubit state."""
+    return BASIS[secret] if secret in (0, 1) else tuple(_payload_state(secret).amplitudes.tolist())
+
+
 _MASKS = ";masks:"
+# the modes a run or a report writes before any masks, besides forced cells
+_MODES = ("sample", "sample:1", "enumerate")
 
 
 def _mode_string(forced, masks=None) -> str:
@@ -527,7 +541,7 @@ def qss_run(secret, rng: Rng | None = None, *, mu: int = 0, nu: int = 0,
     run.tell("share", "alice", "bob", "send_sender_share", f"aa={aa}")
 
     if skip or not reconstruct:  # after a skip, the relay holds the moved qubit
-        run.held["charlie" if skip else "bob"] = run.moved.amplitudes
+        run.held["charlie" if skip else "bob"] = run.moved_state().amplitudes
         run.values.update({"relay_skipped": True, "aa": str(aa)} if skip
                           else {"aa": str(aa), "cc": str(cc)})
         return run.conclude("bob", False, "", "insufficient_shares")
@@ -535,11 +549,12 @@ def qss_run(secret, rng: Rng | None = None, *, mu: int = 0, nu: int = 0,
     run.tell("collaborate", "charlie", "bob", "send_relay_share", f"cc={cc}")
     run.apply(infer_tau(aa, cc, mu, nu))  # self-inverse up to a global sign
     run.local("reconstruct", "bob", "invert_correction", "label=private")
-    run.values.update(fidelity=fidelity(payload, run.moved), aa=str(aa), cc=str(cc))
+    moved = run.moved_state()
+    run.values.update(fidelity=fidelity(payload, moved), aa=str(aa), cc=str(cc))
     if classical:
         value = run.values["bit"] = run.measure()
     else:
-        run.held["bob"] = run.moved.amplitudes
+        run.held["bob"] = moved.amplitudes
         value = "qubit"
     return run.conclude("bob", True, str(value), "")
 
@@ -752,6 +767,10 @@ class ProtocolSpec:
         if config.k != self.chains(config.secret):
             raise ConfigError(f"{self.name} runs k={self.chains(config.secret)} chains for "
                               f"secret {config.secret!r}, got k={config.k}")
+        cells = config.mode.partition(_MASKS)[0]
+        if cells not in _MODES and not cells.startswith("forced:"):
+            raise ConfigError(f"mode {config.mode!r} is not sample, sample:1, enumerate "
+                              "or forced:<cells>")
         masks = parse_masks(config.mode)
         if masks is not None and len(masks) != self.masks:
             raise ConfigError(f"{self.name} takes {self.masks} mask bits, "

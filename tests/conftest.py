@@ -2,7 +2,8 @@ import os
 from pathlib import Path
 
 import bellproto
-from bellproto import states
+from bellproto import dense
+from bellproto.protocols import ProtocolSpec
 
 
 def child_env():
@@ -15,12 +16,13 @@ def child_env():
     return env
 
 
-def engine_caches():
-    """The dense engine's memo caches: every ``lru_cache`` in ``bellproto.states``."""
-    return [value for value in vars(states).values() if hasattr(value, "cache_clear")]
+def package_caches():
+    """The caches the package keeps: the configuration parse every run
+    reads, and the dense engine's wire-gather index.  Neither holds a state."""
+    return [ProtocolSpec.runner_kwargs, dense._gather]
 
 
-def clear_engine_caches():
-    """Empty every engine cache, so that the next engine call computes cold."""
-    for cache in engine_caches():
+def clear_package_caches():
+    """Empty every package cache, so that the next call computes cold."""
+    for cache in package_caches():
         cache.cache_clear()

@@ -34,9 +34,7 @@ from bellproto.protocols import (
     run_from_config,
     tpsc_run,
 )
-from bellproto.states import (
-    Rng,
-    StateVector,
+from bellproto.dense import (
     basis_state,
     bell_state,
     bsm_probabilities,
@@ -44,11 +42,11 @@ from bellproto.states import (
     decompose_chain,
     decompose_swap,
     decompose_teleport,
-    infer_tau,
     is_maximally_mixed,
     make_register,
     mixture_density,
 )
+from bellproto.states import Rng, StateVector, infer_tau
 from bellproto.transcript import RunConfig, parse_transcript
 
 TOL = 1e-12

@@ -304,7 +304,8 @@ def test_forced_qss_cells_run_the_requested_payload(monkeypatch):
     from bellproto import attacks
     from bellproto.algebra import pauli_matrix
     from bellproto.cli import EXIT_OK, main
-    from bellproto.states import StateVector, basis_state, equal_up_to_phase, infer_tau
+    from bellproto.dense import basis_state
+    from bellproto.states import StateVector, equal_up_to_phase, infer_tau
 
     secret = "q:0,0,1,0"  # |1>
     one = basis_state("1").amplitudes

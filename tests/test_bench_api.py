@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import child_env, clear_engine_caches
+from conftest import child_env, clear_package_caches
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -43,21 +43,20 @@ def test_cli_mix_commands_pass_in_process_for_every_protocol(workloads, tmp_path
 ENGINE_NAMES = ("states.bsm", "states.measure_qubit", "states.apply_pauli",
                 "states.extract_qubit", "states.StateVector.__init__")
 
-# engine calls of one tiny traced pass at seed 1, from cold engine caches: a
-# faster engine makes the same Bell measurements and derives the same streams.
-# It builds a StateVector only for what its caches have not yet computed and
-# for each run's twin qubits; |0> and |1> payloads are built once per process,
-# and after the sender's Bell measurement a run's transitions act on one qubit.
-# Cheaper bookkeeping logs the same events and takes the same Pauli matrices.
+# engine calls of one tiny traced pass at seed 1, from cold caches: a faster
+# engine makes the same Bell measurements and derives the same streams.  The
+# Pauli frame builds a StateVector, and takes one Pauli matrix for it, only
+# where a runner reads amplitudes: qss's moved qubit, for its fidelity or as
+# a held qubit.  Cheaper bookkeeping logs the same events.
 ENGINE_WORK = {
-    "enumerate-sweep": {"states.StateVector.__init__.calls": 776, "states.bsm.calls": 1796,
+    "enumerate-sweep": {"states.StateVector.__init__.calls": 68, "states.bsm.calls": 1796,
                         "states.Rng.__init__.calls": 1704,
                         "transcript.Transcript.append.calls": 12736,
-                        "algebra.pauli_matrix.calls": 712},
-    "sample-replay": {"states.StateVector.__init__.calls": 140, "states.bsm.calls": 84,
+                        "algebra.pauli_matrix.calls": 68},
+    "sample-replay": {"states.StateVector.__init__.calls": 3, "states.bsm.calls": 84,
                       "states.Rng.__init__.calls": 87,
                       "transcript.Transcript.append.calls": 441,
-                      "algebra.pauli_matrix.calls": 47},
+                      "algebra.pauli_matrix.calls": 3},
 }
 
 
@@ -70,7 +69,7 @@ def test_traced_pass_reaches_every_required_engine_name(workloads, name, tmp_pat
 
     ops = workloads.Ops()
     workload = workloads.make(name, 1, True, tmp_path, child_env())
-    clear_engine_caches()
+    clear_package_caches()
     with tracer.Tracer() as traced:
         workload.trace_pass(0, ops)
     counts = traced.counts()
@@ -81,8 +80,9 @@ def test_traced_pass_reaches_every_required_engine_name(workloads, name, tmp_pat
 
 def test_tracer_patch_points_name_what_exists(monkeypatch):
     """``bench/tracer.py`` skips a name its module or class lacks, so a
-    rename would silently stop tracing it; ``states.apply_matrix`` is the one
-    stale entry known today."""
+    rename would silently stop tracing it.  The stale entries known today:
+    ``states.apply_matrix``, and the dense register builders and density
+    oracles that moved to ``bellproto.dense``, which the runtime never calls."""
     monkeypatch.syspath_prepend(str(BENCH))
     import tracer
 
@@ -92,7 +92,9 @@ def test_tracer_patch_points_name_what_exists(monkeypatch):
     missing += [f"{cls.__module__.split('.')[-1]}.{cls.__name__}.{name}"
                 for _layer, cls, names in tracer.METHODS
                 for name in names if not hasattr(cls, name)]
-    assert missing == ["states.apply_matrix"]
+    assert missing == ["states.basis_state", "states.bell_state", "states.make_register",
+                       "states.chain_register", "states.apply_matrix", "states.reduced_density",
+                       "states.mixture_density"]
 
 
 @pytest.mark.parametrize("name", ("enumerate-sweep", "sample-replay"))
@@ -117,3 +119,31 @@ def test_traced_cycles_repeat_every_counter(workloads, name, tmp_path):
     assert ops.failed == 0
     assert counts[0] == counts[1]
     assert [key for key in ENGINE_NAMES if not counts[0].get(f"{key}.calls")] == []
+
+
+# REQUIRED_NONZERO names that child-process probes or the untraced timing
+# fill in, not the tracer
+_PROBE_METRICS = ("import.", "identities.", "cli.main_ms.", "tracing.overhead")
+
+
+@pytest.mark.parametrize("name", ("enumerate-sweep", "sample-replay"))
+def test_traced_cycle_moves_every_required_layer_metric(workloads, name, tmp_path):
+    """``bench/run.py --trace 1`` exits non-zero when a ``REQUIRED_NONZERO``
+    metric reads zero, so every one the tracer produces must move in one
+    tiny traced cycle: an engine that stops calling a traced name (a Pauli
+    matrix, a state build, a stream draw, a runner) fails here first."""
+    import run as bench_run
+    import tracer
+
+    ops = workloads.Ops()
+    workload = workloads.make(name, 1, True, tmp_path, child_env())
+    with tracer.Tracer() as traced:
+        for index in range(workload.cycle):
+            traced.new_pass()
+            workload.trace_pass(index, ops)
+    metrics = traced.layer_metrics(passes=workload.cycle)
+    required = [key for key in bench_run.REQUIRED_NONZERO[name]
+                if not key.startswith(_PROBE_METRICS)]
+    assert ops.failed == 0
+    assert "algebra.pauli_matrix.calls_per_run" in required
+    assert [key for key in required if not metrics.get(key)] == []

@@ -294,6 +294,11 @@ BAD_INPUTS = {
     # a single-chain protocol takes one forced cell, not the first of several
     "replay-two-forced-cells": (lambda tmp: ["replay", _edited_transcript(
         tmp, "config mode=sample:1", "config mode=forced:00:01,11:10")], EXIT_IO),
+    # a mode the runtime never writes is malformed, not a sampled run to mismatch
+    **{f"replay-config-mode-{name}": (lambda tmp, mode=mode: ["replay", _edited_transcript(
+        tmp, "config mode=sample:1\n", f"config mode={mode}\n")], EXIT_IO)
+       for name, mode in (("trailing-space", "sample:1 "), ("padded-count", "sample:01"),
+                          ("other-count", "sample:2"), ("bogus", "bogus"))},
     "replay-bad-masks": (lambda tmp: ["replay", _edited_transcript(
         tmp, "config mode=sample:1", "config mode=sample:1;masks:2", "tpsc")], EXIT_IO),
     "replay-not-utf8": (lambda tmp: ["replay", _binary_file(tmp)], EXIT_IO),

@@ -10,10 +10,9 @@ import itertools
 import numpy as np
 import pytest
 
-from bellproto import states
+from bellproto import dense
 from bellproto.algebra import LABELS, apply_omega_to_bell, bell_vector, pauli_matrix
-from bellproto.states import (
-    Rng,
+from bellproto.dense import (
     bell_state,
     basis_state,
     chain_register,
@@ -23,6 +22,7 @@ from bellproto.states import (
     decompose_teleport,
     make_register,
 )
+from bellproto.states import Rng
 
 TOL = 1e-12
 
@@ -140,11 +140,11 @@ def _phase(rho, mu):
 
 
 def _exact_teleport(channel, aa):
-    return 1 if states._TELEPORT_SIGNS[4 * channel + aa] == "+" else -1
+    return 1 if dense._TELEPORT_SIGNS[4 * channel + aa] == "+" else -1
 
 
 def _exact_swap(mu, nu, cc):
-    return 1 if states._SWAP_SIGNS[16 * mu + 4 * nu + cc] == "+" else -1
+    return 1 if dense._SWAP_SIGNS[16 * mu + 4 * nu + cc] == "+" else -1
 
 
 def test_gap_record_matches_its_factorwise_definition():

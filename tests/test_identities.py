@@ -6,19 +6,19 @@ suite report a failure: a sign that no check can catch proves nothing.
 
 import pytest
 
-from bellproto import algebra, states
+from bellproto import algebra, dense
 from bellproto.identities import run_identity_suite
 from bellproto.states import TOL_EQ
 
 SIGN_TABLES = [(algebra, "_ACTION_SIGNS"), (algebra, "_COMPOSE_SIGNS"),
-               (states, "_TELEPORT_SIGNS"), (states, "_SWAP_SIGNS")]
+               (dense, "_TELEPORT_SIGNS"), (dense, "_SWAP_SIGNS")]
 
 
 def test_default_suite_residuals_are_exactly_zero():
     results = run_identity_suite()
     assert len(results) == 17
     assert {r.name: r.residual for r in results} == {r.name: 0.0 for r in results}
-    # correction-table checks the floating-point engine; every other check is exact
+    # correction-table checks the dense floating-point engine; every other check is exact
     assert {r.name: r.tol for r in results if r.tol != 0.0} == {"correction-table": TOL_EQ}
 
 

@@ -23,13 +23,8 @@ from bellproto.protocols import (
     spec_for,
     tpsc_run,
 )
-from bellproto.states import (
-    Rng,
-    StateVector,
-    basis_state,
-    equal_up_to_phase,
-    infer_tau,
-)
+from bellproto.dense import basis_state
+from bellproto.states import Rng, StateVector, equal_up_to_phase, infer_tau
 from bellproto.transcript import RunConfig
 from test_golden import FORCED_CONFIGS
 
@@ -89,34 +84,30 @@ def test_common_steps_quantum_payload_all_cells():
         run = Run("qss", None, mu=1, nu=2)
         assert run.open_chain(1, 2, probe, forced=(aa, cc)) == (aa, cc)
         tau = infer_tau(aa, cc, 1, 2)
-        assert equal_up_to_phase(run.moved, StateVector(pauli_matrix(tau) @ probe.amplitudes))
+        assert equal_up_to_phase(run.moved_state(),
+                                 StateVector(pauli_matrix(tau) @ probe.amplitudes))
 
 
-def test_only_open_chain_hands_the_engine_the_five_wire_register(monkeypatch):
-    """After the sender's Bell measurement a run holds one qubit: every Z
-    measurement is of a one-qubit state, and ``apply_pauli`` sees the
-    five-wire register only inside ``open_chain`` (the sender's input)."""
-    open_chain, measure_qubit, apply_pauli = Run.open_chain, states.measure_qubit, states.apply_pauli
-    inside, moved, measured, applied = [], [], [], []
+def test_no_runtime_step_receives_or_builds_a_multi_qubit_state(monkeypatch):
+    """The runtime tracks a Pauli frame, not a register: no engine step is
+    handed a StateVector of more than one qubit, and none is built, while
+    qss still builds the one-qubit states its fidelity and held qubits read."""
+    built, handed = [], []
+    init = StateVector.__init__
 
-    def traced_open_chain(self, *args, **kwargs):
-        inside.append(None)
-        result = open_chain(self, *args, **kwargs)
-        inside.pop()
-        moved.append(self.moved.n_qubits)
-        return result
+    def counted_init(self, amplitudes):
+        init(self, amplitudes)
+        built.append(self.n_qubits)
 
-    def traced_measure_qubit(state, *args, **kwargs):
-        measured.append(state.n_qubits)
-        return measure_qubit(state, *args, **kwargs)
+    def traced(step):
+        def call(*args, **kwargs):
+            handed.extend(a.n_qubits for a in args if isinstance(a, StateVector))
+            return step(*args, **kwargs)
+        return call
 
-    def traced_apply_pauli(state, *args):
-        applied.append((bool(inside), state.n_qubits))
-        return apply_pauli(state, *args)
-
-    monkeypatch.setattr(Run, "open_chain", traced_open_chain)
-    monkeypatch.setattr(states, "measure_qubit", traced_measure_qubit)
-    monkeypatch.setattr(states, "apply_pauli", traced_apply_pauli)
+    monkeypatch.setattr(StateVector, "__init__", counted_init)
+    for name in ("bsm", "apply_pauli", "measure_qubit", "extract_qubit"):
+        monkeypatch.setattr(states, name, traced(getattr(states, name)))
     for config in FORCED_CONFIGS:  # every protocol, sampled and over its forced cells
         run_from_config(replace(config, seed=7, mode="sample:1"))
         for cell in enumeration_cells(config):
@@ -124,9 +115,8 @@ def test_only_open_chain_hands_the_engine_the_five_wire_register(monkeypatch):
     # the skipped relay measurement leaves the moved qubit on the relay's wire
     run_strategy(RunConfig("qss", secret="q", mode="enumerate"), "charlie-skip-bsm")
 
-    assert set(moved) == {1} and set(measured) == {1}
-    assert {n for in_chain, n in applied if not in_chain} == {1}
-    assert {n for in_chain, n in applied if in_chain} == {5}
+    assert set(built) == {1}
+    assert handed == []
 
 
 # --- bit commitment -------------------------------------------------------------
@@ -363,7 +353,8 @@ def test_qss_single_share_is_rejected():
 
 
 def test_qss_receiver_share_alone_is_maximally_mixed():
-    from bellproto.states import StateVector, mixture_density, is_maximally_mixed
+    from bellproto.dense import is_maximally_mixed, mixture_density
+    from bellproto.states import StateVector
 
     probe = Rng(31).unit_qubit()
     for aa in ALL_PAIRS:

@@ -5,31 +5,33 @@ import pytest
 
 from bellproto.algebra import LABELS, TwoBits, pauli_matrix
 from bellproto.protocols import bc_run
-from bellproto.states import (
-    DensityMatrix,
-    MeasurementError,
-    Rng,
-    StateVector,
+from bellproto.dense import (
     apply_pauli,
     basis_state,
     bell_state,
     bsm,
     bsm_probabilities,
     chain_register,
-    equal_up_to_phase,
     extract_qubit,
-    fidelity,
-    infer_tau,
     is_maximally_mixed,
     make_register,
     measure_qubit,
     mixture_density,
     projector,
-    qubit,
     reduced_density,
-    trace_distance,
     wires_back,
     wires_first,
+)
+from bellproto.states import (
+    DensityMatrix,
+    MeasurementError,
+    Rng,
+    StateVector,
+    equal_up_to_phase,
+    fidelity,
+    infer_tau,
+    qubit,
+    trace_distance,
 )
 
 INV_SQRT2 = 1 / np.sqrt(2)
