@@ -272,15 +272,17 @@ def check_correction_identity() -> IdentityCheck:
 def check_correction_table() -> IdentityCheck:
     probe = qubit(0.48, complex(0.6, 0.64))
     worst = 0.0
-    for mu, nu, aa, cc in itertools.product(LABELS, repeat=4):
-        state = chain_register(mu, nu, probe)
-        _, state = bsm(state, (2, 3), force=cc)
-        _, state = bsm(state, (0, 1), force=aa)
-        moved = extract_qubit(state, 4)
-        tau = infer_tau(TwoBits.from_label(aa), TwoBits.from_label(cc), mu, nu)
-        expected = pauli_matrix(tau) @ probe.amplitudes
-        overlap = abs(np.vdot(expected, moved.amplitudes))
-        worst = max(worst, abs(1.0 - overlap))
+    for mu, nu in itertools.product(LABELS, repeat=2):
+        chain = chain_register(mu, nu, probe)
+        for cc in LABELS:  # one relay measurement serves every sender outcome
+            _, swapped = bsm(chain, (2, 3), force=cc)
+            for aa in LABELS:
+                _, state = bsm(swapped, (0, 1), force=aa)
+                moved = extract_qubit(state, 4)
+                tau = infer_tau(TwoBits.from_label(aa), TwoBits.from_label(cc), mu, nu)
+                expected = pauli_matrix(tau) @ probe.amplitudes
+                overlap = abs(np.vdot(expected, moved.amplitudes))
+                worst = max(worst, abs(1.0 - overlap))
     return IdentityCheck("correction-table", worst, TOL_EQ,
                          note="forced-outcome simulation matches the lookup "
                               "for all 256 label combinations")

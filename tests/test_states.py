@@ -62,6 +62,8 @@ def test_state_vector_divides_by_the_norm_and_copies_its_input():
             assert np.array_equal(state.amplitudes, expected)  # bit for bit
             raw[...] = 0.0
             assert np.array_equal(state.amplitudes, expected)  # no aliasing
+            with pytest.raises(ValueError):
+                state.amplitudes[0] = 0  # read-only
 
 
 def test_state_vector_rejects_unnormalised_and_bad_sizes():
