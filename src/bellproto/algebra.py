@@ -47,7 +47,7 @@ class TwoBits(NamedTuple):
     @classmethod
     def from_label(cls, label: int) -> "TwoBits":
         _check_label(label)
-        return _PAIRS[label]
+        return PAIRS[label]
 
     @classmethod
     def parse(cls, text: str) -> "TwoBits":
@@ -62,7 +62,7 @@ class TwoBits(NamedTuple):
         return f"{self.hi}{self.lo}"
 
 
-_PAIRS = tuple(TwoBits(label >> 1, label & 1) for label in LABELS)
+PAIRS = tuple(TwoBits(label >> 1, label & 1) for label in LABELS)  # indexed by label
 
 
 class SignedLabel(NamedTuple):

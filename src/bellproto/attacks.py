@@ -41,10 +41,9 @@ from typing import Iterable
 
 import numpy as np
 
-from .algebra import LABELS
+from .algebra import LABELS, PAIRS
 from .states import Rng, trace_distance
 from .protocols import (
-    _ALL_PAIRS,
     PROTOCOLS,
     CheatStrategy,
     ConfigError,
@@ -243,7 +242,7 @@ def _evaluate_capture(config: RunConfig, entry: CatalogEntry,
                       cheat: CheatStrategy) -> SecurityReport:
     """Average the cheater's captured qubit over the sender outcomes it
     cannot see, and measure its distance from the maximally mixed state."""
-    records = [run_cell(config, {"forced": (aa, None)}, cheat, None) for aa in _ALL_PAIRS]
+    records = [run_cell(config, {"forced": (aa, None)}, cheat, None) for aa in PAIRS]
     if any(cheat.target not in rec.held for rec in records):
         raise RuntimeError("capture strategy did not leave a captured qubit")
     views = _views(records, cheat.target, 1 / len(records))

@@ -48,7 +48,7 @@ from typing import Callable, Iterator, Mapping, Sequence
 import numpy as np
 
 from . import states
-from .algebra import LABELS, TwoBits, label_from_zx, x_bit
+from .algebra import LABELS, PAIRS, TwoBits, label_from_zx, x_bit
 from .states import BASIS, Frame, Rng, StateVector, fidelity, infer_tau, qubit
 from .transcript import RunConfig, Transcript
 
@@ -697,7 +697,6 @@ def mpsc_run(alice_input: TwoBits, bob_input: TwoBits, public_bit: int,
 
 # --- protocol specs: one description per protocol ------------------------------
 
-_ALL_PAIRS = tuple(TwoBits.from_label(lab) for lab in LABELS)
 _TWO_PARTY = {"A": "alice", "B": "bob", "C": "bob"}
 _THREE_PARTY = {"A": "alice", "B": "bob", "C": "charlie"}
 _QSS_PROBE = qubit(0.6, 0.8j)  # the forced cells' secret for ``q``
@@ -785,8 +784,8 @@ class ProtocolSpec:
         qds forces the same pair on every chain.
         """
         fixed = None if self.k_from_secret else kwargs["forced"]
-        ccs = _ALL_PAIRS if fixed is None or fixed[1] is None else (fixed[1],)
-        for aa, cc in itertools.product(_ALL_PAIRS, ccs):
+        ccs = PAIRS if fixed is None or fixed[1] is None else (fixed[1],)
+        for aa, cc in itertools.product(PAIRS, ccs):
             forced = [(aa, cc)] * len(kwargs["message"]) if self.k_from_secret else (aa, cc)
             for masks in itertools.product((0, 1), repeat=self.masks):
                 yield {"forced": forced, "masks": masks} if masks else {"forced": forced}

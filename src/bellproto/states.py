@@ -113,12 +113,10 @@ class StateVector:
         n = amps.size.bit_length() - 1
         if amps.size < 2 or amps.size != 1 << n:
             raise ValueError(f"amplitude count must be a power of two >= 2, got {amps.size}")
-        re, im = amps.real, amps.imag
-        norm = math.sqrt(re.dot(re) + im.dot(im))  # np.linalg.norm's formula
+        norm = float(np.linalg.norm(amps))
         if not abs(norm - 1.0) <= 1e-9:  # also rejects nan amplitudes
             raise ValueError(f"state is not normalised (norm {norm})")
-        if norm != 1.0:  # dividing by exactly 1 changes no bit
-            amps /= norm
+        amps /= norm
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
 

@@ -33,15 +33,19 @@ def test_child_imports_the_package_under_test(tmp_path):
 
 
 def test_bare_import_leaves_identities_unloaded(tmp_path):
-    # nor does the cli: only its identities command needs the suite
+    # the package loads no submodule and no numpy; the cli loads neither the
+    # identity suite (only its identities command needs it) nor the dense oracle
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import sys, bellproto; print('bellproto.identities' in sys.modules); "
-         "import bellproto.cli; print('bellproto.identities' in sys.modules)"],
+         "import sys, bellproto; "
+         "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'numpy' "
+         "or m.startswith('bellproto.'))); "
+         "import bellproto.cli; "
+         "print(sorted({'bellproto.identities', 'bellproto.dense'} & set(sys.modules)))"],
         capture_output=True, text=True, cwd=tmp_path, env=child_env(),
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False", "False"]
+    assert proc.stdout.splitlines() == ["[]", "[]"]
 
 
 def test_identities_pass(tmp_path):
