@@ -35,6 +35,7 @@ together opens the other bit in every cell.  bc does not bind.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -226,7 +227,7 @@ def run_strategy(config: RunConfig, name: str,
         rec = run_cell(config, {}, cheat, rng.derive(t))
         rejected += 0 if rec.verdict.accepted else 1
     p = rejected / trials
-    half_width = 3.0 * np.sqrt(max(p * (1 - p), 1e-12) / trials)
+    half_width = 3.0 * math.sqrt(max(p * (1 - p), 1e-12) / trials)
     return SecurityReport(
         strategy=name, protocol=config.protocol, mode=f"sample:{trials}",
         cells=trials, rejected=rejected, estimate=p, interval=half_width,

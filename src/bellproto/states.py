@@ -19,17 +19,20 @@ the frame replaced is kept as the reference oracle in
 :mod:`bellproto.dense`.
 
 This module also holds what both engines share: the seeded streams
-(:class:`Rng`), one-qubit :class:`StateVector` helpers, the correction
-lookup and the trace distance of density matrices.  Tolerances are fixed
-package-wide: state equality and trace checks at 1e-12,
+(:class:`Rng`: numpy's SeedSequence and PCG64 redone in Python bit for
+bit, so no numpy version can change a draw but the Gaussians of
+:meth:`Rng.unit_qubit`), one-qubit :class:`StateVector` helpers, the
+correction lookup and the trace distance of density matrices.  Tolerances
+are fixed package-wide: state equality and trace checks at 1e-12,
 positive-semidefiniteness slack at 1e-10.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property
+from itertools import accumulate
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -46,57 +49,232 @@ class MeasurementError(ValueError):
     has (numerically) zero probability."""
 
 
-class Rng:
-    """Deterministic random stream: PCG64 keyed by a 64-bit seed.
+# --- seeded streams -----------------------------------------------------------
+# numpy's SeedSequence (a pool of four 32-bit words) and PCG64 (128-bit LCG,
+# XSL-RR output), with their constants
+_M32 = 0xFFFFFFFF
+_M64 = (1 << 64) - 1
+_M128 = (1 << 128) - 1
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_DOUBLE_UNIT = 2.0**-53
 
-    Identical seeds give identical draw sequences on every platform.
+
+def _words(n: int) -> list[int]:
+    """``n`` as little-endian 32-bit words, at least one."""
+    words = [n & _M32]
+    while n > _M32:
+        n >>= 32
+        words.append(n & _M32)
+    return words
+
+
+def _mix_word(pool: tuple[int, ...], h: int, word: int) -> tuple[tuple[int, ...], int]:
+    """SeedSequence's step for an entropy word past the pool: the word is
+    hashed once per pool word (``hashmix``, which advances the hash
+    constant ``h``) and mixed into it (``mix``)."""
+    out = []
+    for dst in pool:
+        value = word ^ h
+        h = h * _MULT_A & _M32
+        value = value * h & _M32
+        value ^= value >> 16
+        r = (_MIX_L * dst - _MIX_R * value) & _M32
+        out.append(r ^ r >> 16)
+    return tuple(out), h
+
+
+def _mix_entropy(words: list[int]) -> tuple[tuple[int, ...], int]:
+    """SeedSequence's pool and hash constant after the run entropy ``words``:
+    the first four are hashed into the pool (a shorter entropy as if
+    zero-padded), every pool word is mixed into every other, and any
+    further word takes :func:`_mix_word`."""
+    h = _INIT_A
+    pool = []
+    for i in range(4):
+        value = (words[i] if i < len(words) else 0) ^ h
+        h = h * _MULT_A & _M32
+        value = value * h & _M32
+        pool.append(value ^ value >> 16)
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                value = pool[src] ^ h
+                h = h * _MULT_A & _M32
+                value = value * h & _M32
+                value ^= value >> 16
+                r = (_MIX_L * pool[dst] - _MIX_R * value) & _M32
+                pool[dst] = r ^ r >> 16
+    pool = tuple(pool)
+    for word in words[4:]:
+        pool, h = _mix_word(pool, h, word)
+    return pool, h
+
+
+def _pcg64_seed(pool: tuple[int, ...]) -> tuple[int, int]:
+    """PCG64's (state, inc) from the pool: ``generate_state(4, uint64)``
+    read as the 128-bit seed and sequence."""
+    h = _INIT_B
+    half = []
+    for word in pool + pool:
+        value = word ^ h
+        h = h * _MULT_B & _M32
+        value = value * h & _M32
+        half.append(value ^ value >> 16)
+    # the 32-bit words are little-endian halves of 64-bit words, high word first
+    seed = half[1] << 96 | half[0] << 64 | half[3] << 32 | half[2]
+    inc = (half[5] << 97 | half[4] << 65 | half[7] << 33 | half[6] << 1 | 1) & _M128
+    state = (inc + seed) & _M128  # one step from 0 is inc
+    return (state * _PCG_MULT + inc) & _M128, inc
+
+
+def _np_sum(p: list[float]) -> float:
+    """numpy's float64 ``sum``, bit for bit: a left fold below 8 terms,
+    eight running lanes up to 128, and halves cut at multiples of 8 above."""
+    n = len(p)
+    if n < 8:
+        total = 0.0
+        for w in p:
+            total += w
+        return total
+    if n <= 128:
+        lanes = p[:8]
+        cut = n - n % 8
+        for i in range(8, cut, 8):
+            for j in range(8):
+                lanes[j] += p[i + j]
+        total = ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3])) + (
+            (lanes[4] + lanes[5]) + (lanes[6] + lanes[7]))
+        for w in p[cut:]:
+            total += w
+        return total
+    half = n // 2
+    half -= half % 8
+    return _np_sum(p[:half]) + _np_sum(p[half:])
+
+
+class Rng:
+    """Deterministic random stream keyed by a seed and a spawn key.
+
+    The draws are this module's own code, bit for bit those of
+    ``numpy.random.Generator(PCG64(SeedSequence(seed, spawn_key)))``: the
+    seed sequence's hash and mix (numpy's design), PCG64 with XSL-RR output
+    (O'Neill 2014), ``random()`` as the top 53 bits of a 64-bit word,
+    ``integers(0, 2)`` as numpy's buffered 32-bit Lemire draw (Lemire
+    2019), and ``choice(len(p), p=p)`` as one uniform located in the
+    normalised cumulative distribution.  So identical seeds give identical
+    draws on every platform and under every numpy version.  The one draw
+    left to numpy is :meth:`unit_qubit`'s Gaussian pair, made by handing
+    the stream's state to a ``numpy.random.PCG64`` and taking it back.
+
     Derived streams (:meth:`derive`) are independent and reproducible,
-    keyed by (seed, index); concurrent trials should each own one.  The
-    generator is built at the first draw, so a stream that is derived but
-    never drawn from costs no generator.
+    keyed by (seed, index); concurrent trials should each own one.  A
+    stream is seeded at its first draw, so a stream that is derived but
+    never drawn from costs no seeding.  The seed is mixed once, on the
+    stream it was given to; each stream derived from it continues that
+    mixed pool with its own index only.
     """
+
+    __slots__ = ("seed", "_spawn_key", "_parent", "_pool", "_state", "_inc",
+                 "_has32", "_u32", "__weakref__")
 
     def __init__(self, seed: int, _spawn_key: tuple[int, ...] = ()):
         self.seed = int(seed)
         self._spawn_key = _spawn_key
         if self.seed < 0 or any(key < 0 for key in _spawn_key):
             raise ValueError("expected non-negative integer")
-
-    @cached_property
-    def _gen(self) -> np.random.Generator:
-        seq = np.random.SeedSequence(entropy=self.seed, spawn_key=self._spawn_key)
-        return np.random.Generator(np.random.PCG64(seq))
+        self._parent: Rng | None = None
+        self._pool: tuple[tuple[int, ...], int] | None = None
+        self._state: int | None = None
+        self._has32 = False  # numpy's half-word buffer for 32-bit draws
+        self._u32 = 0
 
     def derive(self, index: int) -> "Rng":
-        return Rng(self.seed, self._spawn_key + (int(index),))
+        child = Rng(self.seed, self._spawn_key + (int(index),))
+        child._parent = self
+        return child
+
+    def _mixed(self) -> tuple[tuple[int, ...], int]:
+        """The seed sequence's pool and hash constant after this stream's
+        entropy: the seed, then each spawn-key word."""
+        if self._pool is None:
+            if self._parent is None:
+                pool, h = _mix_entropy(_words(self.seed))
+                key = self._spawn_key
+            else:
+                pool, h = self._parent._mixed()
+                key = self._spawn_key[-1:]
+                self._parent = None
+            for index in key:
+                for word in _words(index):
+                    pool, h = _mix_word(pool, h, word)
+            self._pool = pool, h
+        return self._pool
+
+    def _seed(self) -> None:
+        self._state, self._inc = _pcg64_seed(self._mixed()[0])
+
+    def _next64(self) -> int:
+        if self._state is None:
+            self._seed()
+        s = self._state = (self._state * _PCG_MULT + self._inc) & _M128
+        x = ((s >> 64) ^ s) & _M64
+        rot = s >> 122
+        return ((x >> rot) | (x << (64 - rot))) & _M64
 
     def choose(self, probabilities: Sequence[float]) -> int:
         """Sample an index from an explicit distribution.
 
-        Reproduces ``Generator.choice(len(p), p=p)`` draw for draw: one
-        uniform draw located in the normalised cumulative distribution.
+        Reproduces ``Generator.choice(len(p), p=p)`` draw for draw, with
+        the float operations numpy does, in its order.
         """
-        p = np.asarray(probabilities, dtype=float)
-        with np.errstate(over="ignore"):
-            total = p.sum()
-        if total == math.inf and p.max() < math.inf:
+        try:
+            p = list(map(float, probabilities))
+        except (TypeError, ValueError):
+            p = [math.nan]  # not a flat sequence of numbers: rejected below
+        total = _np_sum(p)
+        if total == math.inf and (top := max(p)) < math.inf:
             # finite weights whose sum overflows: scale them down first
-            p = p / p.max()
-            total = p.sum()
-        # checked before dividing: nan fails >= 0; inf and empty or all-zero
-        # input fail the bounds on the sum
-        if p.ndim != 1 or not (p >= 0).all() or not 0 < total < math.inf:
+            p = [w / top for w in p]
+            total = _np_sum(p)
+        # a nan or an inf weight, and empty or all-zero input, fail the
+        # bounds on the sum
+        if not 0 < total < math.inf or min(p) < 0:
             raise ValueError(f"not a probability distribution: {probabilities!r}")
-        p = p / total
-        cdf = p.cumsum()
-        cdf /= cdf[-1]
-        return int(cdf.searchsorted(self._gen.random(), side="right"))
+        cdf = list(accumulate([w / total for w in p]))
+        last = cdf[-1]
+        u = (self._next64() >> 11) * _DOUBLE_UNIT  # numpy's random()
+        return bisect_right([c / last for c in cdf], u)
 
     def bit(self) -> int:
-        return int(self._gen.integers(0, 2))
+        """numpy's ``integers(0, 2)``: a 32-bit Lemire draw whose rejection
+        threshold is 0 for this range, so the top bit of the next 32-bit
+        word.  A 64-bit word gives its low half and keeps its high half for
+        the next 32-bit draw."""
+        if self._has32:
+            self._has32 = False
+            return self._u32 >> 31
+        x = self._next64()
+        self._has32 = True
+        self._u32 = x >> 32
+        return (x >> 31) & 1
 
     def unit_qubit(self) -> "StateVector":
-        raw = self._gen.normal(size=2) + 1j * self._gen.normal(size=2)
+        """A random qubit: two complex Gaussians (numpy's ``normal``, drawn
+        from this stream's state), normalised."""
+        if self._state is None:
+            self._seed()
+        bits = np.random.PCG64(0)
+        bits.state = {"bit_generator": "PCG64",
+                      "state": {"state": self._state, "inc": self._inc},
+                      "has_uint32": int(self._has32), "uinteger": self._u32}
+        gen = np.random.Generator(bits)
+        raw = gen.normal(size=2) + 1j * gen.normal(size=2)
+        after = bits.state
+        self._state = after["state"]["state"]
+        self._has32, self._u32 = bool(after["has_uint32"]), after["uinteger"]
         return StateVector(raw / np.linalg.norm(raw))
 
 

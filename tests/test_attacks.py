@@ -97,6 +97,7 @@ def test_sampled_mode_agrees_with_enumeration_at_three_sigma():
     sampled = run_strategy(config_for("ct"), "fixed-qubit", mode="sample",
                            trials=10_000, seed=31337)
     assert abs(sampled.estimate - float(exact.detection)) <= sampled.interval
+    assert type(sampled.interval) is float  # so the report's repr shows no np.float64
 
 
 def test_expected_bounds_gate():

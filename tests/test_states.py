@@ -1,10 +1,12 @@
+import copy
 import itertools
 
 import numpy as np
 import pytest
 
+from bellproto import states
 from bellproto.algebra import LABELS, TwoBits, pauli_matrix
-from bellproto.protocols import bc_run
+from bellproto.protocols import bc_run, run_from_config
 from bellproto.dense import (
     apply_pauli,
     basis_state,
@@ -33,6 +35,8 @@ from bellproto.states import (
     qubit,
     trace_distance,
 )
+
+from test_golden import _sampled
 
 INV_SQRT2 = 1 / np.sqrt(2)
 
@@ -472,14 +476,86 @@ def test_rng_rejects_negative_seed_at_construction():
 
 
 def test_forced_cell_builds_no_generator(monkeypatch):
-    # a fully forced bc cell draws nothing: its base and Born streams stay unbuilt
-    built = []
-    real = np.random.Generator
-    monkeypatch.setattr(np.random, "Generator", lambda bits: built.append(bits) or real(bits))
+    # a fully forced bc cell draws nothing: its base and Born streams are
+    # neither mixed nor seeded
+    mixed, seeded = [], []
+    mix, seed = states._mix_entropy, states._pcg64_seed
+    monkeypatch.setattr(states, "_mix_entropy", lambda words: mixed.append(words) or mix(words))
+    monkeypatch.setattr(states, "_pcg64_seed", lambda pool: seeded.append(pool) or seed(pool))
     bc_run(1, None, forced=(TwoBits(0, 1), TwoBits(1, 0)))
-    assert built == []
+    assert (mixed, seeded) == ([], [])
     Rng(3).bit()
-    assert len(built) == 1
+    assert (len(mixed), len(seeded)) == (1, 1)
+
+
+def test_derived_streams_mix_their_seed_once(monkeypatch):
+    mixed = []
+    mix = states._mix_entropy
+    monkeypatch.setattr(states, "_mix_entropy", lambda words: mixed.append(words) or mix(words))
+    base = Rng(2**40 + 7)
+    draws = [base.derive(i).bit() for i in (0, 1, 2, 9)] + [base.derive(3).derive(4).bit()]
+    assert mixed == [[7, 2**8]]
+    assert draws == [Rng(2**40 + 7, key).bit() for key in [(0,), (1,), (2,), (9,), (3, 4)]]
+
+
+@pytest.mark.parametrize("protocol,extra", [
+    ("bc", {}), ("ct", {}), ("ot", {}), ("tpsc", {}), ("mpsc", {}),
+    ("qss", {"secret": "0"}), ("qss", {"secret": "1"}), ("qds", {"k": 3})])
+def test_sampled_runs_draw_without_numpys_generators(monkeypatch, protocol, extra):
+    configs = [_sampled(protocol, s, **extra) for s in range(6)]
+    texts = [run_from_config(config).transcript.to_text() for config in configs]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a sampled run reached numpy's random streams")
+
+    for name in ("SeedSequence", "PCG64", "Generator"):
+        monkeypatch.setattr(np.random, name, refuse)
+    assert [run_from_config(config).transcript.to_text() for config in configs] == texts
+
+
+# first two 64-bit words, 16 bit() draws and 12 choose([0.1, 0.2, 0.3, 0.4])
+# draws of fresh streams, as numpy's Generator(PCG64(SeedSequence)) gives them
+KNOWN_ANSWERS = {
+    (0, ()): (0xa30febcfd9c2825f, 0x4510bdf882d9d721, "1110000001111111", "310033332330"),
+    (0, (0,)): (0xf1645affcd5f76ee, 0x50fb78bc01675596, "1100110010111001", "323123031330"),
+    (0, (7, 2**33)): (0x2b43369fea837337, 0xb92ed2c486910250, "1011001110111011", "132313033221"),
+    (0, (1, 5)): (0x31777122e50ae03d, 0x1c8f2a8ef5d062c2, "1010110000010010", "112212123202"),
+    (1, ()): (0x8306bdf37922e4ff, 0xf35196bbc152a866, "0111001100100100", "231322322032"),
+    (1, (0,)): (0xb2f3ed9803ef4f3e, 0x2ca140b2d41c3833, "0110111000011001", "313203132221"),
+    (1, (7, 2**33)): (0xf895a1522f3e7048, 0x18662b444c448584, "0100001010011101", "301023230320"),
+    (1, (1, 5)): (0x8446f2d8d40621a9, 0xee22d526f6978b6, "1100101111100110", "201332323111"),
+    (2**63 - 1, ()): (0x2ceb59116fb27514, 0x784d3e7d390dc57c, "0000110000111101", "123223233111"),
+    (2**63 - 1, (0,)): (0x5747ae15c0dcd25b, 0x630d6e16ff096b49, "1010100010011101", "221123223233"),
+    (2**63 - 1, (7, 2**33)): (0xc5c12fb9212e3655, 0xa77be90992b117eb, "0111010100010010",
+                              "333313002032"),
+    (2**63 - 1, (1, 5)): (0xb73a1790908f69c7, 0x6870c1eb19796cf, "1110011010001001", "303122121013"),
+    (2**64 + 3, ()): (0xb9718985472cf21f, 0x690d850093593a7a, "0110110011100100", "322222311322"),
+    (2**64 + 3, (0,)): (0xbf9584f40cc87998, 0xc061d21b94a9e55f, "0111111110111110", "333313300200"),
+    (2**64 + 3, (7, 2**33)): (0xd781ed4258e2f280, 0xc42fcd46d1aa3210, "0111011000111011",
+                              "333113023223"),
+    (2**64 + 3, (1, 5)): (0xc5ed28b6d73f882e, 0x5b46d50613429c1b, "1100110001111111", "323033321203"),
+    (2**130 + 5, ()): (0x2a2abb24710ae8c4, 0x302cabf552cf79f0, "0000101010010100", "111113302233"),
+    (2**130 + 5, (0,)): (0xc5c8856a62f32c41, 0xe29a833f4500d7c7, "0101011101110000", "333333123233"),
+    (2**130 + 5, (7, 2**33)): (0x40a3c332d6dbc67b, 0x127b816b8ed42a35, "1010001011110010",
+                               "100123113321"),
+    (2**130 + 5, (1, 5)): (0xdb39a09d1d40061d, 0x434ad3afe6391bfc, "0110111000010110", "313223323223"),
+}
+
+
+@pytest.mark.parametrize("seed,key", list(KNOWN_ANSWERS),
+                         ids=[f"{s:#x}-{'.'.join(map(str, k)) or 'root'}" for s, k in KNOWN_ANSWERS])
+def test_streams_give_the_known_answers(seed, key):
+    *words, bits, indices = KNOWN_ANSWERS[seed, key]
+
+    def fresh():  # the (1, 5) streams are derived twice over
+        return Rng(seed).derive(1).derive(5) if key == (1, 5) else Rng(seed, key)
+
+    rng = fresh()
+    assert [rng._next64(), rng._next64()] == words
+    rng = fresh()
+    assert "".join(str(rng.bit()) for _ in range(16)) == bits
+    rng = fresh()
+    assert "".join(str(rng.choose([0.1, 0.2, 0.3, 0.4])) for _ in range(12)) == indices
 
 
 def _choice_distributions(seed, count):
@@ -501,22 +577,69 @@ def _choice_distributions(seed, count):
             yield list(p)
 
 
+def _eager(seed, key=()):
+    return np.random.Generator(np.random.PCG64(
+        np.random.SeedSequence(entropy=seed, spawn_key=key)))
+
+
+def _eager_choice(gen, dist):
+    p = np.asarray(dist, dtype=float) / np.sum(dist)
+    return int(gen.choice(len(p), p=p))
+
+
+def _cut_point_distribution(u, n, cut):
+    """``n`` weights on the 2**-53 grid, where ``u`` is too, summing to 1:
+    every sum numpy takes of them is exact, and the cumulative sum has
+    entry ``cut`` (below n - 1) at ``u``."""
+    units = round(u * 2.0**53)
+    head = [units // (cut + 1)] * cut
+    head.append(units - sum(head))
+    tail = [(2**53 - units) // (n - cut - 1)] * (n - cut - 2)
+    tail.append(2**53 - units - sum(tail))
+    return [w * 2.0**-53 for w in head + tail]
+
+
 @pytest.mark.parametrize("seed", [0, 5, 2**40 + 7])
 def test_lazy_stream_draws_equal_an_eager_generator(seed):
     probs = [0.1, 0.2, 0.3, 0.4]
     for key in [(), (0,), (9,), (5, 3)]:
-        eager = np.random.Generator(np.random.PCG64(
-            np.random.SeedSequence(entropy=seed, spawn_key=key)))
+        eager = _eager(seed, key)
         rng = Rng(seed, key)
         for dist in _choice_distributions(seed, 300):  # the direct draw is choice's
-            p = np.asarray(dist) / np.sum(dist)
-            assert rng.choose(dist) == int(eager.choice(len(p), p=p))
-        for _ in range(3):
-            assert rng.choose(probs) == int(eager.choice(4, p=np.asarray(probs) / sum(probs)))
-            assert rng.bit() == int(eager.integers(0, 2))
-            raw = eager.normal(size=2) + 1j * eager.normal(size=2)
-            assert np.array_equal(rng.unit_qubit().amplitudes,
-                                  StateVector(raw / np.linalg.norm(raw)).amplitudes)
+            assert rng.choose(dist) == _eager_choice(eager, dist)
+        # bit() keeps half of a 64-bit word and unit_qubit() hands the state
+        # to numpy and back, so odd runs of bits meet every other draw
+        for op in "cbqbbcbbbqcbqqbbbbbcb":
+            if op == "c":
+                assert rng.choose(probs) == _eager_choice(eager, probs)
+            elif op == "b":
+                assert rng.bit() == int(eager.integers(0, 2))
+            else:
+                raw = eager.normal(size=2) + 1j * eager.normal(size=2)
+                assert np.array_equal(rng.unit_qubit().amplitudes,
+                                      StateVector(raw / np.linalg.norm(raw)).amplitudes)
+
+
+@pytest.mark.parametrize("seed", [1, 2**64 + 3])
+def test_choose_of_every_length_matches_choice(seed):
+    # numpy sums by a left fold below 8 terms and pairwise from 8, and
+    # draws located on a cut point of the cumulative sum test bisect_right
+    gen = np.random.default_rng(seed)
+    eager, rng = _eager(seed), Rng(seed)
+    for n in range(1, 301):
+        dist = list(gen.random(n) ** 3)
+        assert states._np_sum(dist) == np.sum(dist)
+        assert rng.choose(dist) == _eager_choice(eager, dist)
+        for cut in sorted({0, n // 2, n - 2} & set(range(n - 1))):
+            u = copy.deepcopy(eager).random()  # the draw the next choose makes
+            dist = _cut_point_distribution(u, n, cut)
+            assert np.cumsum(dist)[cut] == u
+            assert rng.choose(dist) == _eager_choice(eager, dist) == cut + 1
+    # a compensated sum (Python 3.12's sum(), math.fsum) gives 1 + 2**-52 here
+    dist = [1.0, 1e-16, 1e-16]
+    assert states._np_sum(dist) == np.sum(dist) == 1.0
+    for s in range(20):
+        assert Rng(s).choose(dist) == _eager_choice(_eager(s), dist)
 
 
 def test_measure_qubit_forced_and_deterministic():
