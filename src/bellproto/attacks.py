@@ -191,14 +191,18 @@ def run_strategy(config: RunConfig, name: str,
     variant and reports the exact detection fraction (or, for capture
     strategies, the trace distance of the captured average state from the
     maximally mixed state).  ``sample`` Monte-Carlo estimates the same
-    detection probability with a seeded generator; a capture strategy has
-    no sampled form and raises :class:`ConfigError` there.
+    detection probability with a seeded generator over ``trials`` runs; a
+    capture strategy has no sampled form and raises :class:`ConfigError`
+    there.  ``trials`` below 1 raises :class:`ConfigError` in either mode,
+    because the CLI passes ``--samples`` in both.
     """
     key = (config.protocol, name)
     if key not in CATALOG:
         raise KeyError(f"no strategy {name!r} for protocol {config.protocol!r}")
     if mode not in ("enumerate", "sample"):
         raise ValueError(f"mode must be enumerate or sample, got {mode!r}")
+    if trials < 1:
+        raise ConfigError(f"trials (--samples) must be >= 1, got {trials}")
     entry = CATALOG[key]
     variants = list(entry.variants(config))
 

@@ -10,11 +10,12 @@ Subcommands and their exit codes form the regression surface:
 plus 2 for configuration/usage errors and 4 for I/O problems, each with one
 ``error:`` line on stderr.  Exit 2 covers an unknown protocol, strategy or
 fault, a malformed ``--secret`` (including ``q:`` amplitudes that are not
-four numbers or not normalised) or ``--inputs``, a channel label outside
-0..3, a value the protocol never reads (``--inputs`` for bc/ct/qss/qds, a
-non-zero ``--mu``/``--nu`` for ct/ot), a negative ``--seed``, ``--samples``
-below 1, ``attack --mode sample`` without ``--seed`` and ``attack --mode
-sample`` for the capture strategy, which runs enumerated only.  Exit 4
+four numbers, not normalised or hold whitespace) or ``--inputs``, a
+channel label outside 0..3, a value the protocol never reads (``--inputs``
+for bc/ct/qss/qds, a non-zero ``--mu``/``--nu`` for ct/ot), a negative
+``--seed``, ``--samples`` below 1, ``attack --mode sample`` without
+``--seed`` and ``attack --mode sample`` for the capture strategy, which
+runs enumerated only.  Exit 4
 covers a file that cannot be read or written (any ``--out``) and a
 transcript that is not UTF-8, does not parse, has a configuration no
 protocol accepts or names a strategy (its config records the cheater's
@@ -122,8 +123,6 @@ def cmd_attack(args) -> int:
         known = ", ".join(strategies_for(args.protocol)) or "none"
         raise ConfigError(f"unknown strategy {args.strategy!r} for {args.protocol!r} "
                           f"(known: {known})")
-    if args.samples < 1:
-        raise ConfigError("--samples must be >= 1")
     if args.seed is None:
         if args.mode == "sample":
             raise ConfigError("--mode sample needs an explicit --seed")

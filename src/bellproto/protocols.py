@@ -272,9 +272,7 @@ class Run:
         return self.record(self.verdict(party, verdict))
 
 
-def _endpoints(frm: str, to: str) -> tuple[str, ...]:
-    if frm == to:
-        return (frm,)
+def _endpoints(frm: str, to: str) -> tuple[str, str]:
     return (frm, to) if frm < to else (to, frm)
 
 
@@ -936,6 +934,10 @@ def _encode_qubit(state: StateVector) -> str:
 
 
 def _decode_qubit(text: str) -> StateVector:
+    # float() strips whitespace, but a line break in the secret would split
+    # the transcript's config line
+    if any(c.isspace() for c in text):
+        raise ValueError(f"whitespace in qubit encoding {text!r}")
     parts = [float(p) for p in text[2:].split(",")]
     if len(parts) != 4:
         raise ValueError(f"bad qubit encoding {text!r}")

@@ -11,12 +11,13 @@ the Bell pairs it has still to cross.  This is Pauli-frame simulation
 (Aaronson & Gottesman 2004; Knill 2005) specialised to one chain.
 
 The frame's steps keep the names of the operations they stand for, so a
-counter on them counts the same work: :func:`bsm` (a Bell measurement),
-:func:`apply_pauli`, :func:`measure_qubit` (a Z measurement) and
-:func:`extract_qubit` (a freed wire).  Amplitudes are built only where
-something reads them (:meth:`Frame.state`).  The dense state-vector engine
-the frame replaced is kept as the reference oracle in
-:mod:`bellproto.dense`.
+counter on them counts the same work: :func:`bsm` (a Bell measurement,
+forced to a pair or drawn over four exact quarters), :func:`apply_pauli`,
+:func:`measure_qubit` (a Z measurement, certain or a Born draw, never
+forced) and :func:`extract_qubit` (a freed wire).  Amplitudes are built
+only where something reads them (:meth:`Frame.state`).  The dense
+state-vector engine the frame replaced, with its general forcing, is the
+reference oracle in :mod:`bellproto.dense`.
 
 This module also holds what both engines share: the seeded streams
 (:class:`Rng`: numpy's SeedSequence and PCG64 redone in Python bit for
@@ -37,7 +38,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .algebra import LABELS, TwoBits, pauli_matrix
+from .algebra import LABELS, PAIRS, TwoBits, pauli_matrix
 
 TOL_EQ = 1e-12
 TOL_PSD = 1e-10
@@ -130,31 +131,6 @@ def _pcg64_seed(pool: tuple[int, ...]) -> tuple[int, int]:
     return (state * _PCG_MULT + inc) & _M128, inc
 
 
-def _np_sum(p: list[float]) -> float:
-    """numpy's float64 ``sum``, bit for bit: a left fold below 8 terms,
-    eight running lanes up to 128, and halves cut at multiples of 8 above."""
-    n = len(p)
-    if n < 8:
-        total = 0.0
-        for w in p:
-            total += w
-        return total
-    if n <= 128:
-        lanes = p[:8]
-        cut = n - n % 8
-        for i in range(8, cut, 8):
-            for j in range(8):
-                lanes[j] += p[i + j]
-        total = ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3])) + (
-            (lanes[4] + lanes[5]) + (lanes[6] + lanes[7]))
-        for w in p[cut:]:
-            total += w
-        return total
-    half = n // 2
-    half -= half % 8
-    return _np_sum(p[:half]) + _np_sum(p[half:])
-
-
 class Rng:
     """Deterministic random stream keyed by a seed and a spawn key.
 
@@ -163,11 +139,12 @@ class Rng:
     seed sequence's hash and mix (numpy's design), PCG64 with XSL-RR output
     (O'Neill 2014), ``random()`` as the top 53 bits of a 64-bit word,
     ``integers(0, 2)`` as numpy's buffered 32-bit Lemire draw (Lemire
-    2019), and ``choice(len(p), p=p)`` as one uniform located in the
-    normalised cumulative distribution.  So identical seeds give identical
-    draws on every platform and under every numpy version.  The one draw
-    left to numpy is :meth:`unit_qubit`'s Gaussian pair, made by handing
-    the stream's state to a ``numpy.random.PCG64`` and taking it back.
+    2019), and ``choice(len(p), p=p)`` for up to seven outcomes as one
+    uniform located in the normalised cumulative distribution.  So
+    identical seeds give identical draws on every platform and under every
+    numpy version.  The one draw left to numpy is :meth:`unit_qubit`'s
+    Gaussian pair, made by handing the stream's state to a
+    ``numpy.random.PCG64`` and taking it back.
 
     Derived streams (:meth:`derive`) are independent and reproducible,
     keyed by (seed, index); concurrent trials should each own one.  A
@@ -225,23 +202,21 @@ class Rng:
         return ((x >> rot) | (x << (64 - rot))) & _M64
 
     def choose(self, probabilities: Sequence[float]) -> int:
-        """Sample an index from an explicit distribution.
-
-        Reproduces ``Generator.choice(len(p), p=p)`` draw for draw, with
-        the float operations numpy does, in its order.
-        """
+        """Sample an index from an explicit distribution of at most seven
+        outcomes, as ``Generator.choice(len(p), p=p)`` draws it, with
+        numpy's float operations in its order.  numpy sums fewer than eight
+        terms by a left fold and more pairwise, so eight or more weights
+        are rejected like any other non-distribution."""
         try:
             p = list(map(float, probabilities))
         except (TypeError, ValueError):
             p = [math.nan]  # not a flat sequence of numbers: rejected below
-        total = _np_sum(p)
-        if total == math.inf and (top := max(p)) < math.inf:
-            # finite weights whose sum overflows: scale them down first
-            p = [w / top for w in p]
-            total = _np_sum(p)
-        # a nan or an inf weight, and empty or all-zero input, fail the
-        # bounds on the sum
-        if not 0 < total < math.inf or min(p) < 0:
+        total = 0.0
+        for w in p:
+            total += w
+        # a nan or an inf weight, a sum that overflows, empty or all-zero
+        # input and eight or more weights are not a distribution here
+        if not 0 < total < math.inf or min(p) < 0 or len(p) > 7:
             raise ValueError(f"not a probability distribution: {probabilities!r}")
         cdf = list(accumulate([w / total for w in p]))
         last = cdf[-1]
@@ -369,27 +344,16 @@ class Frame(NamedTuple):
 _COLLAPSED = (Frame(BASIS[0], 0), Frame(BASIS[1], 0))
 
 
-def bsm(frame: Frame, rng: Rng | None = None,
-        force: int | TwoBits | None = None) -> tuple[TwoBits, Frame]:
+def bsm(frame: Frame, rng: Rng, force: TwoBits | None = None) -> tuple[TwoBits, Frame]:
     """Bell measurement of the next pair on the payload's way.
 
-    The outcome is ``force`` or a draw from ``rng`` over four exact
-    quarters; forcing a value that is not an outcome raises
-    :class:`MeasurementError`.  The frame absorbs the outcome and has one
+    The outcome is the forced pair ``force``, else one draw from ``rng``
+    over four exact quarters.  The frame absorbs the outcome and has one
     pair fewer to cross.
     """
     if not frame.pairs:
         raise ValueError("no Bell pair is left to measure")
-    if isinstance(force, TwoBits):
-        outcome = force
-    elif force is not None:
-        if int(force) not in LABELS:
-            raise MeasurementError(f"outcome {force} is not an outcome of this measurement")
-        outcome = TwoBits.from_label(int(force))
-    elif rng is None:
-        raise ValueError("either rng or force is required")
-    else:
-        outcome = TwoBits.from_label(rng.choose(_QUARTERS))
+    outcome = PAIRS[rng.choose(_QUARTERS)] if force is None else force
     return outcome, Frame(frame.payload, frame.label ^ outcome.label, frame.pairs - 1)
 
 
@@ -408,29 +372,20 @@ def extract_qubit(frame: Frame) -> Frame:
     return frame
 
 
-def measure_qubit(frame: Frame, rng: Rng | None = None,
-                  force: int | None = None) -> tuple[int, Frame]:
+def measure_qubit(frame: Frame, rng: Rng) -> tuple[int, Frame]:
     """Z measurement of the carried qubit.
 
     Bit b has probability |payload[b ^ x]|^2, with x the label's X bit.
-    The outcome is ``force`` (which must be possible), else the certain
-    bit (always, for a basis payload: no randomness is consumed), else a
-    Born draw from ``rng``.  The qubit collapses onto |bit>.
+    The outcome is the certain bit (always, for a basis payload: no
+    randomness is consumed), else a Born draw from ``rng``.  The qubit
+    collapses onto |bit>.
     """
     if frame.pairs:
         raise ValueError("the payload has not crossed the chain: no qubit to measure")
     x = frame.label & 1
     probs = (abs(frame.payload[x]) ** 2, abs(frame.payload[x ^ 1]) ** 2)
-    if force is not None:
-        bit = int(force)
-        if bit not in (0, 1):
-            raise MeasurementError(f"bit {bit} is not an outcome of this measurement")
-        if probs[bit] < _PROB_FLOOR:
-            raise MeasurementError(f"bit {bit} has probability {probs[bit]:.3e}")
-    elif max(probs) > 1.0 - _PROB_FLOOR:
+    if max(probs) > 1.0 - _PROB_FLOOR:
         bit = int(probs[1] > probs[0])
-    elif rng is None:
-        raise ValueError("either rng or force is required")
     else:
         bit = rng.choose(probs)
     return bit, _COLLAPSED[bit]

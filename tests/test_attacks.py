@@ -114,6 +114,14 @@ def test_unknown_strategy_raises():
         run_strategy(config_for("bc"), "does-not-exist")
 
 
+@pytest.mark.parametrize("mode", ["enumerate", "sample"])
+@pytest.mark.parametrize("trials", [0, -3])
+def test_run_strategy_rejects_fewer_than_one_trial(mode, trials):
+    # the CLI passes --samples in both modes, so both check it
+    with pytest.raises(ConfigError, match=r"trials \(--samples\) must be >= 1"):
+        run_strategy(config_for("bc"), "null", mode=mode, trials=trials, seed=1)
+
+
 def _events(record):
     return [(ev.step, ev.actor, ev.action, ev.payload) for ev in record.transcript.events]
 

@@ -260,6 +260,16 @@ BAD_INPUTS = {
                                           "--seed", "1"], EXIT_CONFIG),
     "qss-nan-amplitude": (lambda tmp: ["run", "--protocol", "qss", "--secret", "q:nan,0,0,0",
                                        "--seed", "1"], EXIT_CONFIG),
+    # float() strips whitespace, but a line break would split the config line
+    "qss-newline-amplitude": (lambda tmp: ["run", "--protocol", "qss", "--secret",
+                                           "q:1,0,0,0\n", "--seed", "3"], EXIT_CONFIG),
+    "qss-form-feed-amplitude": (lambda tmp: ["run", "--protocol", "qss", "--secret",
+                                             "q:1,0,0\x0c,0", "--seed", "3"], EXIT_CONFIG),
+    "qss-line-separator-amplitude": (lambda tmp: ["attack", "--protocol", "qss", "--strategy",
+                                                  "null", "--secret", "q:1,0,0,0\u2028"],
+                                     EXIT_CONFIG),
+    "qss-space-amplitude": (lambda tmp: ["run", "--protocol", "qss", "--secret",
+                                         "q:1, 0,0,0", "--seed", "3"], EXIT_CONFIG),
     "qss-enumerate-bad-secret": (lambda tmp: ["run", "--protocol", "qss", "--secret", "2",
                                               "--seed", "1", "--mode", "enumerate"], EXIT_CONFIG),
     "negative-seed": (lambda tmp: ["run", "--protocol", "ct", "--seed", "-1"], EXIT_CONFIG),

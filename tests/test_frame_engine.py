@@ -19,13 +19,12 @@ import numpy as np
 import pytest
 
 from bellproto import dense, protocols, states
-from bellproto.algebra import LABELS, PAIRS, TwoBits, pauli_matrix
+from bellproto.algebra import LABELS, PAIRS, pauli_matrix
 from bellproto.attacks import CATALOG, enumeration_cells, run_cell
 from bellproto.protocols import Run, _payload_state, run_from_config
 from bellproto.states import (
     TOL_EQ,
     Frame,
-    MeasurementError,
     Rng,
     StateVector,
     equal_up_to_phase,
@@ -182,15 +181,16 @@ def test_chain_frame_carries_the_dense_moved_qubit():
             _, register = dense.bsm(register, (2, 3), force=cc)
             _, register = dense.bsm(register, (0, 1), force=aa)
             frame = states.apply_pauli(_frame(probe, mu ^ nu, 2), pre)
-            out_cc, frame = states.bsm(frame, force=cc)
-            out_aa, frame = states.bsm(frame, force=TwoBits.from_label(aa))
+            # no stream: a forced pair draws nothing
+            out_cc, frame = states.bsm(frame, None, force=PAIRS[cc])
+            out_aa, frame = states.bsm(frame, None, force=PAIRS[aa])
             assert (out_aa.label, out_cc.label) == (aa, cc)
             assert equal_up_to_phase(states.extract_qubit(frame).state(),
                                      dense.extract_qubit(register, 4))
             assert frame.label == infer_tau(out_aa, out_cc, mu, nu) ^ pre
         for mu, aa in itertools.product(LABELS, repeat=2):
             _, register = dense.bsm(dense.chain_register(mu, 0, probe), (0, 1), force=aa)
-            _, frame = states.bsm(_frame(probe, mu, 1), force=aa)
+            _, frame = states.bsm(_frame(probe, mu, 1), None, force=PAIRS[aa])
             assert equal_up_to_phase(frame.state(), dense.extract_qubit(register, 2))
 
 
@@ -210,40 +210,27 @@ def test_z_measurement_matches_the_dense_born_rule():
     for probe, label in itertools.product(_probes(), LABELS):
         moved = StateVector(pauli_matrix(label) @ probe.amplitudes)
         want = np.abs(moved.amplitudes) ** 2
-        for bit in (0, 1):
-            if want[bit] < 1e-12:
-                with pytest.raises(MeasurementError, match=f"bit {bit} has probability"):
-                    states.measure_qubit(_frame(probe, label), force=bit)
-                continue
-            got, after = states.measure_qubit(_frame(probe, label), force=bit)
-            assert got == bit and equal_up_to_phase(after.state(), qubit(1 - bit, bit))
         if want.max() > 1 - 1e-12:  # certain: no stream needed
-            assert states.measure_qubit(_frame(probe, label))[0] == int(want.argmax())
+            got, after = states.measure_qubit(_frame(probe, label), None)
+            assert got == int(want.argmax())
+            assert equal_up_to_phase(after.state(), qubit(1 - got, got))
             continue
         for seed in range(5):
-            got, _ = states.measure_qubit(_frame(probe, label), Rng(seed))
+            got, after = states.measure_qubit(_frame(probe, label), Rng(seed))
             assert got == dense.measure_qubit(moved, 0, Rng(seed))[0]
-        with pytest.raises(ValueError, match="rng or force"):
-            states.measure_qubit(_frame(probe, label))
+            assert equal_up_to_phase(after.state(), qubit(1 - got, got))
 
 
 def test_frame_steps_reject_what_the_dense_steps_reject():
     chain = _frame(qubit(1, 0), 0, 2)
-    for impossible in (-1, 4, 5):
-        with pytest.raises(MeasurementError, match=f"outcome {impossible} is not an outcome"):
-            states.bsm(chain, force=impossible)
-        with pytest.raises(MeasurementError, match=f"bit {impossible} is not an outcome"):
-            states.measure_qubit(_frame(qubit(1, 0)), force=impossible)
-    with pytest.raises(ValueError, match="rng or force"):
-        states.bsm(chain)
     with pytest.raises(ValueError, match="label must be in 0..3"):
         states.apply_pauli(chain, 4)
     for pairs in (1, 2):  # the carrying wire is entangled until both pairs are crossed
         with pytest.raises(ValueError, match="entangled"):
             states.extract_qubit(chain._replace(pairs=pairs))
         with pytest.raises(ValueError, match="no qubit"):
-            states.measure_qubit(chain._replace(pairs=pairs), force=0)
+            states.measure_qubit(chain._replace(pairs=pairs), Rng(0))
         with pytest.raises(ValueError, match="no qubit"):
             chain._replace(pairs=pairs).state()
     with pytest.raises(ValueError, match="no Bell pair"):
-        states.bsm(chain._replace(pairs=0), force=0)
+        states.bsm(chain._replace(pairs=0), Rng(0))

@@ -135,3 +135,34 @@ def test_random_argv_ends_in_a_documented_exit_code(workdir, data):
     else:
         assert code in (0, 2, 3, 4, 5, 6), argv
         event(f"{argv[0]} exit {code}")
+
+
+# whitespace float() strips from a number; the line breaks among it split a
+# transcript's config line
+_WHITESPACE = " \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u2028\u2029\u3000"
+
+
+@st.composite
+def spaced_qubit_secrets(draw):
+    """A normalised ``q:`` secret with drawn whitespace around its numbers."""
+    pad = st.text(alphabet=_WHITESPACE, max_size=2)
+    return "q:" + ",".join(draw(pad) + part + draw(pad) for part in ("0.6", "0", "0.8", "0"))
+
+
+@DERANDOMIZED
+@given(st.data())
+def test_every_written_transcript_replays_identical(workdir, data):
+    protocol = data.draw(st.sampled_from(PROTOCOLS) | st.just("qss"))
+    secrets = st.sampled_from(("0", "1", "10", "0110"))
+    if protocol == "qss":
+        secrets = spaced_qubit_secrets() | st.sampled_from(("0", "q", "q:0.6,0,0.8,0"))
+    argv = ["run", "--protocol", protocol, "--secret", data.draw(secrets),
+            "--seed", data.draw(st.sampled_from(["0", "3", "7"])),
+            "--out", str(workdir / "written.pwv1")]
+    code = main(argv)
+    if code in (0, 3):  # a run that accepts or rejects writes its transcript
+        assert main(["replay", argv[-1]]) == 0, argv
+        event(f"{protocol} replayed")
+    else:
+        assert code == 2, argv
+        event(f"{protocol} exit 2")
