@@ -30,7 +30,7 @@ print("== bit commitment ==")
 rec = bc_run(1, Rng(7))
 show(rec, "honest commitment of bit 1 (sampled outcomes, seed 7)")
 
-cheat = CheatStrategy("reveal-flip", "alice", {"reveal": Deviation("flip_secret")})
+cheat = CheatStrategy("reveal-flip", "alice", {"reveal": Deviation("shift", 0b100)})
 rejections = sum(
     not bc_run(1, None, forced=(aa, cc), cheat=cheat).verdict.accepted
     for aa, cc in itertools.product(ALL_PAIRS, repeat=2)

@@ -39,11 +39,11 @@ print("== digital signature of a 4-bit message ==")
 rec = qds_run([1, 0, 1, 1], Rng(8))
 print(f"honest run: receiver={rec.values['bob'].outcome}, "
       f"relay={rec.values['charlie'].outcome}, message={rec.verdict.value}")
-forger = CheatStrategy("flip", "bob", {"forward": Deviation("flip_message", 2)})
+forger = CheatStrategy("flip", "bob", {"forward": Deviation("shift", 1 << 2)})
 rec = qds_run([1, 0, 1, 1], Rng(8), cheat=forger)
 print(f"receiver forwards a flipped bit: verdict={rec.verdict.reason} at "
       f"positions {rec.values['charlie_failed_positions']}")
-repudiator = CheatStrategy("flip", "alice", {"reveal": Deviation("flip_message", 0)})
+repudiator = CheatStrategy("flip", "alice", {"reveal": Deviation("shift", 1 << 0)})
 rec = qds_run([1, 0, 1, 1], Rng(8), cheat=repudiator)
 print(f"sender reveals a different message: verdict={rec.verdict.reason} at "
       f"positions {rec.values['bob_failed_positions']}")

@@ -27,10 +27,10 @@ One physical caveat is first-class here: the Z half of an announced bit
 pair acts as a global phase on basis states, so no measured-bit check can
 see it.  Strategies that lie only in that unobservable coordinate are kept
 in the catalog with expected detection zero, reported as the known gap
-rather than silently excluded.  A second gap lies outside the family, whose
-strategies hold one deviation per hook: bc's checks test one parity, so a
-sender who flips the revealed bit and the X bit of its outcome pair
-together opens the other bit in every cell.  bc does not bind.
+rather than silently excluded.  A second gap is not listed yet: bc's checks
+test one parity, so a sender who flips the revealed bit and the X bit of
+its outcome pair together, the reveal shift 0b101, opens the other bit in
+every cell.  bc does not bind.
 """
 
 from __future__ import annotations
@@ -95,19 +95,19 @@ class SecurityReport:
         return "\n".join(lines) + "\n"
 
 
-# The enumerated adversary family, one row per attack: protocol, name,
-# cheating party, hook step, deviation kind, variant values (None for a
-# single variant, or "position" for one per qds message bit), the bound its
-# report must meet (an exact detection fraction, or a float ceiling on the
-# captured state's distance from maximally mixed) and a note.
+# The enumerated adversary family, one row per attack: protocol, name, cheating
+# party, hook step, deviation kind, variant values (None for one variant,
+# "position" for the shift 1 << i on each qds message bit i; masks as on
+# protocols.Deviation), the report's bound (an exact detection fraction, or a
+# float ceiling on a captured qubit's distance from I/2) and a note.
 _FAMILY = (
-    ("bc", "reveal-flip", "alice", "reveal", "flip_secret", None, Fraction(1),
+    ("bc", "reveal-flip", "alice", "reveal", "shift", (0b100,), Fraction(1),
      "reveal a flipped commitment, outcome pair announced honestly"),
     # every substitution that changes the announced X bit; the Z-only mask
     # is a separate entry because it is physically unobservable
-    ("bc", "aa-substitute", "alice", "reveal", "xor_aa", (0b01, 0b11), Fraction(1),
+    ("bc", "aa-substitute", "alice", "reveal", "shift", (0b001, 0b011), Fraction(1),
      "announce an outcome pair with a substituted X bit"),
-    ("bc", "aa-phase-substitute", "alice", "reveal", "xor_aa", (0b10,), Fraction(0),
+    ("bc", "aa-phase-substitute", "alice", "reveal", "shift", (0b010,), Fraction(0),
      "Z-only substitution; a global phase on the commitment qubit, "
      "undetectable by any measurement and logged as phase_unverified"),
     ("bc", "withhold-reveal", "alice", "reveal", "withhold", None, Fraction(1),
@@ -118,9 +118,9 @@ _FAMILY = (
     ("ct", "wrong-rekey", "bob", "transform", "substitute_label", LABELS, Fraction(1, 2),
      "apply a fixed operator instead of the relay-outcome key; caught "
      "exactly when its X exponent disagrees (Z-only errors are phase)"),
-    ("qds", "message-flip", "bob", "forward", "flip_message", "position", Fraction(1),
+    ("qds", "message-flip", "bob", "forward", "shift", "position", Fraction(1),
      "receiver flips one message bit before forwarding"),
-    ("qds", "reveal-flip", "alice", "reveal", "flip_message", "position", Fraction(1),
+    ("qds", "reveal-flip", "alice", "reveal", "shift", "position", Fraction(1),
      "sender reveals a different message than committed"),
     ("qss", "charlie-skip-bsm", "charlie", "relay_bsm", "skip", None, 1e-12,
      "relay withholds its measurement to capture the payload; without "
@@ -150,13 +150,13 @@ class CatalogEntry:
 
     def variants(self, config: RunConfig) -> list[CheatStrategy]:
         """One strategy per variant value (per message position for qds)."""
-        if self.step is None:
-            return [CheatStrategy(self.name, self.target, {})]
         if self.values is None:
-            return [CheatStrategy(self.name, self.target, {self.step: Deviation(self.kind)})]
-        values = range(max(1, len(config.secret))) if self.values == "position" else self.values
-        return [CheatStrategy(f"{self.name}[{v}]", self.target,
-                              {self.step: Deviation(self.kind, v)}) for v in values]
+            hooks = {} if self.step is None else {self.step: Deviation(self.kind)}
+            return [CheatStrategy(self.name, self.target, hooks)]
+        position = self.values == "position"  # qds: the mask 1 << i, named [i]
+        values = range(max(1, len(config.secret))) if position else self.values
+        return [CheatStrategy(f"{self.name}[{v}]", self.target, {self.step: Deviation(
+            self.kind, 1 << v if position else v)}) for v in values]
 
 
 CATALOG: dict[tuple[str, str], CatalogEntry] = {

@@ -65,9 +65,14 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class Deviation:
-    """One scripted departure from honest behaviour at a hook point."""
+    """One scripted departure from honest behaviour at a hook point.
 
-    kind: str  # flip_secret | xor_aa | withhold | substitute_label | fresh_qubit | skip | flip_message
+    A ``shift`` XORs an int mask into the bits a step sends.  bc's reveal sends
+    ``bit << 2 | aa.label``: 0b100 flips the bit, 0b001 aa's X bit, 0b010 its Z
+    bit, 0b101 both (the joint break).  For qds, bit i flips message bit i.
+    """
+
+    kind: str  # shift | withhold | substitute_label | fresh_qubit | skip
     value: object = None
 
 
@@ -169,6 +174,10 @@ class Run:
         """The cheater's deviation at ``step`` when it is of ``kind``, else None."""
         dev = self.cheat.hooks.get(step) if self.cheat else None
         return dev if dev is not None and dev.kind == kind else None
+
+    def shift(self, step: str) -> int:
+        """The cheater's shift mask at ``step``, 0 when there is none."""
+        return getattr(self.deviation(step, "shift"), "value", 0)
 
     def local(self, step, actor, action, payload) -> None:
         self.transcript.append(step, actor, action, payload, "local", (actor,))
@@ -369,13 +378,8 @@ def bc_run(secret: int, rng: Rng | None = None, *, mu: int = 0, nu: int = 0,
     if run.deviation("reveal", "withhold"):
         run.local("reveal", "alice", "reveal_withheld", "no message")
         return run.conclude("bob", False, "", "transcript_incomplete")
-    reveal_bit = secret
-    reveal_aa = aa
-    if run.deviation("reveal", "flip_secret"):
-        reveal_bit ^= 1
-    xor_aa = run.deviation("reveal", "xor_aa")
-    if xor_aa:
-        reveal_aa = reveal_aa ^ TwoBits.from_label(int(xor_aa.value))
+    shift = run.shift("reveal")
+    reveal_bit, reveal_aa = secret ^ shift >> 2, aa ^ PAIRS[shift & 3]
     run.tell("reveal", "alice", "bob", "reveal", f"bit={reveal_bit} aa={reveal_aa}")
 
     tau = infer_tau(reveal_aa, cc, mu, nu)
@@ -599,10 +603,8 @@ def qds_run(message: Sequence[int], rng: Rng | None = None, *, mu: int = 0, nu: 
     run.tell("6", "charlie", "bob", "share_relay_pairs",
              f"positions={to_receiver} pairs={[str(cc_list[i]) for i in to_receiver]}")
 
-    flip = run.deviation("reveal", "flip_message")
-    reveal_msg = list(message)
-    if flip:
-        reveal_msg[int(flip.value)] ^= 1
+    shift = run.shift("reveal")
+    reveal_msg = [b ^ (shift >> i & 1) for i, b in enumerate(message)]
     run.tell("reveal", "alice", "bob", "reveal_message",
              f"bits={reveal_msg} aa={[str(a) for a in aa_list]}")
 
@@ -619,10 +621,8 @@ def qds_run(message: Sequence[int], rng: Rng | None = None, *, mu: int = 0, nu: 
     bob_verdict = Verdict("accept", value="".join(map(str, reveal_msg)))
     run.values["bob"] = bob_verdict
 
-    forward_msg = list(reveal_msg)
-    flip = run.deviation("forward", "flip_message")
-    if flip:
-        forward_msg[int(flip.value)] ^= 1
+    shift = run.shift("forward")
+    forward_msg = [b ^ (shift >> i & 1) for i, b in enumerate(reveal_msg)]
     run.tell("forward", "bob", "charlie", "forward_message",
              f"bits={forward_msg} aa={[str(a) for a in aa_list]}")
 

@@ -132,7 +132,7 @@ def test_bc_honest_accepts_every_cell(secret, nu):
 
 
 def test_bc_reveal_flip_rejected_in_every_cell():
-    cheat = CheatStrategy("reveal-flip", "alice", {"reveal": Deviation("flip_secret")})
+    cheat = CheatStrategy("reveal-flip", "alice", {"reveal": Deviation("shift", 0b100)})
     for secret in (0, 1):
         for aa, cc in ALL_CELLS:
             rec = bc_run(secret, None, forced=(aa, cc), cheat=cheat)
@@ -143,14 +143,10 @@ def test_bc_reveal_flip_rejected_in_every_cell():
 @pytest.mark.xfail(strict=True, reason=(
     "bc does not bind: both checks test one parity, reveal_bit ^ reveal_aa.lo, so a sender "
     "who flips the revealed bit and the X bit of aa together opens the other bit"))
-def test_bc_rejects_a_joint_bit_and_x_flip(monkeypatch):
+def test_bc_rejects_a_joint_bit_and_x_flip():
     """A sender that reveals the other bit and flips the X bit of its outcome
-    pair with it; a catalog strategy holds one deviation per hook, so the
-    reveal hook is patched to answer both."""
-    joint = {"flip_secret": Deviation("flip_secret"), "xor_aa": Deviation("xor_aa", 1)}
-    monkeypatch.setattr(Run, "deviation",
-                        lambda self, step, kind: joint.get(kind) if step == "reveal" else None)
-    cheat = CheatStrategy("bit-and-x-flip", "alice", {})
+    pair with it: the reveal shift 0b101."""
+    cheat = CheatStrategy("bit-and-x-flip", "alice", {"reveal": Deviation("shift", 0b101)})
     opened = []
     for mu, nu, secret in itertools.product(LABELS, LABELS, (0, 1)):
         for aa, cc in ALL_CELLS:
@@ -395,7 +391,7 @@ def test_qds_honest_four_bits_accepts_for_both_recipients():
 
 def test_qds_receiver_forgery_detected_at_each_position():
     for position in range(4):
-        cheat = CheatStrategy("flip", "bob", {"forward": Deviation("flip_message", position)})
+        cheat = CheatStrategy("flip", "bob", {"forward": Deviation("shift", 1 << position)})
         rec = qds_run([0, 1, 1, 0], None, forced=qds_cells(4), cheat=cheat)
         assert rec.verdict.reason == "forgery"
         assert rec.values["charlie_failed_positions"] == [position]
@@ -404,10 +400,21 @@ def test_qds_receiver_forgery_detected_at_each_position():
 def test_qds_sender_repudiation_rejected_by_receiver():
     for position in range(4):
         cheat = CheatStrategy("reveal-flip", "alice",
-                              {"reveal": Deviation("flip_message", position)})
+                              {"reveal": Deviation("shift", 1 << position)})
         rec = qds_run([1, 1, 0, 0], None, forced=qds_cells(4), cheat=cheat)
         assert rec.verdict.reason == "repudiation"
         assert position in rec.values["bob_failed_positions"]
+
+
+def test_qds_joint_shifts_flip_every_masked_position():
+    forger = CheatStrategy("flip", "bob", {"forward": Deviation("shift", 0b0101)})
+    rec = qds_run([0, 1, 1, 0], None, forced=qds_cells(4), cheat=forger)
+    assert rec.verdict.reason == "forgery"
+    assert rec.values["charlie_failed_positions"] == [0, 2]
+    repudiator = CheatStrategy("reveal-flip", "alice", {"reveal": Deviation("shift", 0b0101)})
+    rec = qds_run([1, 1, 0, 0], None, forced=qds_cells(4), cheat=repudiator)
+    assert rec.verdict.reason == "repudiation"
+    assert {0, 2} <= set(rec.values["bob_failed_positions"])
 
 
 def test_qds_split_exchange_hidden_from_sender():
