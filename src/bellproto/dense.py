@@ -50,7 +50,14 @@ from .algebra import (
     pauli_matrix,
     pauli_matrix_int,
 )
-from .states import TOL_EQ, _PROB_FLOOR, DensityMatrix, MeasurementError, Rng, StateVector
+from .states import TOL_EQ, DensityMatrix, Rng, StateVector
+
+_PROB_FLOOR = 1e-12
+
+
+class MeasurementError(ValueError):
+    """Raised when a forced outcome is not an outcome of the measurement or
+    has (numerically) zero probability."""
 
 
 def basis_state(bits: str | Sequence[int]) -> StateVector:

@@ -142,8 +142,10 @@ class Run:
     ``strategy``.  The transcript builds it, ``mode`` string included, the
     first time something reads it, so a run read for its verdict builds none.
     Without a generator (forced-outcome runs) streams fall back to
-    ``Rng(0)``, the seed the configuration records.  Besides the Born
-    stream, each stream is derived where it is drawn from.
+    ``Rng(0)``, the seed the configuration records.  The Born stream
+    ``born`` feeds the sampled Bell outcomes, the engine's only draws (a Z
+    measurement reads its bit off the frame); every other stream is
+    derived where it is drawn from.
 
     After the sender's Bell measurement the run holds one qubit, ``moved``:
     a :class:`~bellproto.states.Frame`, the payload under its correction,
@@ -160,7 +162,7 @@ class Run:
         spec = SPECS[protocol]
         self.cast = spec.cast
         self.controllers = spec.controllers
-        self.transcript = Transcript(build=lambda: spec.config(
+        self.transcript = Transcript(lambda: spec.config(
             secret=str(secret), inputs=inputs, mu=mu, nu=nu,
             seed=rng.seed if rng is not None else 0, mode=_mode_string(forced, masks),
             strategy=cheat.name if cheat else ""))
@@ -203,7 +205,7 @@ class Run:
     def twin_bit(self, bit: int, *labels: int) -> int:
         """Measured bit of the basis state ``bit`` keyed by the labelled
         operators: a sender's twin qubit."""
-        return states.measure_qubit(Frame(BASIS[bit], reduce(xor, labels)), self.born)[0]
+        return states.measure_qubit(Frame(BASIS[bit], reduce(xor, labels)))[0]
 
     def open_chain(self, mu: int, nu: int, secret, *, forced=None,
                    nu_secret_of: str | None = None, sender_pre_label: int | None = None,
@@ -252,8 +254,8 @@ class Run:
         self.moved = states.apply_pauli(self.moved, label)
 
     def measure(self) -> int:
-        """Z-measure the moved qubit (a Born draw unless its bit is certain)."""
-        bit, self.moved = states.measure_qubit(self.moved, self.born)
+        """Z-measure the moved qubit: its bit is read off the frame."""
+        bit, self.moved = states.measure_qubit(self.moved)
         return bit
 
     def moved_state(self) -> StateVector:

@@ -13,19 +13,24 @@ the Bell pairs it has still to cross.  This is Pauli-frame simulation
 The frame's steps keep the names of the operations they stand for, so a
 counter on them counts the same work: :func:`bsm` (a Bell measurement,
 forced to a pair or drawn over four exact quarters), :func:`apply_pauli`,
-:func:`measure_qubit` (a Z measurement, certain or a Born draw, never
-forced) and :func:`extract_qubit` (a freed wire).  Amplitudes are built
-only where something reads them (:meth:`Frame.state`).  The dense
-state-vector engine the frame replaced, with its general forcing, is the
-reference oracle in :mod:`bellproto.dense`.
+:func:`measure_qubit` (a Z measurement of a basis payload, whose bit the
+frame fixes, so it draws nothing) and :func:`extract_qubit` (a freed
+wire).  Amplitudes are built only where something reads them
+(:meth:`Frame.state`).  The dense state-vector engine the frame replaced,
+with its Born draws and general forcing, is the reference oracle in
+:mod:`bellproto.dense`.
 
-This module also holds what both engines share: the seeded streams
-(:class:`Rng`: numpy's SeedSequence and PCG64 redone in Python bit for
-bit, so no numpy version can change a draw but the Gaussians of
-:meth:`Rng.unit_qubit`), one-qubit :class:`StateVector` helpers, the
-correction lookup and the trace distance of density matrices.  Tolerances
-are fixed package-wide: state equality and trace checks at 1e-12,
-positive-semidefiniteness slack at 1e-10.
+Besides the frame, this module holds the seeded streams (:class:`Rng`:
+numpy's SeedSequence and PCG64 redone in Python bit for bit, so no numpy
+version can change a draw but the Gaussians of :meth:`Rng.unit_qubit`),
+what the runners read (:func:`qubit`, :func:`fidelity`, :func:`infer_tau`),
+the attack views' :func:`trace_distance` and the two amplitude types.
+:class:`StateVector` is built where something reads amplitudes;
+:class:`DensityMatrix` is built only by the dense engine, but both stay
+here because the benchmark's tracer wraps their constructors under these
+names.  Tolerances are fixed package-wide: state equality and trace checks
+at 1e-12 (``TOL_EQ``), positive-semidefiniteness slack at 1e-10
+(``TOL_PSD``, which :class:`DensityMatrix` applies).
 """
 
 from __future__ import annotations
@@ -42,13 +47,6 @@ from .algebra import LABELS, PAIRS, TwoBits, pauli_matrix
 
 TOL_EQ = 1e-12
 TOL_PSD = 1e-10
-_PROB_FLOOR = 1e-12
-
-
-class MeasurementError(ValueError):
-    """Raised when a forced outcome is not an outcome of the measurement or
-    has (numerically) zero probability."""
-
 
 # --- seeded streams -----------------------------------------------------------
 # numpy's SeedSequence (a pool of four 32-bit words) and PCG64 (128-bit LCG,
@@ -256,8 +254,7 @@ class Rng:
 @dataclass(frozen=True, eq=False)
 class StateVector:
     """Normalised amplitudes of an n-qubit register (complex, length 2**n),
-    read-only.  Equality is identity: compare states with
-    :func:`equal_up_to_phase`."""
+    read-only.  Equality is identity: compare states by their overlap."""
 
     amplitudes: np.ndarray
 
@@ -282,19 +279,8 @@ def qubit(alpha: complex, beta: complex) -> StateVector:
     return StateVector(np.array([alpha, beta], dtype=np.complex128))
 
 
-def overlap(a: StateVector, b: StateVector) -> complex:
-    return complex(np.vdot(a.amplitudes, b.amplitudes))
-
-
 def fidelity(a: StateVector, b: StateVector) -> float:
-    return float(abs(overlap(a, b)) ** 2)
-
-
-def equal_up_to_phase(a: StateVector, b: StateVector) -> bool:
-    """State equality modulo a global phase: | <a|b> | == 1 within TOL_EQ."""
-    if a.n_qubits != b.n_qubits:
-        return False
-    return bool(abs(abs(overlap(a, b)) - 1.0) <= TOL_EQ)
+    return float(abs(complex(np.vdot(a.amplitudes, b.amplitudes))) ** 2)
 
 
 def infer_tau(aa: TwoBits, cc: TwoBits, mu: int, nu: int) -> int:
@@ -372,22 +358,18 @@ def extract_qubit(frame: Frame) -> Frame:
     return frame
 
 
-def measure_qubit(frame: Frame, rng: Rng) -> tuple[int, Frame]:
-    """Z measurement of the carried qubit.
+def measure_qubit(frame: Frame) -> tuple[int, Frame]:
+    """Z measurement of the carried qubit, a read of the frame.
 
-    Bit b has probability |payload[b ^ x]|^2, with x the label's X bit.
-    The outcome is the certain bit (always, for a basis payload: no
-    randomness is consumed), else a Born draw from ``rng``.  The qubit
-    collapses onto |bit>.
+    The payload is a basis state (every qubit the protocols Z-measure
+    carries a classical bit), so the bit is certain: the payload's bit
+    flipped by the label's X bit.  The qubit collapses onto |bit>.
     """
     if frame.pairs:
         raise ValueError("the payload has not crossed the chain: no qubit to measure")
-    x = frame.label & 1
-    probs = (abs(frame.payload[x]) ** 2, abs(frame.payload[x ^ 1]) ** 2)
-    if max(probs) > 1.0 - _PROB_FLOOR:
-        bit = int(probs[1] > probs[0])
-    else:
-        bit = rng.choose(probs)
+    if frame.payload not in BASIS:
+        raise ValueError(f"only a basis payload is Z-measured, got {frame.payload!r}")
+    bit = BASIS.index(frame.payload) ^ (frame.label & 1)
     return bit, _COLLAPSED[bit]
 
 

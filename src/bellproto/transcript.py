@@ -14,10 +14,11 @@ means re-running its embedded configuration and comparing event lines.
 Payloads are hex-encoded UTF-8 so the format survives any payload content.
 Events are logged through :meth:`Transcript.append` only, each as an
 :class:`Event` named tuple: a read-only value that costs one tuple to build,
-since a forced enumeration logs about fifteen of them per run.  A run hands
-its transcript a builder instead of a configuration, and the configuration
-is built the first time something reads it (``to_text``, the record's
-``config``): a detection-only enumeration reads none.
+since a forced enumeration logs about fifteen of them per run.  A transcript
+takes a builder instead of a configuration, and the configuration is built
+the first time something reads it (``to_text``, the record's ``config``):
+a detection-only enumeration reads none.  A run made from a configuration
+(``run_from_config``) assigns it instead.
 """
 
 from __future__ import annotations
@@ -95,12 +96,9 @@ class Event(NamedTuple):
 
 class Transcript:
     """Append-only event log for one run, replayable bit for bit.  Its
-    ``config`` is given built, or made by ``build`` on the first read."""
+    ``config`` is made by ``build`` on the first read, or assigned."""
 
-    def __init__(self, config: RunConfig | None = None, *,
-                 build: Callable[[], RunConfig] | None = None):
-        if config is not None:
-            self.config = config
+    def __init__(self, build: Callable[[], RunConfig]):
         self._build = build
         self.events: list[Event] = []
 

@@ -1,9 +1,12 @@
 import os
 from pathlib import Path
 
+import numpy as np
+
 import bellproto
 from bellproto import dense
 from bellproto.protocols import ProtocolSpec
+from bellproto.states import TOL_EQ, StateVector
 
 
 def child_env():
@@ -26,3 +29,10 @@ def clear_package_caches():
     """Empty every package cache, so that the next call computes cold."""
     for cache in package_caches():
         cache.cache_clear()
+
+
+def equal_up_to_phase(a: StateVector, b: StateVector) -> bool:
+    """State equality modulo a global phase: | <a|b> | == 1 within TOL_EQ."""
+    if a.n_qubits != b.n_qubits:
+        return False
+    return bool(abs(abs(complex(np.vdot(a.amplitudes, b.amplitudes))) - 1.0) <= TOL_EQ)

@@ -314,7 +314,8 @@ def test_forced_qss_cells_run_the_requested_payload(monkeypatch):
     from bellproto.algebra import pauli_matrix
     from bellproto.cli import EXIT_OK, main
     from bellproto.dense import basis_state
-    from bellproto.states import StateVector, equal_up_to_phase, infer_tau
+    from bellproto.states import StateVector, infer_tau
+    from conftest import equal_up_to_phase
 
     secret = "q:0,0,1,0"  # |1>
     one = basis_state("1").amplitudes

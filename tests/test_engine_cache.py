@@ -13,9 +13,15 @@ import pytest
 
 from bellproto import states
 from bellproto.attacks import enumeration_cells, run_cell
-from bellproto.dense import basis_state, bell_state, bsm, extract_qubit, measure_qubit
+from bellproto.dense import (
+    MeasurementError,
+    basis_state,
+    bell_state,
+    bsm,
+    extract_qubit,
+    measure_qubit,
+)
 from bellproto.protocols import ProtocolSpec, run_from_config
-from bellproto.states import MeasurementError
 from conftest import clear_package_caches, package_caches
 from test_golden import FORCED_CONFIGS, _sampled
 

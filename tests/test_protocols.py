@@ -24,8 +24,9 @@ from bellproto.protocols import (
     tpsc_run,
 )
 from bellproto.dense import basis_state
-from bellproto.states import Rng, StateVector, equal_up_to_phase, infer_tau
+from bellproto.states import Rng, StateVector, infer_tau
 from bellproto.transcript import RunConfig
+from conftest import equal_up_to_phase
 from test_golden import FORCED_CONFIGS
 
 ALL_PAIRS = [TwoBits.from_label(t) for t in LABELS]

@@ -8,6 +8,7 @@ from bellproto import states
 from bellproto.algebra import LABELS, TwoBits, pauli_matrix
 from bellproto.protocols import bc_run, run_from_config
 from bellproto.dense import (
+    MeasurementError,
     apply_pauli,
     basis_state,
     bell_state,
@@ -26,16 +27,15 @@ from bellproto.dense import (
 )
 from bellproto.states import (
     DensityMatrix,
-    MeasurementError,
     Rng,
     StateVector,
-    equal_up_to_phase,
     fidelity,
     infer_tau,
     qubit,
     trace_distance,
 )
 
+from conftest import equal_up_to_phase
 from test_golden import _sampled
 
 INV_SQRT2 = 1 / np.sqrt(2)

@@ -138,14 +138,14 @@ def test_first_divergence_on_missing_tail():
 
 
 def test_transcript_appends_are_ordered():
-    t = Transcript(PROTO_CONFIGS[0])
+    t = Transcript(lambda: PROTO_CONFIGS[0])
     t.append("1", "alice", "a", "x", "local", ("alice",))
     t.append("2", "bob", "b", "y", "classical", ("alice", "bob"))
     assert [ev.seq for ev in t.events] == [0, 1]
 
 
 def test_event_is_a_read_only_value():
-    t = Transcript(PROTO_CONFIGS[0])
+    t = Transcript(lambda: PROTO_CONFIGS[0])
     ev = t.append("1", "alice", "a", "x", "local", ("alice",))
     assert Event._fields == ("seq", "step", "actor", "action", "payload", "kind", "visible")
     assert ev == Event(0, "1", "alice", "a", "x", "local", ("alice",))
