@@ -22,8 +22,9 @@ from bellproto.dense import (
     mixture_density,
     projector,
     reduced_density,
+    trace_distance,
 )
-from bellproto.states import Rng, StateVector, fidelity, infer_tau, trace_distance
+from bellproto.states import Rng, StateVector, fidelity, infer_tau
 
 rng = Rng(2024)
 

@@ -12,7 +12,7 @@ import numpy as np
 from bellproto.algebra import TwoBits
 from bellproto.protocols import CheatStrategy, Deviation, mpsc_run, qds_run, qss_run
 from bellproto.dense import is_maximally_mixed, mixture_density
-from bellproto.states import Rng, StateVector
+from bellproto.states import Rng
 
 ALL_PAIRS = [TwoBits.from_label(t) for t in range(4)]
 
@@ -27,7 +27,7 @@ print(f"one share only: verdict={rec.verdict.outcome} reason={rec.verdict.reason
 holdings = []
 for cc in ALL_PAIRS:
     rec = qss_run(secret, None, forced=(TwoBits(1, 0), cc), reconstruct=False)
-    holdings.append(StateVector(rec.held["bob"]))
+    holdings.append(rec.held["bob"].state())
 avg = mixture_density(holdings, [0.25] * 4)
 print("receiver share averaged over the relay share it lacks:")
 # rounding drops float noise, and adding 0.0 turns any -0.0 into 0.0, so

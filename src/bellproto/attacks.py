@@ -16,12 +16,10 @@ Two measurable quantities back the security claims:
 * detection probability of a deviating party, as an exact fraction of
   enumerated cells, and
 * trace distance between an observer's complete views under two secret
-  values, where a view is the joint object (classical observations,
-  held quantum states) accumulated over the hidden randomness.
-
-Both the hiding distances and the capture check (a cheater's captured
-qubit against I/2) go through one accumulator, :func:`_views`, and one
-trace distance, :func:`bellproto.states.trace_distance`.
+  values, where a view is the weight and Bloch vector of what the
+  observer sees (classical observations, held qubits' Pauli frames)
+  accumulated over the hidden randomness; :func:`_distance` is its 2x2
+  closed form, for the capture check (a captured qubit against I/2) too.
 
 One physical caveat is first-class here: the Z half of an announced bit
 pair acts as a global phase on basis states, so no measured-bit check can
@@ -40,10 +38,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-import numpy as np
-
 from .algebra import LABELS, PAIRS
-from .states import Rng, trace_distance
+from .states import Rng
 from .protocols import (
     PROTOCOLS,
     CheatStrategy,
@@ -99,7 +95,7 @@ class SecurityReport:
 # party, hook step, deviation kind, variant values (None for one variant,
 # "position" for the shift 1 << i on each qds message bit i; masks as on
 # protocols.Deviation), the report's bound (an exact detection fraction, or a
-# float ceiling on a captured qubit's distance from I/2) and a note.
+# ceiling on a captured qubit's distance from I/2: 0.0, a Pauli twirl) and a note.
 _FAMILY = (
     ("bc", "reveal-flip", "alice", "reveal", "shift", (0b100,), Fraction(1),
      "reveal a flipped commitment, outcome pair announced honestly"),
@@ -122,7 +118,7 @@ _FAMILY = (
      "receiver flips one message bit before forwarding"),
     ("qds", "reveal-flip", "alice", "reveal", "shift", "position", Fraction(1),
      "sender reveals a different message than committed"),
-    ("qss", "charlie-skip-bsm", "charlie", "relay_bsm", "skip", None, 1e-12,
+    ("qss", "charlie-skip-bsm", "charlie", "relay_bsm", "skip", None, 0.0,
      "relay withholds its measurement to capture the payload; without "
      "the sender share its captured state averages to the maximally "
      "mixed state"),
@@ -256,8 +252,7 @@ def _evaluate_capture(config: RunConfig, entry: CatalogEntry,
     [avg] = views.values()
     return SecurityReport(
         strategy=cheat.name, protocol=config.protocol, mode="enumerate",
-        cells=len(records), state_distance=trace_distance(avg, np.eye(2) / 2),
-        note=_note(entry),
+        cells=len(records), state_distance=_distance(avg, _MIXED), note=_note(entry),
     )
 
 
@@ -272,24 +267,33 @@ def expected_bound_met(report: SecurityReport, entry: CatalogEntry) -> bool:
 # --- observer views and hiding ----------------------------------------------
 
 
-_NOTHING_HELD = np.ones((1, 1))
+_EMPTY, _MIXED = (0.0, 0.0, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0)  # no view; I/2
 
 
 def _views(records: Iterable[RunRecord], observer: str, weight: float,
-           cut_step: str | None = None) -> dict[tuple, np.ndarray]:
-    """Each distinct view of ``observer`` with its summed weighted state.
-
-    The state of one record is the projector of the qubit the observer
-    holds, or the 1x1 matrix [[1.0]] when it holds none, so a classical
-    view's state is its probability.
-    """
-    out: dict[tuple, np.ndarray] = {}
+           cut_step: str | None = None) -> dict[tuple, tuple]:
+    """Each distinct view of ``observer`` as (w, x, y, z), the state
+    (w I + x X + y Y + z Z) / 2.  A held pauli(label) negates the payload
+    (a, b)'s Bloch vector (2 Re a*b, 2 Im a*b, |a|^2 - |b|^2) in x and y by
+    its Z bit, in y and z by its X bit; holding none adds the weight alone."""
+    out: dict[tuple, tuple] = {}
     for rec in records:
         view = rec.view(observer, cut_step=cut_step)
-        vec = rec.held.get(observer)
-        state = weight * (_NOTHING_HELD if vec is None else np.outer(vec, vec.conj()))
-        out[view] = out[view] + state if view in out else state
+        w, *v = out.get(view, _EMPTY)
+        if (frame := rec.held.get(observer)) is not None:
+            (a, b), z_bit, x_bit = frame.payload, frame.label >> 1, frame.label & 1
+            ab = 2 * a.conjugate() * b
+            bloch = ((-1) ** z_bit * ab.real, (-1) ** (z_bit ^ x_bit) * ab.imag,
+                     (-1) ** x_bit * (abs(a) ** 2 - abs(b) ** 2))
+            v = [total + weight * r for total, r in zip(v, bloch)]
+        out[view] = (w + weight, *v)
     return out
+
+
+def _distance(a: tuple, b: tuple) -> float:
+    """Trace distance of two views: (dw I + dv.sigma) / 2 has eigenvalues (dw +- |dv|) / 2."""
+    dw, *dv = (p - q for p, q in zip(a, b))
+    return 0.5 * max(abs(dw), math.hypot(*dv))
 
 
 def view_distance(protocol: str, observer: str, *, vary: str,
@@ -313,7 +317,7 @@ def view_distance(protocol: str, observer: str, *, vary: str,
         records = (run_cell(config, {**cell, **runner_kwargs}, None, None) for cell in cells)
         sides.append(_views(records, observer, 1.0 / len(cells), cut_step))
     a, b = sides
-    return sum(trace_distance(a.get(view, 0.0), b.get(view, 0.0))
+    return sum(_distance(a.get(view, _EMPTY), b.get(view, _EMPTY))
                for view in set(a) | set(b))
 
 

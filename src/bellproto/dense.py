@@ -1,9 +1,9 @@
 """Dense state-vector reference engine: the oracle the runtime is checked against.
 
 The protocol runtime tracks a Pauli frame (:mod:`bellproto.states`); this
-module keeps the full amplitude registers it replaced, and the identity
-suite, the demos and the tests run on them.  No state transition is
-cached: every call computes from its input register.
+module keeps the full amplitude registers it replaced and the eigenvalue
+:func:`trace_distance`, which the identity suite, the demos and the tests
+run on.  No state transition is cached: each call computes from its input.
 
 Wire convention: qubit 0 is the most significant bit of the basis index,
 so ``amplitudes[0b101]`` of a 3-qubit register is the |101> amplitude with
@@ -398,3 +398,9 @@ def reduced_density(state: StateVector, keep: Sequence[int]) -> DensityMatrix:
     """Partial trace keeping the listed wires (in the listed order)."""
     t = wires_first(state.amplitudes, keep)
     return DensityMatrix(t @ t.conj().T)
+
+
+def trace_distance(a, b) -> float:
+    """Half the trace norm of ``a - b``, two Hermitian matrices; either side
+    may be 0 (a missing view).  0 means indistinguishable."""
+    return 0.5 * float(np.abs(np.linalg.eigvalsh(a - b)).sum())

@@ -25,9 +25,9 @@ qubit, the payload under a Pauli label, on which ``apply``, ``measure``
 and ``measure_moved`` act.  ``twin_bit`` measures a sender's twin qubit,
 ``conclude`` announces and records a verdict, and ``masks`` and ``mask``
 draw and apply private input masks.  Amplitudes are built only where a
-runner reads them (qss's fidelity and held qubits).  What does not change
-from run to run is built once: the forced qss probe qubit and each
-protocol's sorted controllers.
+runner reads them (qss's fidelity); a held qubit stays its frame.  What
+does not change from run to run is built once: the forced qss probe
+qubit and each protocol's sorted controllers.
 
 Measured-bit verification can see only the X part of a claimed bit pair:
 the Z exponent of a correction acts as a global phase on basis states, so
@@ -44,8 +44,6 @@ from functools import cached_property, lru_cache, reduce
 from operator import xor
 from types import MappingProxyType
 from typing import Callable, Iterator, Mapping, Sequence
-
-import numpy as np
 
 from . import states
 from .algebra import LABELS, PAIRS, TwoBits, label_from_zx, x_bit
@@ -104,13 +102,13 @@ class Verdict:
 @dataclass
 class RunRecord:
     """What one execution leaves: its verdict, its transcript, the qubit each
-    party still holds at the end (``held``: party to amplitudes; a party
+    party still holds at the end (``held``: party to its ``Frame``; a party
     holding nothing has no key) and the runner's named ``values``.  Its
     ``config`` is the one its transcript records, built on first read."""
 
     verdict: Verdict
     transcript: Transcript
-    held: dict[str, np.ndarray]
+    held: dict[str, Frame]
     values: dict[str, object]
 
     @property
@@ -150,10 +148,10 @@ class Run:
     After the sender's Bell measurement the run holds one qubit, ``moved``:
     a :class:`~bellproto.states.Frame`, the payload under its correction,
     on the receiver's wire or, after a skipped relay measurement, the
-    relay's.  Every later step acts on it alone, and ``moved_state``
-    builds its amplitudes for a reader.  The steps call ``states.<name>``
-    at call time, so a wrapper on the module attribute sees every
-    transition.
+    relay's.  Every later step acts on it alone, a party left with it holds
+    the frame, and ``moved_state`` builds its amplitudes for a reader.  The
+    steps call ``states.<name>`` at call time, so a wrapper on the module
+    attribute sees every transition.
     """
 
     def __init__(self, protocol: str, rng: Rng | None, cheat: CheatStrategy | None = None, *,
@@ -169,7 +167,7 @@ class Run:
         self.cheat = cheat
         self.base = rng if rng is not None else Rng(0)
         self.born = self.base.derive(_STREAM_BORN)
-        self.held: dict[str, np.ndarray] = {}
+        self.held: dict[str, Frame] = {}
         self.values: dict[str, object] = {}
 
     def deviation(self, step: str, kind: str) -> Deviation | None:
@@ -526,8 +524,8 @@ def qss_run(secret, rng: Rng | None = None, *, mu: int = 0, nu: int = 0,
     exactly.  With ``reconstruct=False`` the relay keeps its share: the
     receiver holds its qubit and rejects.
 
-    The record's ``held`` keeps the qubit a party is left with: the
-    receiver's, when it keeps the uncorrected one (``reconstruct=False``)
+    The record's ``held`` keeps the frame of the qubit a party is left with:
+    the receiver's, when it keeps the uncorrected one (``reconstruct=False``)
     or recovers a quantum secret, and the relay's, when it skips its
     measurement (the ``relay_bsm`` skip) and captures the payload.
     """
@@ -545,7 +543,7 @@ def qss_run(secret, rng: Rng | None = None, *, mu: int = 0, nu: int = 0,
     run.tell("share", "alice", "bob", "send_sender_share", f"aa={aa}")
 
     if skip or not reconstruct:  # after a skip, the relay holds the moved qubit
-        run.held["charlie" if skip else "bob"] = run.moved_state().amplitudes
+        run.held["charlie" if skip else "bob"] = run.moved
         run.values.update({"relay_skipped": True, "aa": str(aa)} if skip
                           else {"aa": str(aa), "cc": str(cc)})
         return run.conclude("bob", False, "", "insufficient_shares")
@@ -558,7 +556,7 @@ def qss_run(secret, rng: Rng | None = None, *, mu: int = 0, nu: int = 0,
     if classical:
         value = run.values["bit"] = run.measure()
     else:
-        run.held["bob"] = moved.amplitudes
+        run.held["bob"] = run.moved
         value = "qubit"
     return run.conclude("bob", True, str(value), "")
 

@@ -15,21 +15,20 @@ counter on them counts the same work: :func:`bsm` (a Bell measurement,
 forced to a pair or drawn over four exact quarters), :func:`apply_pauli`,
 :func:`measure_qubit` (a Z measurement of a basis payload, whose bit the
 frame fixes, so it draws nothing) and :func:`extract_qubit` (a freed
-wire).  Amplitudes are built only where something reads them
-(:meth:`Frame.state`).  The dense state-vector engine the frame replaced,
-with its Born draws and general forcing, is the reference oracle in
-:mod:`bellproto.dense`.
+wire).  Amplitudes are built only where something reads them (qss's
+fidelity, by :meth:`Frame.state`); a held qubit stays a frame.  The dense
+state-vector engine the frame replaced, with its Born draws and general
+forcing, is the reference oracle in :mod:`bellproto.dense`.
 
 Besides the frame, this module holds the seeded streams (:class:`Rng`:
 numpy's SeedSequence and PCG64 redone in Python bit for bit, so no numpy
 version can change a draw but the Gaussians of :meth:`Rng.unit_qubit`),
-what the runners read (:func:`qubit`, :func:`fidelity`, :func:`infer_tau`),
-the attack views' :func:`trace_distance` and the two amplitude types.
-:class:`StateVector` is built where something reads amplitudes;
-:class:`DensityMatrix` is built only by the dense engine, but both stay
-here because the benchmark's tracer wraps their constructors under these
-names.  Tolerances are fixed package-wide: state equality and trace checks
-at 1e-12 (``TOL_EQ``), positive-semidefiniteness slack at 1e-10
+what the runners read (:func:`qubit`, :func:`fidelity`, :func:`infer_tau`)
+and the two amplitude types, :class:`StateVector` and
+:class:`DensityMatrix`.  Only the dense engine builds the latter, but both
+stay here because the benchmark's tracer wraps their constructors under
+these names.  Tolerances are fixed package-wide: state equality and trace
+checks at 1e-12 (``TOL_EQ``), positive-semidefiniteness slack at 1e-10
 (``TOL_PSD``, which :class:`DensityMatrix` applies).
 """
 
@@ -401,11 +400,4 @@ class DensityMatrix:
     @property
     def n_qubits(self) -> int:
         return self.matrix.shape[0].bit_length() - 1
-
-
-def trace_distance(a, b) -> float:
-    """Half the trace norm of ``a - b``, two Hermitian matrices; either side
-    may be 0 (a missing view).  0 means indistinguishable."""
-    return 0.5 * float(np.abs(np.linalg.eigvalsh(a - b)).sum())
-
 

@@ -1,12 +1,14 @@
 import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from bellproto.algebra import LABELS, TwoBits
+from bellproto.algebra import LABELS, PAIRS, TwoBits
 from bellproto.attacks import (
     CATALOG,
     SecurityReport,
+    _view_config,
     enumeration_cells,
     expected_bound_met,
     run_cell,
@@ -14,9 +16,12 @@ from bellproto.attacks import (
     strategies_for,
     view_distance,
 )
+from bellproto.dense import trace_distance
 from bellproto.identities import otp_certify
-from bellproto.protocols import ConfigError, bc_run, spec_for
+from bellproto.protocols import ConfigError, _encode_qubit, bc_run, spec_for
+from bellproto.states import Rng
 from bellproto.transcript import RunConfig
+from test_golden import VIEWS
 
 
 def config_for(protocol, **overrides):
@@ -233,6 +238,64 @@ def test_observer_on_own_secret_sees_everything():
     assert dist == pytest.approx(1.0, abs=1e-12)
 
 
+# --- the closed-form views against the eigenvalue oracle ------------------------
+
+
+def _matrix_views(records, observer, weight, cut_step=None):
+    """Each view as a matrix: the weighted projectors of the qubit the observer
+    holds, summed, or its weight as a 1x1 matrix when it holds none."""
+    out = {}
+    for rec in records:
+        view = rec.view(observer, cut_step=cut_step)
+        frame = rec.held.get(observer)
+        amps = None if frame is None else frame.state().amplitudes
+        state = weight * (np.ones((1, 1)) if amps is None else np.outer(amps, amps.conj()))
+        out[view] = out[view] + state if view in out else state
+    return out
+
+
+def _oracle_view_distance(protocol, observer, *, vary, values, fixed=None, cut_step=None):
+    fixed = dict(fixed or {})
+    runner_kwargs = fixed.pop("runner_kwargs", {})
+    sides = []
+    for value in values:
+        config = _view_config(protocol, {**fixed, vary: value})
+        cells = list(enumeration_cells(config))
+        records = [run_cell(config, {**cell, **runner_kwargs}, None, None) for cell in cells]
+        sides.append(_matrix_views(records, observer, 1.0 / len(cells), cut_step))
+    a, b = sides
+    return sum(trace_distance(a.get(view, 0.0), b.get(view, 0.0)) for view in set(a) | set(b))
+
+
+@pytest.mark.parametrize("protocol, observer, kwargs", VIEWS,
+                         ids=[f"{p}-{o}-{i}" for i, (p, o, _k) in enumerate(VIEWS)])
+def test_view_distance_matches_the_eigenvalue_oracle(protocol, observer, kwargs):
+    """Every golden view row: the Bloch closed form against the trace norm of
+    the summed projectors."""
+    got = view_distance(protocol, observer, **kwargs)
+    assert abs(got - _oracle_view_distance(protocol, observer, **kwargs)) <= 1e-15
+
+
+# basis, real and complex explicit payloads, and seeded random qubits
+_CAPTURE_SECRETS = ("0", "1", "q", "q:0.6,0,0.8,0", "q:0,0.6,0,-0.8", "q:0.5,0.5,0.5,-0.5",
+                    *(_encode_qubit(Rng(seed).unit_qubit()) for seed in (1, 7, 31)))
+
+
+@pytest.mark.parametrize("secret", _CAPTURE_SECRETS)
+def test_captured_qubit_is_exactly_maximally_mixed(secret):
+    """Averaging over the four sender outcomes is a Pauli twirl: the captured
+    Bloch vector sums to exactly zero on every chain, so the catalog's capture
+    ceiling is 0.0.  The eigenvalue oracle agrees to rounding."""
+    for mu, nu in itertools.product(LABELS, repeat=2):
+        config = RunConfig("qss", mu=mu, nu=nu, secret=secret, mode="enumerate")
+        report = run_strategy(config, "charlie-skip-bsm")
+        assert report.state_distance == 0.0
+        cheat = CATALOG[("qss", "charlie-skip-bsm")].variants(config)[0]
+        records = [run_cell(config, {"forced": (aa, None)}, cheat, None) for aa in PAIRS]
+        [avg] = _matrix_views(records, "charlie", 0.25).values()
+        assert trace_distance(avg, np.eye(2) / 2) <= 1e-15
+
+
 # --- one-time-pad certification --------------------------------------------------
 
 
@@ -325,7 +388,7 @@ def test_forced_qss_cells_run_the_requested_payload(monkeypatch):
         assert rec.config.secret == secret
         aa, cc = cell["forced"]
         moved = StateVector(pauli_matrix(infer_tau(aa, cc, 1, 2)) @ one)
-        assert equal_up_to_phase(StateVector(rec.held["bob"]), moved)
+        assert equal_up_to_phase(rec.held["bob"].state(), moved)
 
     records = []
 
@@ -339,4 +402,4 @@ def test_forced_qss_cells_run_the_requested_payload(monkeypatch):
     assert len(records) == 16
     for rec in records:
         assert rec.config.secret == secret
-        assert equal_up_to_phase(StateVector(rec.held["bob"]), basis_state("1"))
+        assert equal_up_to_phase(rec.held["bob"].state(), basis_state("1"))

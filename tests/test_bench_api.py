@@ -46,13 +46,14 @@ ENGINE_NAMES = ("states.bsm", "states.measure_qubit", "states.apply_pauli",
 # engine calls of one tiny traced pass at seed 1, from cold caches: a faster
 # engine makes the same Bell measurements and derives the same streams.  The
 # Pauli frame builds a StateVector, and takes one Pauli matrix for it, only
-# where a runner reads amplitudes: qss's moved qubit, for its fidelity or as
-# a held qubit.  Cheaper bookkeeping logs the same events.
+# where a runner reads amplitudes: qss's moved qubit, for its fidelity.  Held
+# qubits no longer build amplitudes: the views read their frames' Bloch
+# vectors.  Cheaper bookkeeping logs the same events.
 ENGINE_WORK = {
-    "enumerate-sweep": {"states.StateVector.__init__.calls": 68, "states.bsm.calls": 1796,
+    "enumerate-sweep": {"states.StateVector.__init__.calls": 32, "states.bsm.calls": 1796,
                         "states.Rng.__init__.calls": 1704,
                         "transcript.Transcript.append.calls": 12736,
-                        "algebra.pauli_matrix.calls": 68},
+                        "algebra.pauli_matrix.calls": 32},
     "sample-replay": {"states.StateVector.__init__.calls": 3, "states.bsm.calls": 84,
                       "states.Rng.__init__.calls": 87,
                       "transcript.Transcript.append.calls": 441,
@@ -82,7 +83,8 @@ def test_tracer_patch_points_name_what_exists(monkeypatch):
     """``bench/tracer.py`` skips a name its module or class lacks, so a
     rename would silently stop tracing it.  The stale entries known today:
     ``states.apply_matrix``, and the dense register builders and density
-    oracles that moved to ``bellproto.dense``, which the runtime never calls."""
+    oracles that moved to ``bellproto.dense``, which the runtime never calls
+    (``trace_distance`` among them: the attack views use a closed form)."""
     monkeypatch.syspath_prepend(str(BENCH))
     import tracer
 
@@ -94,7 +96,7 @@ def test_tracer_patch_points_name_what_exists(monkeypatch):
                 for name in names if not hasattr(cls, name)]
     assert missing == ["states.basis_state", "states.bell_state", "states.make_register",
                        "states.chain_register", "states.apply_matrix", "states.reduced_density",
-                       "states.mixture_density"]
+                       "states.mixture_density", "states.trace_distance"]
 
 
 @pytest.mark.parametrize("name", ("enumerate-sweep", "sample-replay"))

@@ -102,8 +102,8 @@ def _assert_same_runs(frame_records, dense_records):
         assert abs(values.pop("fidelity", 0.0) - expected.pop("fidelity", 0.0)) <= TOL_EQ
         assert values == expected
         assert got.held.keys() == want.held.keys()
-        for party, amplitudes in got.held.items():
-            assert equal_up_to_phase(StateVector(amplitudes), StateVector(want.held[party]))
+        for party, frame in got.held.items():
+            assert equal_up_to_phase(frame.state(), want.held[party])
 
 
 def test_the_reference_runs_build_the_dense_register(both_engines, monkeypatch):

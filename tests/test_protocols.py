@@ -92,7 +92,8 @@ def test_common_steps_quantum_payload_all_cells():
 def test_no_runtime_step_receives_or_builds_a_multi_qubit_state(monkeypatch):
     """The runtime tracks a Pauli frame, not a register: no engine step is
     handed a StateVector of more than one qubit, and none is built, while
-    qss still builds the one-qubit states its fidelity and held qubits read."""
+    qss still builds the one-qubit states its fidelity reads (a held qubit
+    stays a frame)."""
     built, handed = [], []
     init = StateVector.__init__
 
@@ -326,7 +327,7 @@ def test_qss_run_draws_q_from_its_generator(seed):
                                          mode="sample:1"))
     assert direct.transcript.events == replayed.transcript.events
     assert direct.held.keys() == replayed.held.keys() == {"bob"}
-    assert np.array_equal(direct.held["bob"], replayed.held["bob"])
+    assert direct.held["bob"] == replayed.held["bob"]
     # the runner records the drawn amplitudes, the replay the config it ran
     assert direct.config.secret.startswith("q:") and replayed.config.secret == "q"
 
@@ -336,7 +337,7 @@ def test_qss_run_without_a_generator_takes_the_probe_for_q():
         rec = qss_run("q", None, forced=(aa, cc))
         probe = qss_run(protocols._QSS_PROBE, None, forced=(aa, cc))
         assert rec.transcript.to_text() == probe.transcript.to_text()
-        assert np.array_equal(rec.held["bob"], probe.held["bob"])
+        assert rec.held["bob"] == probe.held["bob"]
 
 
 def test_qss_single_share_is_rejected():
@@ -346,19 +347,18 @@ def test_qss_single_share_is_rejected():
     announced = ("verdict", "bob", "verdict", "outcome=reject value= reason=insufficient_shares")
     for party in ("bob", "charlie"):
         assert rec.view(party)[-1] == announced
-    assert list(rec.held) == ["bob"] and rec.held["bob"].shape == (2,)
+    assert list(rec.held) == ["bob"] and rec.held["bob"].state().n_qubits == 1
 
 
 def test_qss_receiver_share_alone_is_maximally_mixed():
     from bellproto.dense import is_maximally_mixed, mixture_density
-    from bellproto.states import StateVector
 
     probe = Rng(31).unit_qubit()
     for aa in ALL_PAIRS:
         holdings = []
         for cc in ALL_PAIRS:
             rec = qss_run(probe, None, forced=(aa, cc), reconstruct=False)
-            holdings.append(StateVector(rec.held["bob"]))
+            holdings.append(rec.held["bob"].state())
         dm = mixture_density(holdings, [0.25] * 4)
         assert is_maximally_mixed(dm)
 

@@ -22,6 +22,7 @@ from bellproto.dense import (
     mixture_density,
     projector,
     reduced_density,
+    trace_distance,
     wires_back,
     wires_first,
 )
@@ -32,7 +33,6 @@ from bellproto.states import (
     fidelity,
     infer_tau,
     qubit,
-    trace_distance,
 )
 
 from conftest import equal_up_to_phase
