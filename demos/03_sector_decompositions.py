@@ -16,11 +16,10 @@ import itertools
 
 import numpy as np
 
-from bellproto.algebra import LABELS
+from bellproto.algebra import LABELS, convention_sign_gaps
 from bellproto.dense import (
     bell_state,
     chain_register,
-    convention_sign_gaps,
     decompose_chain,
     decompose_swap,
     decompose_teleport,

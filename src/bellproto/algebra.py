@@ -20,12 +20,17 @@ Conventions fixed here and used everywhere else in the package:
 
 The signs of the Bell action and of label composition are frozen as
 literal tables; the identity suite (bell-action-table, compose-table) and
-the tests re-derive every entry from the matrices themselves.  Everything
-in this module is immutable after import and safe to share across threads.
+the tests re-derive every entry from the matrices themselves.  The signs
+of the Bell-sector decompositions (teleport and swap) are frozen here too,
+with the integer sector-term generators that the identity suite and the
+dense engine's decompositions share, so all four sign tables have one
+home.  Everything in this module is immutable after import and safe to
+share across threads.
 """
 
 from __future__ import annotations
 
+import itertools
 from typing import NamedTuple
 
 import numpy as np
@@ -203,3 +208,94 @@ def pauli_compose_sequence(labels) -> SignedLabel:
         step = pauli_compose(out.label, lab)
         out = SignedLabel(step.label, out.phase * step.phase)
     return out
+
+
+# --- Bell-sector decompositions -------------------------------------------
+#
+# The product states used by the protocols decompose exactly into one
+# product term per Bell-measurement sector.  The term labels follow the
+# XOR rule.  The exact term signs are frozen below from a direct projector
+# computation.  Each split has one +/-1 fix: the exact sign is the phase
+# from composing the operator action tables factor by factor, times the
+# fix.  The chain's fix is the swap's times the teleport's, and a gap in
+# `convention_sign_gaps` is a fix of -1.  The term generators work on the
+# integer tables (``omegas`` is the pair-operator table, or the identity
+# suite's faulted copy), so their terms are exact; the identity suite
+# rebuilds every register from them, so a wrong sign fails there, and the
+# dense engine's decompositions divide the scale back out.
+
+# payload (x) Bell(channel), sender outcome aa: index 4*channel + aa
+_TELEPORT_SIGNS = "+++-++-++++---+-"
+# Bell(mu) (x) Bell(nu), relay outcome cc: index 16*mu + 4*nu + cc
+_SWAP_SIGNS = "+++++++++-+-+-+-++--++---++--++-+++++++++-+-+-+-++--++---++--++-"
+
+
+def _teleport_fix(channel: int, aa: int) -> int:
+    exact = 1 if _TELEPORT_SIGNS[4 * channel + aa] == "+" else -1
+    return exact * apply_omega_to_bell(aa ^ channel, channel).phase
+
+
+def _swap_fix(mu: int, nu: int, cc: int) -> int:
+    exact = 1 if _SWAP_SIGNS[16 * mu + 4 * nu + cc] == "+" else -1
+    rho = cc ^ nu
+    return exact * apply_omega_to_bell(rho, mu).phase * apply_omega_to_bell(rho, nu).phase
+
+
+def _chain_fix(mu: int, nu: int, aa: int, cc: int) -> int:
+    """The relay swap leaves the outer pair in Bell(mu ^ nu ^ cc), then the
+    sender teleports over it."""
+    return _swap_fix(mu, nu, cc) * _teleport_fix(mu ^ nu ^ cc, aa)
+
+
+def convention_sign_gaps() -> dict[str, tuple]:
+    """Sector cells whose sign fix is -1, in ``itertools.product`` order.
+
+    A sector's exact sign is its factor-by-factor operator phase times the
+    fix of its split, and the chain's fix is the swap's times the
+    teleport's; on the cells listed here the factor-by-factor phase alone
+    has the wrong sign.  Returned purely as a record of the convention
+    mismatch.
+    """
+    return {
+        "teleport": tuple(c for c in itertools.product(LABELS, repeat=2) if _teleport_fix(*c) < 0),
+        "swap": tuple(c for c in itertools.product(LABELS, repeat=3) if _swap_fix(*c) < 0),
+        "chain": tuple(c for c in itertools.product(LABELS, repeat=4) if _chain_fix(*c) < 0),
+    }
+
+
+def _teleport_terms(channel: int, payload: np.ndarray, omegas):
+    """(tau, sqrt(2) * term) of payload (x) Bell(channel); the scaled terms
+    sum to 2 * payload (x) bell_vector_int(channel)."""
+    for tau in LABELS:
+        fix = _teleport_fix(channel, tau ^ channel)
+        bell_part = fix * (omegas[tau] @ bell_vector_int(channel))
+        yield tau, np.multiply.outer(bell_part, pauli_matrix_int(tau) @ payload).reshape(-1)
+
+
+def _swap_terms(mu: int, nu: int, omegas):
+    """(rho, 2 * term) of Bell(mu) (x) Bell(nu); the scaled terms sum to
+    2 * bell_vector_int(mu) (x) bell_vector_int(nu)."""
+    for rho in LABELS:
+        outer = _swap_fix(mu, nu, rho ^ nu) * (omegas[rho] @ bell_vector_int(mu))
+        relay = omegas[rho] @ bell_vector_int(nu)
+        # the outer pair sits on wires (0, 3) and the relay pair on (1, 2)
+        term = np.multiply.outer(outer, relay).reshape(2, 2, 2, 2).transpose(0, 2, 3, 1)
+        yield rho, term.reshape(-1)
+
+
+def _chain_factors(mu: int, nu: int, omegas):
+    """(tau, rho, sender, relay) of each chain term: its signed sender-pair
+    and relay-pair factors, each scaled by sqrt(2)."""
+    for tau, rho in itertools.product(LABELS, repeat=2):
+        fix = _chain_fix(mu, nu, tau ^ rho ^ mu, rho ^ nu)
+        yield (tau, rho, fix * (omegas[tau] @ omegas[rho] @ bell_vector_int(mu)),
+               omegas[rho] @ bell_vector_int(nu))
+
+
+def _chain_terms(mu: int, nu: int, payload: np.ndarray, omegas):
+    """(tau, rho, 2 * term) of payload (x) Bell(mu) (x) Bell(nu); the scaled
+    terms sum to 4 * payload (x) bell_vector_int(mu) (x) bell_vector_int(nu).
+    Term (tau, rho) is its two pair factors, then pauli(tau) @ payload."""
+    for tau, rho, sender, relay in _chain_factors(mu, nu, omegas):
+        term = np.multiply.outer(np.multiply.outer(sender, relay), pauli_matrix_int(tau) @ payload)
+        yield tau, rho, term.reshape(-1)

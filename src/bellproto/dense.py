@@ -2,8 +2,9 @@
 
 The protocol runtime tracks a Pauli frame (:mod:`bellproto.states`); this
 module keeps the full amplitude registers it replaced and the eigenvalue
-:func:`trace_distance`, which the identity suite, the demos and the tests
-run on.  No state transition is cached: each call computes from its input.
+:func:`trace_distance`, which the demos and the tests run on.  It is a
+leaf: no module of the package imports it.  No state transition is
+cached: each call computes from its input.
 
 Wire convention: qubit 0 is the most significant bit of the basis index,
 so ``amplitudes[0b101]`` of a 3-qubit register is the |101> amplitude with
@@ -25,15 +26,14 @@ swaps the entanglement onto the outer wires, at the sender it teleports
 the payload to the receiver.
 
 All comparisons between states are made up to a global +/-1 phase (the
-only phases this algebra produces); the exact signs of the Bell-sector
-decompositions are frozen as literal tables, which the tests check against
-direct projector computation and the identity suite checks by rebuilding
-every register in integer arithmetic.
+only phases this algebra produces); the Bell-sector decompositions take
+their exact signs from the literal tables in :mod:`bellproto.algebra`,
+which the tests check against direct projector computation and the
+identity suite checks by rebuilding every register in integer arithmetic.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -41,14 +41,14 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .algebra import (
+    _OMEGA_INT,
     LABELS,
     TwoBits,
-    apply_omega_to_bell,
+    _chain_terms,
+    _swap_terms,
+    _teleport_terms,
     bell_vector,
-    bell_vector_int,
-    omega_matrix_int,
     pauli_matrix,
-    pauli_matrix_int,
 )
 from .states import TOL_EQ, DensityMatrix, Rng, StateVector
 
@@ -230,89 +230,7 @@ def extract_qubit(state: StateVector, wire: int) -> StateVector:
     return StateVector(vec)
 
 
-# --- Bell-sector decompositions -------------------------------------------
-#
-# The product states used by the protocols decompose exactly into one
-# product term per Bell-measurement sector.  The term labels follow the
-# XOR rule.  The exact term signs are frozen below from a direct projector
-# computation.  Each split has one +/-1 fix: the exact sign is the phase
-# from composing the operator action tables factor by factor, times the
-# fix.  The chain's fix is the swap's times the teleport's, and a gap in
-# `convention_sign_gaps` is a fix of -1.  The decomposition tests and
-# identity checks rebuild every register from these terms, so a wrong sign
-# fails there.
-
-# payload (x) Bell(channel), sender outcome aa: index 4*channel + aa
-_TELEPORT_SIGNS = "+++-++-++++---+-"
-# Bell(mu) (x) Bell(nu), relay outcome cc: index 16*mu + 4*nu + cc
-_SWAP_SIGNS = "+++++++++-+-+-+-++--++---++--++-+++++++++-+-+-+-++--++---++--++-"
-
-
-def _teleport_fix(channel: int, aa: int) -> int:
-    exact = 1 if _TELEPORT_SIGNS[4 * channel + aa] == "+" else -1
-    return exact * apply_omega_to_bell(aa ^ channel, channel).phase
-
-
-def _swap_fix(mu: int, nu: int, cc: int) -> int:
-    exact = 1 if _SWAP_SIGNS[16 * mu + 4 * nu + cc] == "+" else -1
-    rho = cc ^ nu
-    return exact * apply_omega_to_bell(rho, mu).phase * apply_omega_to_bell(rho, nu).phase
-
-
-def _chain_fix(mu: int, nu: int, aa: int, cc: int) -> int:
-    """The relay swap leaves the outer pair in Bell(mu ^ nu ^ cc), then the
-    sender teleports over it."""
-    return _swap_fix(mu, nu, cc) * _teleport_fix(mu ^ nu ^ cc, aa)
-
-
-def _place_pairs(blocks: Sequence[tuple[Sequence[int], np.ndarray]]) -> np.ndarray:
-    """Tensor 1- and 2-wire blocks that cover every wire, each at its wires;
-    integer blocks give an integer vector."""
-    vec = np.ones(1, dtype=np.int64)
-    order: list[int] = []
-    for wires, block in blocks:
-        vec = np.multiply.outer(vec, block).reshape(-1)
-        order.extend(wires)
-    return wires_back(vec, order)
-
-
-# The term generators work on the integer tables (``omegas`` is the integer
-# pair-operator table, or the identity suite's faulted copy), so their terms
-# are exact and integer for integer payloads; the public decompositions
-# divide the scale back out.
-
-
-def _teleport_terms(channel: int, payload: np.ndarray, omegas):
-    """(tau, sqrt(2) * term) of payload (x) Bell(channel); the scaled terms
-    sum to 2 * payload (x) bell_vector_int(channel)."""
-    for tau in LABELS:
-        fix = _teleport_fix(channel, tau ^ channel)
-        bell_part = fix * (omegas[tau] @ bell_vector_int(channel))
-        moved = pauli_matrix_int(tau) @ payload
-        yield tau, _place_pairs([((0, 1), bell_part), ((2,), moved)])
-
-
-def _swap_terms(mu: int, nu: int, omegas):
-    """(rho, 2 * term) of Bell(mu) (x) Bell(nu); the scaled terms sum to
-    2 * bell_vector_int(mu) (x) bell_vector_int(nu)."""
-    for rho in LABELS:
-        outer = _swap_fix(mu, nu, rho ^ nu) * (omegas[rho] @ bell_vector_int(mu))
-        relay = omegas[rho] @ bell_vector_int(nu)
-        yield rho, _place_pairs([((0, 3), outer), ((1, 2), relay)])
-
-
-def _chain_terms(mu: int, nu: int, payload: np.ndarray, omegas):
-    """(tau, rho, 2 * term) of payload (x) Bell(mu) (x) Bell(nu); the scaled
-    terms sum to 4 * payload (x) bell_vector_int(mu) (x) bell_vector_int(nu)."""
-    for tau, rho in itertools.product(LABELS, repeat=2):
-        fix = _chain_fix(mu, nu, tau ^ rho ^ mu, rho ^ nu)
-        sender = fix * (omegas[tau] @ omegas[rho] @ bell_vector_int(mu))
-        relay = omegas[rho] @ bell_vector_int(nu)
-        moved = pauli_matrix_int(tau) @ payload
-        yield tau, rho, _place_pairs([((0, 1), sender), ((2, 3), relay), ((4,), moved)])
-
-
-_OMEGA_INT = tuple(omega_matrix_int(t) for t in LABELS)
+# --- Bell-sector decompositions, from the integer terms of algebra ---------
 
 
 def decompose_teleport(channel: int, payload: StateVector) -> list[tuple[int, StateVector]]:
@@ -345,22 +263,6 @@ def decompose_chain(mu: int, nu: int, payload: StateVector) -> list[tuple[int, i
     """
     return [(tau, rho, StateVector(vec / 2))
             for tau, rho, vec in _chain_terms(mu, nu, payload.amplitudes, _OMEGA_INT)]
-
-
-def convention_sign_gaps() -> dict[str, tuple]:
-    """Sector cells whose sign fix is -1, in ``itertools.product`` order.
-
-    A sector's exact sign is its factor-by-factor operator phase times the
-    fix of its split, and the chain's fix is the swap's times the
-    teleport's; on the cells listed here the factor-by-factor phase alone
-    has the wrong sign.  Returned purely as a record of the convention
-    mismatch.
-    """
-    return {
-        "teleport": tuple(c for c in itertools.product(LABELS, repeat=2) if _teleport_fix(*c) < 0),
-        "swap": tuple(c for c in itertools.product(LABELS, repeat=3) if _swap_fix(*c) < 0),
-        "chain": tuple(c for c in itertools.product(LABELS, repeat=4) if _chain_fix(*c) < 0),
-    }
 
 
 # --- density-matrix oracles ----------------------------------------------

@@ -288,8 +288,8 @@ def infer_tau(aa: TwoBits, cc: TwoBits, mu: int, nu: int) -> int:
     After the relay outcome ``cc`` and the sender outcome ``aa`` over the
     chain (mu, nu), the receiver holds pauli(tau) applied to the payload up
     to sign, with ``tau`` the XOR of the four labels.  The identity suite's
-    correction-table check confirms the rule by forcing every outcome
-    combination through the simulator.
+    correction-table check confirms the rule on the exact chain terms, one
+    per outcome combination.
     """
     return aa.label ^ cc.label ^ mu ^ nu
 

@@ -48,6 +48,21 @@ def test_bare_import_leaves_identities_unloaded(tmp_path):
     assert proc.stdout.splitlines() == ["[]", "[]"]
 
 
+
+def test_identities_command_leaves_dense_unloaded(tmp_path):
+    # the identity suite is exact: it needs the integer tables, not the dense oracle
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import contextlib, io, sys\n"
+         "from bellproto import cli\n"
+         "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+         "    code = cli.main(['identities'])\n"
+         "print(code, out.getvalue().count('PASS'), 'bellproto.dense' in sys.modules)\n"],
+        capture_output=True, text=True, cwd=tmp_path, env=child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [str(EXIT_OK), "17", "False"]
+
 def test_identities_pass(tmp_path):
     out_file = tmp_path / "identities.txt"
     proc = run_cli("identities", "--out", str(out_file))

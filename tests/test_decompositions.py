@@ -10,13 +10,18 @@ import itertools
 import numpy as np
 import pytest
 
-from bellproto import dense
-from bellproto.algebra import LABELS, apply_omega_to_bell, bell_vector, pauli_matrix
+from bellproto import algebra
+from bellproto.algebra import (
+    LABELS,
+    apply_omega_to_bell,
+    bell_vector,
+    convention_sign_gaps,
+    pauli_matrix,
+)
 from bellproto.dense import (
     bell_state,
     basis_state,
     chain_register,
-    convention_sign_gaps,
     decompose_chain,
     decompose_swap,
     decompose_teleport,
@@ -140,11 +145,11 @@ def _phase(rho, mu):
 
 
 def _exact_teleport(channel, aa):
-    return 1 if dense._TELEPORT_SIGNS[4 * channel + aa] == "+" else -1
+    return 1 if algebra._TELEPORT_SIGNS[4 * channel + aa] == "+" else -1
 
 
 def _exact_swap(mu, nu, cc):
-    return 1 if dense._SWAP_SIGNS[16 * mu + 4 * nu + cc] == "+" else -1
+    return 1 if algebra._SWAP_SIGNS[16 * mu + 4 * nu + cc] == "+" else -1
 
 
 def test_gap_record_matches_its_factorwise_definition():
