@@ -59,18 +59,34 @@ SCOPE_NOTE = (
 
 @dataclass(frozen=True)
 class SecurityReport:
-    """Outcome of evaluating one strategy against one protocol."""
+    """Outcome of evaluating one strategy against one protocol: the count of
+    ``rejected`` runs of ``cells``, from which the properties derive the
+    exact or sampled detection, or a captured qubit's ``state_distance``."""
 
     strategy: str
     protocol: str
-    mode: str
+    mode: str  # enumerate | sample:<trials>
     cells: int
     rejected: int | None = None
-    detection: Fraction | None = None
-    estimate: float | None = None
-    interval: float | None = None
     state_distance: float | None = None
     note: str = SCOPE_NOTE
+
+    @property
+    def detection(self) -> Fraction | None:
+        """The exact detection fraction of an enumeration, else None."""
+        enumerated = self.rejected is not None and self.mode == "enumerate"
+        return Fraction(self.rejected, self.cells) if enumerated else None
+
+    @property
+    def estimate(self) -> float | None:
+        """The sampled detection rate, else None (a capture report enumerates)."""
+        return None if self.mode == "enumerate" else self.rejected / self.cells
+
+    @property
+    def interval(self) -> float | None:
+        """Three standard errors of the sampled rate, else None."""
+        p = self.estimate
+        return None if p is None else 3.0 * math.sqrt(max(p * (1 - p), 1e-12) / self.cells)
 
     def to_text(self) -> str:
         lines = [
@@ -200,39 +216,26 @@ def run_strategy(config: RunConfig, name: str,
     if trials < 1:
         raise ConfigError(f"trials (--samples) must be >= 1, got {trials}")
     entry = CATALOG[key]
-    variants = list(entry.variants(config))
+    variants = entry.variants(config)
 
     if entry.metric == "mixedness":
         if mode != "enumerate":
             raise ConfigError(f"{name} is a capture strategy and runs in enumerate mode only")
         return _evaluate_capture(config, entry, variants[0])
 
+    # one (cheat, cell, stream) per run: each variant over every forced cell,
+    # or trials cycling through the variants on a stream each
     if mode == "enumerate":
-        cells = 0
-        rejected = 0
-        for cheat in variants:
-            for cell in enumeration_cells(config):
-                rec = run_cell(config, dict(cell), cheat, None)
-                cells += 1
-                rejected += 0 if rec.verdict.accepted else 1
-        return SecurityReport(
-            strategy=name, protocol=config.protocol, mode="enumerate",
-            cells=cells, rejected=rejected,
-            detection=Fraction(rejected, cells), note=_note(entry),
-        )
-    rng = Rng(seed)
-    rejected = 0
-    for t in range(trials):
-        cheat = variants[t % len(variants)]
-        rec = run_cell(config, {}, cheat, rng.derive(t))
-        rejected += 0 if rec.verdict.accepted else 1
-    p = rejected / trials
-    half_width = 3.0 * math.sqrt(max(p * (1 - p), 1e-12) / trials)
-    return SecurityReport(
-        strategy=name, protocol=config.protocol, mode=f"sample:{trials}",
-        cells=trials, rejected=rejected, estimate=p, interval=half_width,
-        note=_note(entry),
-    )
+        runs = ((cheat, cell, None) for cheat in variants for cell in enumeration_cells(config))
+    else:
+        mode, rng = f"sample:{trials}", Rng(seed)
+        runs = ((variants[t % len(variants)], {}, rng.derive(t)) for t in range(trials))
+    cells = rejected = 0
+    for cheat, cell, stream in runs:
+        cells += 1
+        rejected += not run_cell(config, cell, cheat, stream).verdict.accepted
+    return SecurityReport(strategy=name, protocol=config.protocol, mode=mode,
+                          cells=cells, rejected=rejected, note=_note(entry))
 
 
 def _note(entry: CatalogEntry) -> str:
@@ -306,8 +309,11 @@ def view_distance(protocol: str, observer: str, *, vary: str,
     masks, each cell exactly weighted) tensored with any quantum state the
     observer holds; classical observations enter as orthogonal sectors, so
     the result is a single number in [0, 1] and 0 means the observer's
-    whole world is independent of the secret.
+    whole world is independent of the secret.  Values that are not a pair,
+    or a key :func:`_view_config` does not take, raise ValueError.
     """
+    if len(values) != 2:
+        raise ValueError(f"view_distance compares two values, got {len(values)}: {values!r}")
     fixed = dict(fixed or {})
     runner_kwargs = fixed.pop("runner_kwargs", {})
     sides = []
@@ -322,7 +328,11 @@ def view_distance(protocol: str, observer: str, *, vary: str,
 
 
 def _view_config(protocol: str, kwargs: dict) -> RunConfig:
-    """Build the enumeration config for view comparisons."""
+    """Build the enumeration config for view comparisons from ``secret``,
+    ``inputs``, ``mu`` and ``nu``; any other key raises ValueError."""
+    if unknown := sorted(set(kwargs) - {"secret", "inputs", "mu", "nu"}):
+        raise ValueError("views vary or fix only secret, inputs, mu and nu (fixed also "
+                         f"runner_kwargs), got {', '.join(map(repr, unknown))}")
     return spec_for(protocol).config(
         secret=str(kwargs.get("secret", 0)), inputs=kwargs.get("inputs", ""),
         mu=kwargs.get("mu", 0), nu=kwargs.get("nu", 0), mode="enumerate")

@@ -168,33 +168,30 @@ def build_parser() -> argparse.ArgumentParser:
     p_id.add_argument("--out", default=None, help="also write the table to a file")
     p_id.set_defaults(func=cmd_identities)
 
-    p_run = sub.add_parser("run", help="execute one protocol")
-    p_run.add_argument("--protocol", required=True, choices=PROTOCOLS)
-    p_run.add_argument("--mu", type=int, default=0, help="sender-relay channel label")
-    p_run.add_argument("--nu", type=int, default=0, help="relay-receiver channel label")
-    p_run.add_argument("--secret", default="0",
-                       help="payload: one bit, a qds bit string, or for qss q (random "
-                            "qubit) or q:re,im,re,im")
-    p_run.add_argument("--inputs", default="",
-                       help="party inputs as bit pairs: 10,01 for tpsc (default 00,00), "
-                            "10,01,11 for mpsc (default 00,00,--), the receiver pair for ot")
+    # the configuration flags run and attack share
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--protocol", required=True, choices=PROTOCOLS)
+    shared.add_argument("--mu", type=int, default=0, help="sender-relay channel label")
+    shared.add_argument("--nu", type=int, default=0, help="relay-receiver channel label")
+    shared.add_argument("--secret", default="0",
+                        help="payload: one bit, a qds bit string, or for qss q (random "
+                             "qubit) or q:re,im,re,im")
+    shared.add_argument("--inputs", default="",
+                        help="party inputs as bit pairs: 10,01 for tpsc (default 00,00), "
+                             "10,01,11 for mpsc (default 00,00,--), the receiver pair for ot")
+    shared.add_argument("--out", default=None, help="transcript, table or report path")
+
+    p_run = sub.add_parser("run", parents=[shared], help="execute one protocol")
     p_run.add_argument("--seed", type=int, required=True)
     p_run.add_argument("--mode", choices=("sample", "enumerate"), default="sample")
-    p_run.add_argument("--out", default=None, help="transcript or table path")
     p_run.set_defaults(func=cmd_run)
 
-    p_att = sub.add_parser("attack", help="evaluate a cheating strategy")
-    p_att.add_argument("--protocol", required=True, choices=PROTOCOLS)
+    p_att = sub.add_parser("attack", parents=[shared], help="evaluate a cheating strategy")
     p_att.add_argument("--strategy", required=True)
-    p_att.add_argument("--mu", type=int, default=0)
-    p_att.add_argument("--nu", type=int, default=0)
-    p_att.add_argument("--secret", default="0")
-    p_att.add_argument("--inputs", default="")
     p_att.add_argument("--mode", choices=("enumerate", "sample"), default="enumerate")
     p_att.add_argument("--samples", type=int, default=10_000)
     p_att.add_argument("--seed", type=int, default=None,
                        help="required with --mode sample")
-    p_att.add_argument("--out", default=None)
     p_att.set_defaults(func=cmd_attack)
 
     p_rep = sub.add_parser("replay", help="re-execute a transcript and compare")

@@ -53,7 +53,7 @@ _UNIFORM = (Fraction(1, 4),) * 4
 @dataclass(frozen=True)
 class IdentityCheck:
     name: str
-    residual: float
+    residual: int | Fraction
     note: str = ""
 
     @property
@@ -74,30 +74,30 @@ def _faulted_operators(fault: str | None):
 def check_pauli_unitarity() -> IdentityCheck:
     worst = max(int(np.abs(m @ m.T - np.eye(2, dtype=np.int64)).max())
                 for m in map(pauli_matrix_int, LABELS))
-    return IdentityCheck("pauli-unitarity", float(worst))
+    return IdentityCheck("pauli-unitarity", worst)
 
 
 def check_operator_orthonormality() -> IdentityCheck:
     worst = max(abs(omega_inner(a, b) - (4 if a == b else 0))
                 for a, b in itertools.product(LABELS, repeat=2))
-    return IdentityCheck("operator-orthonormality", float(worst))
+    return IdentityCheck("operator-orthonormality", worst)
 
 
 def check_operator_completeness() -> IdentityCheck:
     total = sum(omega_matrix_int(t) @ omega_matrix_int(t).T for t in LABELS)
     worst = int(np.abs(total - 4 * np.eye(4, dtype=np.int64)).max())
-    return IdentityCheck("operator-completeness", float(worst))
+    return IdentityCheck("operator-completeness", worst)
 
 
 def check_bell_orthonormality() -> IdentityCheck:
     worst = max(abs(int(bell_vector_int(a) @ bell_vector_int(b)) - (2 if a == b else 0))
                 for a, b in itertools.product(LABELS, repeat=2))  # scaled by 2
-    return IdentityCheck("bell-orthonormality", float(worst))
+    return IdentityCheck("bell-orthonormality", worst)
 
 
 def check_bell_collapse() -> IdentityCheck:
     bad = sum(1 for t in LABELS if apply_omega_to_bell(t, t) != (0, 1))
-    return IdentityCheck("bell-collapse", float(bad),
+    return IdentityCheck("bell-collapse", bad,
                          note="diagonal action lands on label 0 with phase +1")
 
 
@@ -107,7 +107,7 @@ def check_bell_action_table() -> IdentityCheck:
         label, phase = apply_omega_to_bell(rho, mu)
         lhs = omega_matrix_int(rho) @ bell_vector_int(mu)
         worst = max(worst, int(np.abs(lhs - phase * bell_vector_int(label)).max()))
-    return IdentityCheck("bell-action-table", float(worst))
+    return IdentityCheck("bell-action-table", worst)
 
 
 def check_compose_table() -> IdentityCheck:
@@ -116,7 +116,7 @@ def check_compose_table() -> IdentityCheck:
         label, phase = pauli_compose(a, b)
         lhs = pauli_matrix_int(a) @ pauli_matrix_int(b)
         worst = max(worst, int(np.abs(lhs - phase * pauli_matrix_int(label)).max()))
-    return IdentityCheck("compose-table", float(worst))
+    return IdentityCheck("compose-table", worst)
 
 
 def _rebuild_residual(terms, reference: np.ndarray) -> int:
@@ -130,7 +130,7 @@ def check_chain_decomposition(fault: str | None = None) -> IdentityCheck:
         _rebuild_residual(_chain_terms(mu, nu, payload, omegas), 4 * np.kron(
             payload, np.kron(bell_vector_int(mu), bell_vector_int(nu))))
         for mu, nu in itertools.product(LABELS, repeat=2) for payload in _BASIS)
-    return IdentityCheck("chain-decomposition", float(worst),
+    return IdentityCheck("chain-decomposition", worst,
                          note="16 sector terms rebuild the five-wire register")
 
 
@@ -140,7 +140,7 @@ def check_swap_decomposition(fault: str | None = None) -> IdentityCheck:
         _rebuild_residual(_swap_terms(mu, nu, omegas),
                           2 * np.kron(bell_vector_int(mu), bell_vector_int(nu)))
         for mu, nu in itertools.product(LABELS, repeat=2))
-    return IdentityCheck("swap-decomposition", float(worst))
+    return IdentityCheck("swap-decomposition", worst)
 
 
 def check_teleport_decomposition(fault: str | None = None) -> IdentityCheck:
@@ -149,7 +149,7 @@ def check_teleport_decomposition(fault: str | None = None) -> IdentityCheck:
         _rebuild_residual(_teleport_terms(channel, payload, omegas),
                           2 * np.kron(payload, bell_vector_int(channel)))
         for channel in LABELS for payload in _BASIS)
-    return IdentityCheck("teleport-decomposition", float(worst))
+    return IdentityCheck("teleport-decomposition", worst)
 
 
 def exact_bell_distribution(int_amplitudes: np.ndarray, norm_sq: int,
@@ -173,7 +173,7 @@ def check_swap_uniformity() -> IdentityCheck:
     for mu, nu in itertools.product(LABELS, repeat=2):
         ints = np.kron(bell_vector_int(mu), bell_vector_int(nu))
         bad += sum(p != Fraction(1, 4) for p in exact_bell_distribution(ints, 4, (1, 2)))
-    return IdentityCheck("swap-uniformity", float(bad),
+    return IdentityCheck("swap-uniformity", bad,
                          note="relay outcome distribution is 1/4 as an exact rational, "
                               "all 16 channel pairs")
 
@@ -185,7 +185,7 @@ def check_teleport_uniformity() -> IdentityCheck:
             ints = np.kron(payload, bell_vector_int(channel))
             probs = exact_bell_distribution(ints, 2 * norm_sq, (0, 1))
             bad += sum(p != Fraction(1, 4) for p in probs)
-    return IdentityCheck("teleport-uniformity", float(bad),
+    return IdentityCheck("teleport-uniformity", bad,
                          note="1/4 as an exact rational on a tomographically complete "
                               "payload set, so for every payload")
 
@@ -211,13 +211,13 @@ def _twirl_residual(vectors, operators, weights) -> Fraction:
 
 def check_swap_mixedness() -> IdentityCheck:
     bells = [(bell_vector_int(mu), 2) for mu in LABELS]
-    return IdentityCheck("swap-mixedness", float(_twirl_residual(bells, _OMEGA_INT, _UNIFORM)),
+    return IdentityCheck("swap-mixedness", _twirl_residual(bells, _OMEGA_INT, _UNIFORM),
                          note="outcome-averaged pair state is I/4")
 
 
 def check_teleport_mixedness() -> IdentityCheck:
     return IdentityCheck("teleport-mixedness",
-                         float(_twirl_residual(_TOMOGRAPHIC, _PAULI_INT, _UNIFORM)),
+                         _twirl_residual(_TOMOGRAPHIC, _PAULI_INT, _UNIFORM),
                          note="outcome-averaged moved qubit is I/2")
 
 
@@ -245,7 +245,7 @@ def otp_certify(labels: Sequence[int], probs: Sequence[float | Fraction]) -> boo
 def check_pad_certification() -> IdentityCheck:
     wrong = sum(otp_certify(subset, [Fraction(1, r)] * r) != (r == 4)
                 for r in range(1, 5) for subset in itertools.combinations(LABELS, r))
-    return IdentityCheck("pad-certification", float(wrong),
+    return IdentityCheck("pad-certification", wrong,
                          note="exactly the uniform four-operator set certifies")
 
 
@@ -256,7 +256,7 @@ def check_correction_identity() -> IdentityCheck:
         label, phase = pauli_compose_sequence([aa, cc, tau])
         bad += label != 0
         negatives += phase < 0
-    return IdentityCheck("correction-identity", float(bad),
+    return IdentityCheck("correction-identity", bad,
                          note=f"product collapses to identity; {negatives}/16 cells "
                               "carry phase -1")
 
@@ -277,7 +277,7 @@ def check_correction_table() -> IdentityCheck:
             lookup = infer_tau(TwoBits.from_label(aa), TwoBits.from_label(cc), mu, nu)
             bad += not (_equal_up_to_sign(sender, bell_vector_int(aa))
                         and _equal_up_to_sign(relay, bell_vector_int(cc)) and lookup == tau)
-    return IdentityCheck("correction-table", float(bad),
+    return IdentityCheck("correction-table", bad,
                          note="forced-outcome simulation matches the lookup "
                               "for all 256 label combinations")
 
@@ -309,7 +309,7 @@ def format_suite(results: list[IdentityCheck]) -> str:
     lines = []
     for r in results:
         status = "PASS" if r.passed else "FAIL"
-        line = f"{r.name:<{width}}  {status}  max-residual {r.residual:.3e}"
+        line = f"{r.name:<{width}}  {status}  max-residual {float(r.residual):.3e}"
         if r.note:
             line += f"  ({r.note})"
         lines.append(line)

@@ -23,9 +23,10 @@ on :class:`Run`.  The engine is the Pauli frame of :mod:`bellproto.states`:
 ``open_chain`` runs the Bell measurements and keeps the freed wire's
 qubit, the payload under a Pauli label, on which ``apply``, ``measure``
 and ``measure_moved`` act.  ``twin_bit`` measures a sender's twin qubit,
-``conclude`` announces and records a verdict, and ``masks`` and ``mask``
-draw and apply private input masks.  Amplitudes are built only where a
-runner reads them (qss's fidelity); a held qubit stays its frame.  What
+``masks`` and ``mask`` draw and apply private input masks, and
+``conclude``, the one way a run ends, announces a verdict and returns the
+record.  Amplitudes are built only where a runner reads them (qss's
+fidelity); a held qubit stays its frame.  What
 does not change from run to run is built once: the forced qss probe
 qubit and each protocol's sorted controllers.
 
@@ -149,9 +150,11 @@ class Run:
     a :class:`~bellproto.states.Frame`, the payload under its correction,
     on the receiver's wire or, after a skipped relay measurement, the
     relay's.  Every later step acts on it alone, a party left with it holds
-    the frame, and ``moved_state`` builds its amplitudes for a reader.  The
+    the frame, and ``moved_state`` builds its amplitudes for a reader (the
+    tests' dense reference engine reads its register there instead).  The
     steps call ``states.<name>`` at call time, so a wrapper on the module
-    attribute sees every transition.
+    attribute sees every transition.  A run ends only through ``conclude``,
+    which announces one party's verdict and returns the record.
     """
 
     def __init__(self, protocol: str, rng: Rng | None, cheat: CheatStrategy | None = None, *,
@@ -266,19 +269,13 @@ class Run:
         self.local("3", self.cast["B"], "measure_moved", f"bit={bit}")
         return bit
 
-    def verdict(self, actor: str, verdict: Verdict) -> Verdict:
-        payload = f"outcome={verdict.outcome} value={verdict.value} reason={verdict.reason}"
-        self.announce("verdict", actor, "verdict", payload)
-        return verdict
-
-    def record(self, verdict: Verdict) -> RunRecord:
-        return RunRecord(verdict, self.transcript, self.held, self.values)
-
     def conclude(self, party: str, ok: bool, value: str, reason: str) -> RunRecord:
         """Announce ``party``'s verdict, accept with ``value`` or reject with
-        ``reason``, and close the run on it."""
+        ``reason``, and close the run on it: the only way a run ends."""
         verdict = Verdict("accept", value=value) if ok else Verdict("reject", reason=reason)
-        return self.record(self.verdict(party, verdict))
+        self.announce("verdict", party, "verdict", f"outcome={verdict.outcome} "
+                      f"value={verdict.value} reason={verdict.reason}")
+        return RunRecord(verdict, self.transcript, self.held, self.values)
 
 
 def _endpoints(frm: str, to: str) -> tuple[str, str]:
@@ -386,7 +383,6 @@ def bc_run(secret: int, rng: Rng | None = None, *, mu: int = 0, nu: int = 0,
     check_twin = twin_bit == (reveal_bit ^ reveal_aa.lo)
     check_moved = moved_bit == (reveal_bit ^ x_bit(tau))
     run.local("verify", "bob", "phase_unverified", f"z_claim={reveal_aa.hi}")
-    run.values.update(twin_bit=twin_bit, moved_bit=moved_bit, cc=str(cc), aa=str(aa))
     return run.conclude("bob", check_twin and check_moved, str(reveal_bit), "commit_mismatch")
 
 
@@ -421,7 +417,7 @@ def ct_run(secret: int, rng: Rng | None = None, *, forced=None,
     run.apply(aa.label)
     recovered = run.measure()
     run.local("verify", "alice", "unkey_and_measure", f"bit={recovered}")
-    run.values.update(coin=coin, recovered=recovered, aa=str(aa), cc=str(cc))
+    run.values.update(coin=coin, recovered=recovered)
     return run.conclude("alice", recovered == secret, str(coin), "invalid")
 
 
@@ -450,7 +446,7 @@ def ot_run(secret: int, rng: Rng | None = None, *, forced=None,
     run.apply(aa.label)
     recovered = run.measure()
     run.local("verify", "alice", "unkey_and_measure", f"bit={recovered}")
-    run.values.update(recovered=recovered, bob_message=cc.hi, bob_signature=cc.lo, aa=str(aa))
+    run.values.update(recovered=recovered, bob_message=cc.hi, bob_signature=cc.lo)
     # the sender announces only pass/fail; what she recovered stays local
     return run.conclude("alice", recovered == secret, "received", "challenge")
 
@@ -544,15 +540,12 @@ def qss_run(secret, rng: Rng | None = None, *, mu: int = 0, nu: int = 0,
 
     if skip or not reconstruct:  # after a skip, the relay holds the moved qubit
         run.held["charlie" if skip else "bob"] = run.moved
-        run.values.update({"relay_skipped": True, "aa": str(aa)} if skip
-                          else {"aa": str(aa), "cc": str(cc)})
         return run.conclude("bob", False, "", "insufficient_shares")
 
     run.tell("collaborate", "charlie", "bob", "send_relay_share", f"cc={cc}")
     run.apply(infer_tau(aa, cc, mu, nu))  # self-inverse up to a global sign
     run.local("reconstruct", "bob", "invert_correction", "label=private")
-    moved = run.moved_state()
-    run.values.update(fidelity=fidelity(payload, moved), aa=str(aa), cc=str(cc))
+    run.values["fidelity"] = fidelity(payload, run.moved_state())
     if classical:
         value = run.values["bit"] = run.measure()
     else:
@@ -615,11 +608,10 @@ def qds_run(message: Sequence[int], rng: Rng | None = None, *, mu: int = 0, nu: 
     bob_bad = [i for i in range(k) if moved_bits[i] != reveal_msg[i] ^ x_corr[i]]
     run.values["bob_failed_positions"] = bob_bad
     if bob_bad:
-        run.values.update(bob=Verdict("reject", reason="repudiation"),
-                          charlie=Verdict("reject", reason="not_reached"))
-        return run.record(run.verdict("bob", run.values["bob"]))
-    bob_verdict = Verdict("accept", value="".join(map(str, reveal_msg)))
-    run.values["bob"] = bob_verdict
+        record = run.conclude("bob", False, "", "repudiation")
+        run.values.update(bob=record.verdict, charlie=Verdict("reject", reason="not_reached"))
+        return record
+    run.values["bob"] = Verdict("accept", value="".join(map(str, reveal_msg)))
 
     shift = run.shift("forward")
     forward_msg = [b ^ (shift >> i & 1) for i, b in enumerate(reveal_msg)]
@@ -636,10 +628,11 @@ def qds_run(message: Sequence[int], rng: Rng | None = None, *, mu: int = 0, nu: 
         or moved_bits[i] != forward_msg[i] ^ x_corr[i]
     ]
     run.values["charlie_failed_positions"] = charlie_bad
-    charlie_verdict = (Verdict("reject", reason="forgery") if charlie_bad
-                       else Verdict("accept", value="".join(map(str, forward_msg))))
-    run.values["charlie"] = run.verdict("charlie", charlie_verdict)
-    return run.record(bob_verdict if charlie_verdict.accepted else charlie_verdict)
+    # charlie accepts only a forwarded message equal to the one bob accepted
+    # (both match the moved bits), so its verdict is the run's
+    record = run.conclude("charlie", not charlie_bad, "".join(map(str, forward_msg)), "forgery")
+    run.values["charlie"] = record.verdict
+    return record
 
 
 def mpsc_run(alice_input: TwoBits, bob_input: TwoBits, public_bit: int,
@@ -680,14 +673,9 @@ def mpsc_run(alice_input: TwoBits, bob_input: TwoBits, public_bit: int,
     run.announce("verify", "charlie", "announce_signature", f"sig={cc.lo}")
 
     xmn = x_bit(mu) ^ x_bit(nu)
-    expected_f = public_bit ^ alice_input.lo ^ bob_input.lo ^ aa.lo ^ xmn
-    check_public = f_bit == expected_f
+    check_public = f_bit == (public_bit ^ alice_input.lo ^ bob_input.lo ^ aa.lo ^ xmn)
     check_receiver = moved_bit == (public_bit ^ alice_input.lo ^ aa.lo ^ cc.lo ^ xmn)
-    run.values.update(
-        f=f_bit, expected_f=expected_f, moved_bit=moved_bit,
-        relay_pair=str(cc), aa=str(aa),
-        masks=(mask_a, mask_b, mask_c),
-    )
+    run.values.update(relay_pair=str(cc), masks=(mask_a, mask_b, mask_c))
     blamed = "charlie" if not check_public else "alice"
     return run.conclude("charlie", check_public and check_receiver, str(f_bit),
                         f"verification_failed:{blamed}")

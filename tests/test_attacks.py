@@ -1,4 +1,5 @@
 import itertools
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -104,7 +105,7 @@ def test_expected_bounds_gate():
     good = run_strategy(config_for("bc"), "reveal-flip")
     assert expected_bound_met(good, entry)
     fake = SecurityReport(strategy="reveal-flip", protocol="bc", mode="enumerate",
-                          cells=16, rejected=15, detection=Fraction(15, 16))
+                          cells=16, rejected=15)
     assert not expected_bound_met(fake, entry)
 
 
@@ -230,6 +231,18 @@ def test_mpsc_message_bits_stay_hidden_given_signatures():
 def test_observer_on_own_secret_sees_everything():
     dist = view_distance("bc", "alice", vary="secret", values=(0, 1))
     assert dist == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("kwargs, offender", [
+    (dict(vary="sekret", values=(0, 1)), "'sekret'"),
+    (dict(vary="secret", values=(0, 1), fixed={"cut_step": "reveal"}), "'cut_step'"),
+    (dict(vary="secret", values=(0, 1), fixed={"runner_kwarg": {}}), "'runner_kwarg'"),
+    (dict(vary="secret", values=(0, 1, 1)), "two values, got 3"),
+], ids=["vary", "fixed", "runner_kwarg", "three-values"])
+def test_view_distance_rejects_what_it_cannot_compare(kwargs, offender):
+    # a misspelt key used to be ignored, and a distance of 0.0 reads as hiding
+    with pytest.raises(ValueError, match=re.escape(offender)):
+        view_distance("bc", "bob", **kwargs)
 
 
 # --- the closed-form views against the eigenvalue oracle ------------------------

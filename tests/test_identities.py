@@ -24,6 +24,10 @@ def test_default_suite_residuals_are_exactly_zero():
     assert len(results) == 17
     assert all(r.residual == 0 for r in results)
     assert all(r.passed for r in results)
+    # each residual stays the exact value its check computes
+    twirls = {"swap-mixedness", "teleport-mixedness"}
+    assert {r.name: type(r.residual) for r in results} == {
+        r.name: Fraction if r.name in twirls else int for r in results}
     # no check carries a tolerance: passing means a residual of exactly zero
     assert [f.name for f in dataclasses.fields(IdentityCheck)] == ["name", "residual", "note"]
 

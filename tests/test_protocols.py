@@ -13,6 +13,7 @@ from bellproto.protocols import (
     ConfigError,
     Deviation,
     Run,
+    Verdict,
     bc_run,
     ct_run,
     mpsc_run,
@@ -416,6 +417,27 @@ def test_qds_joint_shifts_flip_every_masked_position():
     rec = qds_run([1, 1, 0, 0], None, forced=qds_cells(4), cheat=repudiator)
     assert rec.verdict.reason == "repudiation"
     assert {0, 2} <= set(rec.values["bob_failed_positions"])
+
+
+@pytest.mark.parametrize("message", ([1], [1, 0], [0, 1, 1]), ids=len)
+def test_qds_closes_on_one_verdict(message):
+    """Bob concludes a repudiation, charlie every other run: an accepted run's
+    verdict is both recipients', over every diagonal cell and shift mask."""
+    k = len(message)
+    for cell, reveal, forward in itertools.product(ALL_CELLS, range(1 << k), range(1 << k)):
+        cheat = CheatStrategy("shift", "-", {"reveal": Deviation("shift", reveal),
+                                             "forward": Deviation("shift", forward)})
+        rec = qds_run(message, None, forced=[cell] * k, cheat=cheat)
+        bob, charlie = rec.values["bob"], rec.values["charlie"]
+        if reveal:
+            assert rec.verdict == bob == Verdict("reject", reason="repudiation")
+            assert charlie == Verdict("reject", reason="not_reached")
+        elif forward:
+            assert bob.accepted and rec.verdict == charlie
+            assert rec.verdict.reason == "forgery"
+        else:
+            assert rec.verdict == bob == charlie
+            assert rec.verdict.accepted
 
 
 def test_qds_split_exchange_hidden_from_sender():
