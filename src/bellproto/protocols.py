@@ -14,8 +14,11 @@ probability exactly 1/4, so forcing is sound and lets the verification
 suites enumerate the full outcome space instead of sampling it).  Every
 runner forces a cell the same way, ``forced=(aa, cc)``: the sender's and
 the relay's outcome pairs, either of which may be None (drawn).  For ot
-and mpsc ``cc`` is the receiver's or the relay's input pair; qds takes one
-cell per chain, and tpsc and mpsc also take their private ``masks``.  All
+and mpsc ``cc`` is the receiver's or the relay's input pair; qds takes a
+list of one cell per chain, and tpsc and mpsc also take their private
+``masks``.  A run records its cells and masks in its configuration's
+``mode`` (``forced:10:01;masks:01``), which ``parse_mode`` reads back;
+every protocol's forced mode carries exactly one cell per chain.  All
 classical and quantum traffic is logged to a transcript with per-event
 visibility, from which each party's view is reconstructed for the
 information-hiding checks.  The steps the runners repeat are written once
@@ -127,7 +130,7 @@ class RunRecord:
             if cut_step is not None and ev.step == cut_step:
                 break
             if controller in ev.visible:
-                out.append(ev[1:5])  # (step, actor, action, payload)
+                out.append(ev[:4])  # (step, actor, action, payload)
         return tuple(out)
 
 
@@ -315,29 +318,29 @@ def _mode_string(forced, masks=None) -> str:
     return mode if masks is None else mode + _MASKS + "".join(map(str, masks))
 
 
-def parse_masks(mode: str) -> tuple[int, ...] | None:
-    """The mask bits a config ``mode`` fixes, or None: the run draws them."""
-    _, fixed, bits = mode.partition(_MASKS)
+def parse_mode(mode: str) -> tuple[list | None, tuple[int, ...] | None]:
+    """Inverse of :func:`_mode_string`: a config ``mode`` as its forced cells,
+    a list of (aa, cc) whose halves may be None (drawn), and the mask bits it
+    fixes.  Either is None when the mode names none: a sampled run or an
+    enumeration, and masks the run draws.  Any other mode raises ConfigError."""
+    head, fixed, bits = mode.partition(_MASKS)
     if fixed and (not bits or bits.strip("01")):
         raise ConfigError(f"masks {bits!r} in mode {mode!r} are not a bit string")
-    return tuple(map(int, bits)) if fixed else None
-
-
-def parse_forced(mode: str):
-    """Inverse of the forced-outcome encoding used in config ``mode``: the
-    forced cells, or None (the masks it may fix: :func:`parse_masks`)."""
-    mode = mode.partition(_MASKS)[0]
-    if not mode.startswith("forced:"):
-        return None
+    masks = tuple(map(int, bits)) if fixed else None
+    if head in _MODES:
+        return None, masks
+    if not head.startswith("forced:"):
+        raise ConfigError(f"mode {mode!r} is not sample, sample:1, enumerate "
+                          "or forced:<cells>")
     cells = []
-    for part in mode[len("forced:"):].split(","):
+    for part in head[len("forced:"):].split(","):
         try:
             aa, cc = [None if half == "--" else TwoBits.parse(half) for half in part.split(":")]
         except ValueError:
             raise ConfigError(f"forced cell {part!r} is not of the form aa:cc "
                               "(each a bit pair like 01, or --)") from None
         cells.append((aa, cc))
-    return cells
+    return cells, masks
 
 
 def cell_label(cell: dict) -> str:
@@ -563,7 +566,8 @@ def qds_run(message: Sequence[int], rng: Rng | None = None, *, mu: int = 0, nu: 
     records over a channel the sender cannot read (completing them on
     demand during verification), then the receiver authenticates the
     revealed message and forwards it to the relay, which cross-checks both
-    its own twin copy and the receiver's moved bits.
+    its own twin copy and the receiver's moved bits.  ``forced`` is a list
+    of one (aa, cc) cell per message bit.
     """
     message = [int(b) for b in message]
     if any(b not in (0, 1) for b in message) or not message:
@@ -573,7 +577,7 @@ def qds_run(message: Sequence[int], rng: Rng | None = None, *, mu: int = 0, nu: 
     if len(forced_cells) != k:
         raise ValueError("forced cell list must match the message length")
     run = Run("qds", rng, cheat, secret="".join(map(str, message)), mu=mu, nu=nu,
-              forced=forced if forced is None else list(forced_cells))
+              forced=forced)
 
     # per position: outcome pairs, moved and twin bits, X bit of the correction
     aa_list, cc_list, moved_bits, twin_bits, x_corr = [], [], [], [], []
@@ -695,17 +699,18 @@ class ProtocolSpec:
     """Everything the CLI and the attack evaluator need to know about one protocol.
 
     Who plays each station, how a configuration becomes runner arguments
-    (``parse``, which raises ConfigError with a user-facing message on a bad
-    value), which configuration fields it never reads (``ignores``; they
-    must stay unset), how many private mask bits its forced cells fix and
-    what its enumeration table rows add.  Parsing draws nothing: it is a pure
-    function of the configuration, which only ``config`` builds, so
-    ``runner_kwargs`` memoises it.
+    (``parse``, given the configuration and its mode's forced cell: the one
+    cell, qds's list of them or None; it raises ConfigError with a
+    user-facing message on a bad value), which configuration fields it
+    never reads (``ignores``; they must stay unset), how many private mask
+    bits its forced cells fix and what its enumeration table rows add.
+    Parsing draws nothing: it is a pure function of the configuration,
+    which only ``config`` builds, so ``runner_kwargs`` memoises it.
     """
 
     name: str
     cast: Mapping[str, str]
-    parse: Callable[[RunConfig], dict]
+    parse: Callable[[RunConfig, object], dict]
     row_extra: Callable[[RunRecord], str] = lambda record: ""
     default_inputs: str = ""
     k_from_secret: bool = False  # qds runs one chain per message bit
@@ -737,8 +742,10 @@ class ProtocolSpec:
     def runner_kwargs(self, config: RunConfig) -> Mapping[str, object]:
         """Keyword arguments of the runner (besides rng and cheat), read-only.
 
-        Memoised: the cells of one enumeration, its CLI check and its
-        evaluation share one parse.  A bad value raises on every call.
+        The mode is parsed here alone (:func:`parse_mode`), and a forced
+        mode must carry one cell per chain.  Memoised: the cells of one
+        enumeration, its CLI check and its evaluation share one parse.  A
+        bad value raises on every call.
         """
         if config.mu not in LABELS or config.nu not in LABELS:
             raise ConfigError("channel labels must be in 0..3")
@@ -748,15 +755,17 @@ class ProtocolSpec:
             if getattr(config, field):
                 raise ConfigError(f"{self.name} does not use --{field} "
                                   f"(got {getattr(config, field)!r})")
-        kwargs = self.parse(config)
-        if config.k != self.chains(config.secret):
-            raise ConfigError(f"{self.name} runs k={self.chains(config.secret)} chains for "
+        cells, masks = parse_mode(config.mode)
+        kwargs = self.parse(config, cells if cells is None or self.k_from_secret else cells[0])
+        chains = self.chains(config.secret)
+        if cells is not None and len(cells) != chains:
+            takes = ("one chain and takes one forced cell" if chains == 1
+                     else f"{chains} chains and takes {chains} forced cells")
+            raise ConfigError(f"{self.name} runs {takes}, got {len(cells)} "
+                              f"in mode {config.mode!r}")
+        if config.k != chains:
+            raise ConfigError(f"{self.name} runs k={chains} chains for "
                               f"secret {config.secret!r}, got k={config.k}")
-        cells = config.mode.partition(_MASKS)[0]
-        if cells not in _MODES and not cells.startswith("forced:"):
-            raise ConfigError(f"mode {config.mode!r} is not sample, sample:1, enumerate "
-                              "or forced:<cells>")
-        masks = parse_masks(config.mode)
         if masks is not None and len(masks) != self.masks:
             raise ConfigError(f"{self.name} takes {self.masks} mask bits, "
                               f"got {len(masks)} in mode {config.mode!r}")
@@ -797,17 +806,8 @@ def _pairs(config: RunConfig, count: int, usage: str, open_last: bool = False) -
         raise ConfigError(usage) from None
 
 
-def _first_forced(config: RunConfig):
-    """The one forced cell of a single-chain protocol, or None."""
-    forced = parse_forced(config.mode)
-    if forced and len(forced) != 1:
-        raise ConfigError(f"{config.protocol} runs one chain and takes one forced cell, "
-                          f"got {len(forced)} in mode {config.mode!r}")
-    return forced[0] if forced else None
-
-
-def _chain_args(config: RunConfig) -> dict:
-    return {"mu": config.mu, "nu": config.nu, "forced": _first_forced(config)}
+def _chain_args(config: RunConfig, forced) -> dict:
+    return {"mu": config.mu, "nu": config.nu, "forced": forced}
 
 
 def _qss_secret(config: RunConfig):
@@ -825,40 +825,36 @@ def _qss_secret(config: RunConfig):
     raise ConfigError(_QSS_SECRET_HELP)
 
 
-def _cell_or_none(aa: TwoBits | None, cc: TwoBits | None):
-    """The forced cell (aa, cc); None, a sampled run, when neither half is fixed."""
-    return None if aa is None and cc is None else (aa, cc)
-
-
-def _ot_args(config: RunConfig) -> dict:
-    aa, cc = _first_forced(config) or (None, None)
+def _ot_args(config: RunConfig, forced) -> dict:
+    aa, cc = forced or (None, None)
     if cc is None and config.inputs:
         [cc] = _pairs(config, 1, "ot takes --inputs as the receiver pair, e.g. 01")
-    return {"secret": _bit_secret(config), "forced": _cell_or_none(aa, cc)}
+    # neither half fixed: a sampled run
+    return {"secret": _bit_secret(config),
+            "forced": None if aa is None and cc is None else (aa, cc)}
 
 
-def _tpsc_args(config: RunConfig) -> dict:
+def _tpsc_args(config: RunConfig, forced) -> dict:
     alice, bob = _pairs(config, 2,
                         "tpsc needs --inputs like 10,01 (sender pair, receiver pair)")
     return {"alice_input": alice, "bob_input": bob, "public_bit": _bit_secret(config),
-            **_chain_args(config)}
+            **_chain_args(config, forced)}
 
 
-def _qds_args(config: RunConfig) -> dict:
+def _qds_args(config: RunConfig, forced) -> dict:
     if not config.secret or any(c not in "01" for c in config.secret):
         raise ConfigError("qds needs --secret as a bit string, e.g. 1011")
-    forced = parse_forced(config.mode)
-    return {"message": tuple(map(int, config.secret)), "mu": config.mu,
-            "nu": config.nu, "forced": forced if forced is None else tuple(forced)}
+    return {"message": tuple(map(int, config.secret)), **_chain_args(config, forced)}
 
 
-def _mpsc_args(config: RunConfig) -> dict:
+def _mpsc_args(config: RunConfig, forced) -> dict:
     alice, bob, charlie = _pairs(config, 3,
                                  "mpsc needs --inputs like 10,01,11 (one pair per party)",
                                  open_last=True)
-    aa, _cc = _first_forced(config) or (None, None)
+    aa = forced[0] if forced else None  # the relay's pair is its input, not the mode's cc
     return {"alice_input": alice, "bob_input": bob, "public_bit": _bit_secret(config),
-            "mu": config.mu, "nu": config.nu, "forced": _cell_or_none(aa, charlie)}
+            "mu": config.mu, "nu": config.nu,
+            "forced": None if aa is None and charlie is None else (aa, charlie)}
 
 
 def _output_extra(record: RunRecord) -> str:
@@ -867,18 +863,18 @@ def _output_extra(record: RunRecord) -> str:
 
 SPECS: dict[str, ProtocolSpec] = {spec.name: spec for spec in (
     ProtocolSpec("bc", _TWO_PARTY,
-                 lambda c: {"secret": _bit_secret(c), **_chain_args(c)},
+                 lambda c, f: {"secret": _bit_secret(c), **_chain_args(c, f)},
                  ignores=("inputs",)),
     # ct and ot run over the publicly fixed chain (0, 0)
     ProtocolSpec("ct", _TWO_PARTY,
-                 lambda c: {"secret": _bit_secret(c), "forced": _first_forced(c)},
+                 lambda c, f: {"secret": _bit_secret(c), "forced": f},
                  row_extra=lambda record: f" coin={record.values['coin']}",
                  ignores=("mu", "nu", "inputs")),
     ProtocolSpec("ot", _TWO_PARTY, _ot_args, ignores=("mu", "nu")),
     ProtocolSpec("tpsc", _TWO_PARTY, _tpsc_args,
                  row_extra=_output_extra, default_inputs="00,00", masks=2),
     ProtocolSpec("qss", _THREE_PARTY,
-                 lambda c: {"secret": _qss_secret(c), **_chain_args(c)},
+                 lambda c, f: {"secret": _qss_secret(c), **_chain_args(c, f)},
                  row_extra=lambda record: f" fidelity={record.values['fidelity']:.12f}",
                  ignores=("inputs",)),
     ProtocolSpec("qds", _THREE_PARTY, _qds_args, k_from_secret=True, ignores=("inputs",)),

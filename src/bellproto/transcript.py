@@ -81,7 +81,6 @@ class RunConfig:
 class Event(NamedTuple):
     """One logged step of a run; ``visible`` names the controllers who see it."""
 
-    seq: int
     step: str
     actor: str
     action: str
@@ -109,7 +108,7 @@ class Transcript:
     def append(self, step: str, actor: str, action: str, payload: str, kind: str,
                visible: tuple[str, ...]) -> Event:
         # tuple.__new__ skips the Python-level __new__ that NamedTuple generates
-        ev = tuple.__new__(Event, (len(self.events), step, actor, action, payload, kind, visible))
+        ev = tuple.__new__(Event, (step, actor, action, payload, kind, visible))
         self.events.append(ev)
         return ev
 

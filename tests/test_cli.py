@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 import bellproto
+from bellproto.algebra import PAIRS
 from bellproto.cli import (
     EXIT_CONFIG,
     EXIT_IDENTITY,
@@ -13,6 +14,7 @@ from bellproto.cli import (
     EXIT_REJECT,
     main,
 )
+from bellproto.protocols import mpsc_run, qds_run
 from conftest import child_env
 
 
@@ -402,6 +404,34 @@ def test_overflowing_qubit_secret_prints_only_the_error(argv, code, tmp_path):
     proc = run_cli(*argv(tmp_path))
     assert proc.returncode == code
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+
+
+_FORCED_RECORDS = {
+    "qds": lambda: qds_run([1, 0], None, forced=[(PAIRS[1], PAIRS[3]), (PAIRS[2], PAIRS[0])]),
+    "mpsc": lambda: mpsc_run(PAIRS[2], PAIRS[1], 1, None, forced=(PAIRS[1], PAIRS[3]),
+                             masks=(1, 0, 1)),
+}
+# each mode edited to one cell fewer or more than its run has chains
+_WRONG_CELL_COUNTS = {"qds": "forced:01:11", "mpsc": "forced:01:11,10:00;masks:101"}
+
+
+@pytest.mark.parametrize("protocol", sorted(_FORCED_RECORDS))
+def test_replay_rejects_a_forced_mode_with_the_wrong_cell_count(protocol, tmp_path):
+    record = _FORCED_RECORDS[protocol]()
+    path = tmp_path / f"{protocol}.pwv1"
+    text = record.transcript.to_text()
+    path.write_text(text)
+    proc = run_cli("replay", str(path))
+    assert proc.returncode == EXIT_OK, proc.stderr
+
+    wrong = _WRONG_CELL_COUNTS[protocol]
+    edited = text.replace(f"config mode={record.config.mode}\n", f"config mode={wrong}\n", 1)
+    assert edited != text
+    path.write_text(edited)
+    proc = run_cli("replay", str(path))
+    assert proc.returncode == EXIT_IO
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+    assert f"in mode {wrong!r}" in proc.stderr
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))

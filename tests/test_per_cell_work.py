@@ -35,9 +35,9 @@ def parses(monkeypatch):
     counts = Counter()
 
     def counting(parse):
-        def counted(config):
+        def counted(config, forced):
             counts[config] += 1
-            return parse(config)
+            return parse(config, forced)
         return counted
 
     for name, spec in SPECS.items():

@@ -577,10 +577,33 @@ def test_run_from_config_rejects_unknown_protocol():
      "bc takes 0 mask bits, got 1"),
     (RunConfig(protocol="tpsc", secret="1", mode="forced:00:01;masks:12"), "masks '12'"),
     (RunConfig(protocol="tpsc", secret="1", mode="sample:1;masks:"), "masks ''"),
+    (RunConfig(protocol="qds", secret="10", k=2, mode="forced:00:00"),
+     "qds runs 2 chains and takes 2 forced cells, got 1 in mode 'forced:00:00'"),
 ])
 def test_spec_parse_names_the_bad_value(config, message):
     with pytest.raises(ConfigError, match=re.escape(message)):
         spec_for(config.protocol).runner_kwargs(config)
+
+
+_CELL = (ALL_PAIRS[0], ALL_PAIRS[0])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: qds_run([1, 0], None, forced=[_CELL]), "forced cell list must match the message"),
+    (lambda: qds_run([1], None, forced=[_CELL] * 2), "forced cell list must match the message"),
+    (lambda: qds_run([], None), "message must be a non-empty bit sequence"),
+    (lambda: qds_run([1, 2], None), "message must be a non-empty bit sequence"),
+    (lambda: qss_run(StateVector([1, 0, 0, 0])), "payload must be a single qubit"),
+    (lambda: qss_run(2), "secret must be a bit or a 1-qubit state, got 2"),
+    (lambda: bc_run(2), "secret must be a bit or a 1-qubit state, got 2"),
+], ids=["qds-short-forced", "qds-long-forced", "qds-empty", "qds-non-bit", "qss-two-qubits",
+        "qss-non-bit", "bc-non-bit"])
+def test_runner_rejects_a_bad_library_argument(call, message):
+    """Library callers reach the runners without a configuration: each checks
+    its own arguments, as a plain ValueError rather than a ConfigError."""
+    with pytest.raises(ValueError, match=re.escape(message)) as raised:
+        call()
+    assert type(raised.value) is ValueError
 
 
 @pytest.mark.parametrize("protocol, default", [("tpsc", "00,00"), ("mpsc", "00,00,--")])

@@ -141,14 +141,14 @@ def test_transcript_appends_are_ordered():
     t = Transcript(lambda: PROTO_CONFIGS[0])
     t.append("1", "alice", "a", "x", "local", ("alice",))
     t.append("2", "bob", "b", "y", "classical", ("alice", "bob"))
-    assert [ev.seq for ev in t.events] == [0, 1]
+    assert [ev.step for ev in t.events] == ["1", "2"]
 
 
 def test_event_is_a_read_only_value():
     t = Transcript(lambda: PROTO_CONFIGS[0])
     ev = t.append("1", "alice", "a", "x", "local", ("alice",))
-    assert Event._fields == ("seq", "step", "actor", "action", "payload", "kind", "visible")
-    assert ev == Event(0, "1", "alice", "a", "x", "local", ("alice",))
+    assert Event._fields == ("step", "actor", "action", "payload", "kind", "visible")
+    assert ev == Event("1", "alice", "a", "x", "local", ("alice",))
     for field in Event._fields:
         with pytest.raises(AttributeError):
             setattr(ev, field, None)
@@ -170,12 +170,12 @@ def test_qubit_secret_replays_byte_identically():
 
 def test_forced_outcome_list_round_trips_through_config():
     from bellproto.algebra import TwoBits
-    from bellproto.protocols import bc_run, parse_forced, qds_run
+    from bellproto.protocols import bc_run, parse_mode, qds_run
 
     rec = bc_run(1, None, forced=(TwoBits(0, 1), TwoBits(1, 0)))
     config = rec.config
     assert config.mode == "forced:01:10"
-    assert parse_forced(config.mode) == [(TwoBits(0, 1), TwoBits(1, 0))]
+    assert parse_mode(config.mode) == ([(TwoBits(0, 1), TwoBits(1, 0))], None)
     again = run_from_config(config)
     assert again.transcript.to_text() == rec.transcript.to_text()
 
@@ -188,13 +188,12 @@ def test_forced_outcome_list_round_trips_through_config():
 
 def test_forced_masks_round_trip_through_config():
     from bellproto.algebra import TwoBits
-    from bellproto.protocols import mpsc_run, parse_forced, parse_masks, tpsc_run
+    from bellproto.protocols import mpsc_run, parse_mode, tpsc_run
 
     cell = (TwoBits(0, 1), TwoBits(1, 0))
     rec = tpsc_run(TwoBits(1, 0), TwoBits(0, 1), 1, None, forced=cell, masks=(1, 0))
     assert rec.config.mode == "forced:01:10;masks:10"
-    assert parse_forced(rec.config.mode) == [cell]
-    assert parse_masks(rec.config.mode) == (1, 0)
+    assert parse_mode(rec.config.mode) == ([cell], (1, 0))
     again = run_from_config(rec.config)
     assert again.values["masks"] == (1, 0)
     assert again.transcript.to_text() == rec.transcript.to_text()
