@@ -278,8 +278,9 @@ def check_correction_table() -> IdentityCheck:
             bad += not (_equal_up_to_sign(sender, bell_vector_int(aa))
                         and _equal_up_to_sign(relay, bell_vector_int(cc)) and lookup == tau)
     return IdentityCheck("correction-table", bad,
-                         note="forced-outcome simulation matches the lookup "
-                              "for all 256 label combinations")
+                         note="each chain term's sender and relay pairs are Bell(aa) and "
+                              "Bell(cc) up to sign and the lookup gives its tau, in "
+                              "integers, for all 256 terms")
 
 
 def run_identity_suite(fault: str | None = None) -> list[IdentityCheck]:
