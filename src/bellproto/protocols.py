@@ -574,8 +574,9 @@ def qds_run(message: Sequence[int], rng: Rng | None = None, *, mu: int = 0, nu: 
         raise ValueError("message must be a non-empty bit sequence")
     k = len(message)
     forced_cells = forced if forced is not None else [None] * k
-    if len(forced_cells) != k:
-        raise ValueError("forced cell list must match the message length")
+    # its mode tells a cell list from one cell by its type
+    if not isinstance(forced_cells, list) or len(forced_cells) != k:
+        raise ValueError("forced must be a list of one cell per message bit")
     run = Run("qds", rng, cheat, secret="".join(map(str, message)), mu=mu, nu=nu,
               forced=forced)
 

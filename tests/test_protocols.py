@@ -589,15 +589,16 @@ _CELL = (ALL_PAIRS[0], ALL_PAIRS[0])
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda: qds_run([1, 0], None, forced=[_CELL]), "forced cell list must match the message"),
-    (lambda: qds_run([1], None, forced=[_CELL] * 2), "forced cell list must match the message"),
+    (lambda: qds_run([1, 0], None, forced=[_CELL]), "list of one cell per message bit"),
+    (lambda: qds_run([1], None, forced=[_CELL] * 2), "list of one cell per message bit"),
+    (lambda: qds_run([1, 0], None, forced=(_CELL,) * 2), "list of one cell per message bit"),
     (lambda: qds_run([], None), "message must be a non-empty bit sequence"),
     (lambda: qds_run([1, 2], None), "message must be a non-empty bit sequence"),
     (lambda: qss_run(StateVector([1, 0, 0, 0])), "payload must be a single qubit"),
     (lambda: qss_run(2), "secret must be a bit or a 1-qubit state, got 2"),
     (lambda: bc_run(2), "secret must be a bit or a 1-qubit state, got 2"),
-], ids=["qds-short-forced", "qds-long-forced", "qds-empty", "qds-non-bit", "qss-two-qubits",
-        "qss-non-bit", "bc-non-bit"])
+], ids=["qds-short-forced", "qds-long-forced", "qds-tuple-forced", "qds-empty", "qds-non-bit",
+        "qss-two-qubits", "qss-non-bit", "bc-non-bit"])
 def test_runner_rejects_a_bad_library_argument(call, message):
     """Library callers reach the runners without a configuration: each checks
     its own arguments, as a plain ValueError rather than a ConfigError."""
