@@ -310,9 +310,9 @@ _MODES = ("sample", "sample:1", "enumerate")
 
 
 def _mode_string(forced, masks=None) -> str:
-    """Config ``mode`` of a run: ``sample:1`` or its forced cells, then the
-    mask bits when the caller fixed them, as in ``forced:10:01;masks:01``."""
-    cells = forced if isinstance(forced, list) else [forced]
+    """Config ``mode`` of a run: ``sample:1`` or its forced cells (``--`` for a
+    drawn half or qds cell), then any fixed mask bits: ``forced:10:01;masks:01``."""
+    cells = [c or (None, None) for c in forced] if isinstance(forced, list) else [forced]
     mode = "sample:1" if forced is None else "forced:" + ",".join(
         ":".join("--" if half is None else str(half) for half in cell) for cell in cells)
     return mode if masks is None else mode + _MASKS + "".join(map(str, masks))
@@ -436,8 +436,7 @@ def ot_run(secret: int, rng: Rng | None = None, *, forced=None,
     with probability no better than a blind guess.
     """
     mu = nu = 0
-    bob_message = forced[1] if forced else None
-    inputs = str(bob_message) if bob_message is not None else ""
+    inputs = str(forced[1]) if forced and forced[1] is not None else ""
     run = Run("ot", rng, cheat, secret=secret, inputs=inputs, forced=forced)
     run.local("setup", "alice", "payload", f"bit={secret}")
     aa, cc = run.open_chain(mu, nu, secret, forced=forced)
@@ -561,13 +560,14 @@ def qds_run(message: Sequence[int], rng: Rng | None = None, *, mu: int = 0, nu: 
             forced=None, cheat: CheatStrategy | None = None) -> RunRecord:
     """Digital signature of a bit string, one chain instance per bit.
 
-    The receiver's moved bits and the sender's outcome-keyed twins are the
-    signature material.  Receiver and relay swap split halves of their
-    records over a channel the sender cannot read (completing them on
-    demand during verification), then the receiver authenticates the
-    revealed message and forwards it to the relay, which cross-checks both
-    its own twin copy and the receiver's moved bits.  ``forced`` is a list
-    of one (aa, cc) cell per message bit.
+    Each chain's two measured bits attest the message bit it carried: the
+    receiver's moved bit under the X bit of ``infer_tau(aa, cc, mu, nu)``,
+    and the sender's twin, measured by the relay, under the X bit of ``aa``.
+    Receiver and relay swap split halves of these records over a channel the
+    sender cannot read, completing them during verification.  The receiver
+    fails each position whose moved bit attests other than the revealed
+    bit, the relay each where either bit attests other than the forwarded
+    one.  ``forced`` is a list of one (aa, cc) cell per message bit.
     """
     message = [int(b) for b in message]
     if any(b not in (0, 1) for b in message) or not message:
@@ -577,67 +577,59 @@ def qds_run(message: Sequence[int], rng: Rng | None = None, *, mu: int = 0, nu: 
     # its mode tells a cell list from one cell by its type
     if not isinstance(forced_cells, list) or len(forced_cells) != k:
         raise ValueError("forced must be a list of one cell per message bit")
-    run = Run("qds", rng, cheat, secret="".join(map(str, message)), mu=mu, nu=nu,
-              forced=forced)
+    run = Run("qds", rng, cheat, secret="".join(map(str, message)), mu=mu, nu=nu, forced=forced)
 
-    # per position: outcome pairs, moved and twin bits, X bit of the correction
-    aa_list, cc_list, moved_bits, twin_bits, x_corr = [], [], [], [], []
-    for i, bit in enumerate(message):
-        aa, cc = run.open_chain(mu, nu, bit, forced=forced_cells[i])
-        moved_bits.append(run.measure_moved())
-        aa_list.append(aa)
-        cc_list.append(cc)
-        x_corr.append(x_bit(infer_tau(aa, cc, mu, nu)))
+    # per chain: aa and cc as printed, the moved bit and the two attested bits
+    chains = []
+    for i, (bit, cell) in enumerate(zip(message, forced_cells)):
+        aa, cc = run.open_chain(mu, nu, bit, forced=cell)
+        moved = run.measure_moved()
         run.send_qubit("4", "alice", "charlie", "send_signature_twin", f"index={i}")
-        twin_bits.append(run.twin_bit(bit, aa.label))
-        run.local("5", "charlie", "measure_signature_twin", f"index={i} bit={twin_bits[i]}")
+        twin = run.twin_bit(bit, aa.label)
+        run.local("5", "charlie", "measure_signature_twin", f"index={i} bit={twin}")
+        chains.append((str(aa), str(cc), moved,
+                       (moved ^ x_bit(infer_tau(aa, cc, mu, nu)), twin ^ aa.lo)))
+    aas, ccs, moved_bits, attested = zip(*chains)
 
     # split exchange of the two signature shares, ordering hidden from the sender
     shared = run.base.derive(_STREAM_SHARED)
     to_relay = [i for i in range(k) if shared.bit() == 1]
     to_receiver = [i for i in range(k) if shared.bit() == 1]
-    run.tell("6", "bob", "charlie", "share_moved_bits",
-             f"positions={to_relay} bits={[moved_bits[i] for i in to_relay]}")
-    run.tell("6", "charlie", "bob", "share_relay_pairs",
-             f"positions={to_receiver} pairs={[str(cc_list[i]) for i in to_receiver]}")
+    run.tell("6", "bob", "charlie", "share_moved_bits", _at(to_relay, "bits", moved_bits))
+    run.tell("6", "charlie", "bob", "share_relay_pairs", _at(to_receiver, "pairs", ccs))
 
-    shift = run.shift("reveal")
-    reveal_msg = [b ^ (shift >> i & 1) for i, b in enumerate(message)]
-    run.tell("reveal", "alice", "bob", "reveal_message",
-             f"bits={reveal_msg} aa={[str(a) for a in aa_list]}")
-
-    missing_b = [i for i in range(k) if i not in to_receiver]
-    if missing_b:
-        run.tell("verify", "charlie", "bob", "complete_relay_pairs",
-                 f"positions={missing_b} pairs={[str(cc_list[i]) for i in missing_b]}")
-    bob_bad = [i for i in range(k) if moved_bits[i] != reveal_msg[i] ^ x_corr[i]]
+    reveal = _flip(message, run.shift("reveal"))
+    run.tell("reveal", "alice", "bob", "reveal_message", f"bits={reveal} aa={list(aas)}")
+    if rest := [i for i in range(k) if i not in to_receiver]:
+        run.tell("verify", "charlie", "bob", "complete_relay_pairs", _at(rest, "pairs", ccs))
+    bob_bad = [i for i, b in enumerate(reveal) if attested[i][0] != b]
     run.values["bob_failed_positions"] = bob_bad
     if bob_bad:
         record = run.conclude("bob", False, "", "repudiation")
         run.values.update(bob=record.verdict, charlie=Verdict("reject", reason="not_reached"))
         return record
-    run.values["bob"] = Verdict("accept", value="".join(map(str, reveal_msg)))
+    run.values["bob"] = Verdict("accept", value="".join(map(str, reveal)))
 
-    shift = run.shift("forward")
-    forward_msg = [b ^ (shift >> i & 1) for i, b in enumerate(reveal_msg)]
-    run.tell("forward", "bob", "charlie", "forward_message",
-             f"bits={forward_msg} aa={[str(a) for a in aa_list]}")
-
-    missing_c = [i for i in range(k) if i not in to_relay]
-    if missing_c:
-        run.tell("verify", "bob", "charlie", "complete_moved_bits",
-                 f"positions={missing_c} bits={[moved_bits[i] for i in missing_c]}")
-    charlie_bad = [
-        i for i in range(k)
-        if twin_bits[i] != forward_msg[i] ^ aa_list[i].lo
-        or moved_bits[i] != forward_msg[i] ^ x_corr[i]
-    ]
+    forward = _flip(reveal, run.shift("forward"))
+    run.tell("forward", "bob", "charlie", "forward_message", f"bits={forward} aa={list(aas)}")
+    if rest := [i for i in range(k) if i not in to_relay]:
+        run.tell("verify", "bob", "charlie", "complete_moved_bits", _at(rest, "bits", moved_bits))
+    charlie_bad = [i for i, b in enumerate(forward) if attested[i] != (b, b)]
     run.values["charlie_failed_positions"] = charlie_bad
-    # charlie accepts only a forwarded message equal to the one bob accepted
-    # (both match the moved bits), so its verdict is the run's
-    record = run.conclude("charlie", not charlie_bad, "".join(map(str, forward_msg)), "forgery")
+    # charlie accepts only the message bob accepted, so its verdict is the run's
+    record = run.conclude("charlie", not charlie_bad, "".join(map(str, forward)), "forgery")
     run.values["charlie"] = record.verdict
     return record
+
+
+def _flip(bits: Sequence[int], shift: int) -> list[int]:
+    """``bits`` with each position that ``shift`` sets flipped (bit i, position i)."""
+    return [b ^ (shift >> i & 1) for i, b in enumerate(bits)]
+
+
+def _at(positions: list[int], key: str, values: Sequence) -> str:
+    """A share or completion payload: ``positions=[..] <key>=[..]``."""
+    return f"positions={positions} {key}={[values[i] for i in positions]}"
 
 
 def mpsc_run(alice_input: TwoBits, bob_input: TwoBits, public_bit: int,
@@ -757,13 +749,13 @@ class ProtocolSpec:
                 raise ConfigError(f"{self.name} does not use --{field} "
                                   f"(got {getattr(config, field)!r})")
         cells, masks = parse_mode(config.mode)
-        kwargs = self.parse(config, cells if cells is None or self.k_from_secret else cells[0])
         chains = self.chains(config.secret)
         if cells is not None and len(cells) != chains:
             takes = ("one chain and takes one forced cell" if chains == 1
                      else f"{chains} chains and takes {chains} forced cells")
             raise ConfigError(f"{self.name} runs {takes}, got {len(cells)} "
                               f"in mode {config.mode!r}")
+        kwargs = self.parse(config, cells if cells is None or self.k_from_secret else cells[0])
         if config.k != chains:
             raise ConfigError(f"{self.name} runs k={chains} chains for "
                               f"secret {config.secret!r}, got k={config.k}")
@@ -826,13 +818,22 @@ def _qss_secret(config: RunConfig):
     raise ConfigError(_QSS_SECRET_HELP)
 
 
-def _ot_args(config: RunConfig, forced) -> dict:
+def _input_cell(config: RunConfig, forced, pair: TwoBits | None) -> tuple | None:
+    """The forced cell when the relay outcome ``cc`` is an input ``pair`` (ot's
+    receiver, mpsc's relay): the mode's cc and the inputs' pair must be equal
+    where both are given, and either fills in where the other is open."""
     aa, cc = forced or (None, None)
-    if cc is None and config.inputs:
-        [cc] = _pairs(config, 1, "ot takes --inputs as the receiver pair, e.g. 01")
-    # neither half fixed: a sampled run
-    return {"secret": _bit_secret(config),
-            "forced": None if aa is None and cc is None else (aa, cc)}
+    if cc is not None and pair is not None and cc != pair:
+        raise ConfigError(f"mode {config.mode!r} forces the {config.protocol} input pair "
+                          f"cc={cc}, but --inputs gives {pair}")
+    cc = pair if cc is None else cc
+    return None if aa is None and cc is None else (aa, cc)
+
+
+def _ot_args(config: RunConfig, forced) -> dict:
+    [pair] = (_pairs(config, 1, "ot takes --inputs as the receiver pair, e.g. 01")
+              if config.inputs else [None])
+    return {"secret": _bit_secret(config), "forced": _input_cell(config, forced, pair)}
 
 
 def _tpsc_args(config: RunConfig, forced) -> dict:
@@ -852,10 +853,8 @@ def _mpsc_args(config: RunConfig, forced) -> dict:
     alice, bob, charlie = _pairs(config, 3,
                                  "mpsc needs --inputs like 10,01,11 (one pair per party)",
                                  open_last=True)
-    aa = forced[0] if forced else None  # the relay's pair is its input, not the mode's cc
     return {"alice_input": alice, "bob_input": bob, "public_bit": _bit_secret(config),
-            "mu": config.mu, "nu": config.nu,
-            "forced": None if aa is None and charlie is None else (aa, charlie)}
+            "mu": config.mu, "nu": config.nu, "forced": _input_cell(config, forced, charlie)}
 
 
 def _output_extra(record: RunRecord) -> str:

@@ -14,7 +14,7 @@ from bellproto.cli import (
     EXIT_REJECT,
     main,
 )
-from bellproto.protocols import mpsc_run, qds_run
+from bellproto.protocols import mpsc_run, ot_run, qds_run
 from conftest import child_env
 
 
@@ -432,6 +432,20 @@ def test_replay_rejects_a_forced_mode_with_the_wrong_cell_count(protocol, tmp_pa
     assert proc.returncode == EXIT_IO
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
     assert f"in mode {wrong!r}" in proc.stderr
+
+
+def test_replay_rejects_a_mode_and_inputs_that_disagree(tmp_path, capsys):
+    """ot writes its receiver pair as the mode's cc and as its inputs; a
+    transcript edited so the two differ names the mode and both pairs."""
+    text = ot_run(1, None, forced=(PAIRS[0], PAIRS[2])).transcript.to_text()
+    edited = text.replace("config inputs=10\n", "config inputs=01\n", 1)
+    assert edited != text
+    path = tmp_path / "ot.pwv1"
+    path.write_text(edited)
+    capsys.readouterr()
+    assert main(["replay", str(path)]) == EXIT_IO
+    assert capsys.readouterr().err == ("error: mode 'forced:00:10' forces the ot input "
+                                       "pair cc=10, but --inputs gives 01\n")
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))

@@ -405,7 +405,7 @@ def test_qds_sender_repudiation_rejected_by_receiver():
                               {"reveal": Deviation("shift", 1 << position)})
         rec = qds_run([1, 1, 0, 0], None, forced=qds_cells(4), cheat=cheat)
         assert rec.verdict.reason == "repudiation"
-        assert position in rec.values["bob_failed_positions"]
+        assert rec.values["bob_failed_positions"] == [position]
 
 
 def test_qds_joint_shifts_flip_every_masked_position():
@@ -416,19 +416,24 @@ def test_qds_joint_shifts_flip_every_masked_position():
     repudiator = CheatStrategy("reveal-flip", "alice", {"reveal": Deviation("shift", 0b0101)})
     rec = qds_run([1, 1, 0, 0], None, forced=qds_cells(4), cheat=repudiator)
     assert rec.verdict.reason == "repudiation"
-    assert {0, 2} <= set(rec.values["bob_failed_positions"])
+    assert rec.values["bob_failed_positions"] == [0, 2]
 
 
 @pytest.mark.parametrize("message", ([1], [1, 0], [0, 1, 1]), ids=len)
 def test_qds_closes_on_one_verdict(message):
     """Bob concludes a repudiation, charlie every other run: an accepted run's
-    verdict is both recipients', over every diagonal cell and shift mask."""
+    verdict is both recipients', over every diagonal cell and shift mask.
+    Each recipient fails exactly the positions its shift flipped."""
     k = len(message)
+    flipped = lambda mask: [i for i in range(k) if mask >> i & 1]
     for cell, reveal, forward in itertools.product(ALL_CELLS, range(1 << k), range(1 << k)):
         cheat = CheatStrategy("shift", "-", {"reveal": Deviation("shift", reveal),
                                              "forward": Deviation("shift", forward)})
         rec = qds_run(message, None, forced=[cell] * k, cheat=cheat)
         bob, charlie = rec.values["bob"], rec.values["charlie"]
+        assert rec.values["bob_failed_positions"] == flipped(reveal)
+        if not reveal:
+            assert rec.values["charlie_failed_positions"] == flipped(forward)
         if reveal:
             assert rec.verdict == bob == Verdict("reject", reason="repudiation")
             assert charlie == Verdict("reject", reason="not_reached")
@@ -438,6 +443,21 @@ def test_qds_closes_on_one_verdict(message):
         else:
             assert rec.verdict == bob == charlie
             assert rec.verdict.accepted
+
+
+@pytest.mark.parametrize("k", (1, 2, 3, 4))
+def test_direct_qds_run_config_replays(k):
+    """The configuration a direct call records, sampled or forced, re-runs
+    to the same transcript."""
+    message = [i % 2 for i in range(k)]
+    forced = qds_cells(k)
+    runs = [(qds_run(message, Rng(seed)), "sample:1") for seed in (1, 2, 3)]
+    runs.append((qds_run(message, None, forced=forced),
+                 "forced:" + ",".join(f"{aa}:{cc}" for aa, cc in forced)))
+    for rec, mode in runs:
+        assert rec.config.mode == mode
+        again = run_from_config(rec.config)
+        assert again.transcript.to_text() == rec.transcript.to_text()
 
 
 def test_qds_split_exchange_hidden_from_sender():
@@ -579,6 +599,10 @@ def test_run_from_config_rejects_unknown_protocol():
     (RunConfig(protocol="tpsc", secret="1", mode="sample:1;masks:"), "masks ''"),
     (RunConfig(protocol="qds", secret="10", k=2, mode="forced:00:00"),
      "qds runs 2 chains and takes 2 forced cells, got 1 in mode 'forced:00:00'"),
+    (RunConfig(protocol="ot", secret="1", inputs="01", mode="forced:00:10"),
+     "mode 'forced:00:10' forces the ot input pair cc=10, but --inputs gives 01"),
+    (RunConfig(protocol="mpsc", secret="1", inputs="00,00,01", mode="forced:00:10"),
+     "mode 'forced:00:10' forces the mpsc input pair cc=10, but --inputs gives 01"),
 ])
 def test_spec_parse_names_the_bad_value(config, message):
     with pytest.raises(ConfigError, match=re.escape(message)):
@@ -605,6 +629,18 @@ def test_runner_rejects_a_bad_library_argument(call, message):
     with pytest.raises(ValueError, match=re.escape(message)) as raised:
         call()
     assert type(raised.value) is ValueError
+
+
+@pytest.mark.parametrize("config", [
+    RunConfig(protocol="mpsc", secret="1", inputs="00,00,--", mode="forced:00:10"),
+    RunConfig(protocol="ot", secret="1", mode="forced:00:10"),
+    RunConfig(protocol="ot", secret="1", inputs="10", mode="forced:00:--"),
+], ids=["mpsc-open-inputs", "ot-no-inputs", "ot-open-mode"])
+def test_relay_input_pair_comes_from_whichever_of_mode_and_inputs_gives_it(config):
+    """ot's receiver pair and mpsc's relay pair ride the relay outcome cc: a
+    cc the mode forces or an input pair given runs as cc=10, never drawn."""
+    rec = run_from_config(config)
+    assert any(ev.payload == "cc=10" for ev in rec.transcript.events)
 
 
 @pytest.mark.parametrize("protocol, default", [("tpsc", "00,00"), ("mpsc", "00,00,--")])

@@ -186,6 +186,18 @@ def test_forced_outcome_list_round_trips_through_config():
     assert again.transcript.to_text() == rec.transcript.to_text()
 
 
+def test_a_drawn_qds_cell_round_trips_through_config():
+    from bellproto.algebra import TwoBits
+    from bellproto.protocols import parse_mode, qds_run
+
+    cell = (TwoBits(0, 0), TwoBits(0, 1))
+    rec = qds_run([1, 0], None, forced=[None, cell])
+    assert rec.config.mode == "forced:--:--,00:01"
+    assert parse_mode(rec.config.mode) == ([(None, None), cell], None)
+    again = run_from_config(rec.config)
+    assert again.transcript.to_text() == rec.transcript.to_text()
+
+
 def test_forced_masks_round_trip_through_config():
     from bellproto.algebra import TwoBits
     from bellproto.protocols import mpsc_run, parse_mode, tpsc_run
