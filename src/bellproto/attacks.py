@@ -45,7 +45,8 @@ from .protocols import (
     CheatStrategy,
     ConfigError,
     Deviation,
-    RunRecord,
+    Run,
+    parse_mode,
     spec_for,
 )
 from .transcript import RunConfig
@@ -187,7 +188,7 @@ def enumeration_cells(config: RunConfig):
 
 
 def run_cell(config: RunConfig, cell: dict, cheat: CheatStrategy | None,
-             rng: Rng | None) -> RunRecord:
+             rng: Rng | None) -> Run:
     """Run ``config`` with ``cell``'s kwargs (a forced cell, or none to sample)
     over the configuration's parse, which every cell of it shares."""
     spec = spec_for(config.protocol)
@@ -206,7 +207,8 @@ def run_strategy(config: RunConfig, name: str,
     detection probability with a seeded generator over ``trials`` runs; a
     capture strategy has no sampled form and raises :class:`ConfigError`
     there.  ``trials`` below 1 raises :class:`ConfigError` in either mode,
-    because the CLI passes ``--samples`` in both.
+    because the CLI passes ``--samples`` in both, and so does a ``mode``
+    that fixes cells or masks, whose report would not name what it left out.
     """
     key = (config.protocol, name)
     if key not in CATALOG:
@@ -215,6 +217,8 @@ def run_strategy(config: RunConfig, name: str,
         raise ValueError(f"mode must be enumerate or sample, got {mode!r}")
     if trials < 1:
         raise ConfigError(f"trials (--samples) must be >= 1, got {trials}")
+    if parse_mode(config.mode) != (None, None):
+        raise ConfigError(f"mode {config.mode!r} fixes cells or masks, which a report leaves free")
     entry = CATALOG[key]
     variants = entry.variants(config)
 
@@ -273,7 +277,7 @@ def expected_bound_met(report: SecurityReport, entry: CatalogEntry) -> bool:
 _EMPTY, _MIXED = (0.0, 0.0, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0)  # no view; I/2
 
 
-def _views(records: Iterable[RunRecord], observer: str, weight: float,
+def _views(records: Iterable[Run], observer: str, weight: float,
            cut_step: str | None = None) -> dict[tuple, tuple]:
     """Each distinct view of ``observer`` as (w, x, y, z), the state
     (w I + x X + y Y + z Z) / 2.  A held pauli(label) negates the payload
@@ -310,10 +314,14 @@ def view_distance(protocol: str, observer: str, *, vary: str,
     observer holds; classical observations enter as orthogonal sectors, so
     the result is a single number in [0, 1] and 0 means the observer's
     whole world is independent of the secret.  Values that are not a pair,
-    or a key :func:`_view_config` does not take, raise ValueError.
+    a key :func:`_view_config` does not take, or an observer who holds no
+    station, so sees no event, raise ValueError.
     """
     if len(values) != 2:
         raise ValueError(f"view_distance compares two values, got {len(values)}: {values!r}")
+    if observer not in (controllers := spec_for(protocol).controllers):
+        raise ValueError(f"observer {observer!r} holds no station of {protocol}; "
+                         f"its controllers are {', '.join(controllers)}")
     fixed = dict(fixed or {})
     runner_kwargs = fixed.pop("runner_kwargs", {})
     sides = []

@@ -3,10 +3,10 @@
 Seven protocols share the same backbone: a relay Bell measurement that
 swaps entanglement onto the outer stations, a sender Bell measurement that
 moves the payload to the receiver, and classical verification built on the
-correction label ``tau = aa ^ cc ^ mu ^ nu``.  Station A is always the
-sender; in the two-party protocols stations B and C are both controlled by
-the receiving party, in the multiparty ones they belong to separate
-parties.
+correction label ``tau = aa ^ cc ^ mu ^ nu``.  In every protocol alice
+holds station A, the sender, and bob station B, the receiver; only the
+relay at station C varies: bob again in the two-party protocols, charlie
+in the multiparty ones.
 
 Every run is driven either by sampled Bell outcomes (seeded, reproducible)
 or by forced outcomes (post-selection; every Bell outcome here has
@@ -26,12 +26,12 @@ on :class:`Run`.  The engine is the Pauli frame of :mod:`bellproto.states`:
 ``open_chain`` runs the Bell measurements and keeps the freed wire's
 qubit, the payload under a Pauli label, on which ``apply``, ``measure``
 and ``measure_moved`` act.  ``twin_bit`` measures a sender's twin qubit,
-``masks`` and ``mask`` draw and apply private input masks, and
+``masks`` and ``mask`` give and apply private input masks, and
 ``conclude``, the one way a run ends, announces a verdict and returns the
-record.  Amplitudes are built only where a runner reads them (qss's
-fidelity); a held qubit stays its frame.  What
-does not change from run to run is built once: the forced qss probe
-qubit and each protocol's sorted controllers.
+run, its own record.  Amplitudes are built only where a runner reads them
+(qss's fidelity); a held qubit stays its frame.  What does not change
+from run to run is built once: the forced qss probe qubit and each
+protocol's sorted controllers.
 
 Measured-bit verification can see only the X part of a claimed bit pair:
 the Z exponent of a correction acts as a global phase on basis states, so
@@ -103,17 +103,53 @@ class Verdict:
                 + extra + (f" reason={self.reason}" if self.reason else ""))
 
 
-@dataclass
-class RunRecord:
-    """What one execution leaves: its verdict, its transcript, the qubit each
-    party still holds at the end (``held``: party to its ``Frame``; a party
-    holding nothing has no key) and the runner's named ``values``.  Its
-    ``config`` is the one its transcript records, built on first read."""
+class Run:
+    """One execution: the steps the runners repeat, and its own record.
 
-    verdict: Verdict
-    transcript: Transcript
-    held: dict[str, Frame]
-    values: dict[str, object]
+    A concluded run is its own record: its ``verdict``, ``transcript``, the
+    runner's named ``values`` and ``held``, the qubit each party still holds
+    at the end (party to its ``Frame``; no key for a party holding none).
+    It keeps the chain labels ``mu`` and ``nu`` its chains run over, any
+    masks it was given, and its spec's ``relay`` (station C) and
+    ``controllers``.  Its configuration, kept only on its transcript, comes
+    from ``spec.config`` over the runner's arguments: the generator's seed
+    (0 without one), the forced cells and any given masks as ``mode`` and
+    the cheater's name as ``strategy``.  The transcript builds it, ``mode``
+    string included, the first time something reads it, so a run read for
+    its verdict builds none.  Without a generator (forced-outcome runs)
+    streams fall back to ``Rng(0)``, the seed the configuration records.
+    The Born stream ``born`` feeds the sampled Bell outcomes, the engine's
+    only draws (a Z measurement reads its bit off the frame); every other
+    stream is derived where it is drawn from.
+
+    After the sender's Bell measurement the run holds one qubit, ``moved``:
+    a :class:`~bellproto.states.Frame`, the payload under its correction,
+    on the receiver's wire or, after a skipped relay measurement, the
+    relay's.  Every later step acts on it alone, a party left with it holds
+    the frame, and ``moved_state`` builds its amplitudes for a reader (the
+    tests' dense reference engine reads its register there instead).  The
+    steps call ``states.<name>`` at call time, so a wrapper on the module
+    attribute sees every transition.  A run ends only through ``conclude``,
+    which announces one party's verdict and returns the run.
+    """
+
+    verdict: Verdict  # set by conclude
+
+    def __init__(self, protocol: str, rng: Rng | None, cheat: CheatStrategy | None = None, *,
+                 secret="", inputs: str = "", mu: int = 0, nu: int = 0, forced=None,
+                 masks: tuple[int, ...] | None = None):
+        spec = SPECS[protocol]
+        self.relay, self.controllers = spec.relay, spec.controllers
+        self.mu, self.nu, self._masks = mu, nu, masks
+        self.transcript = Transcript(lambda: spec.config(
+            secret=str(secret), inputs=inputs, mu=mu, nu=nu,
+            seed=rng.seed if rng is not None else 0, mode=_mode_string(forced, masks),
+            strategy=cheat.name if cheat else ""))
+        self.cheat = cheat
+        self.base = rng if rng is not None else Rng(0)
+        self.born = self.base.derive(_STREAM_BORN)
+        self.held: dict[str, Frame] = {}
+        self.values: dict[str, object] = {}
 
     @property
     def config(self) -> RunConfig:
@@ -132,49 +168,6 @@ class RunRecord:
             if controller in ev.visible:
                 out.append(ev[:4])  # (step, actor, action, payload)
         return tuple(out)
-
-
-class Run:
-    """Shared bookkeeping and the steps the runners repeat, for one execution.
-
-    The stations' controllers come from the protocol's spec, and the run's
-    configuration, kept only on its transcript, from ``spec.config`` over
-    the runner's arguments: the generator's seed (0 without one), the
-    forced cells and any given masks as ``mode`` and the cheater's name as
-    ``strategy``.  The transcript builds it, ``mode`` string included, the
-    first time something reads it, so a run read for its verdict builds none.
-    Without a generator (forced-outcome runs) streams fall back to
-    ``Rng(0)``, the seed the configuration records.  The Born stream
-    ``born`` feeds the sampled Bell outcomes, the engine's only draws (a Z
-    measurement reads its bit off the frame); every other stream is
-    derived where it is drawn from.
-
-    After the sender's Bell measurement the run holds one qubit, ``moved``:
-    a :class:`~bellproto.states.Frame`, the payload under its correction,
-    on the receiver's wire or, after a skipped relay measurement, the
-    relay's.  Every later step acts on it alone, a party left with it holds
-    the frame, and ``moved_state`` builds its amplitudes for a reader (the
-    tests' dense reference engine reads its register there instead).  The
-    steps call ``states.<name>`` at call time, so a wrapper on the module
-    attribute sees every transition.  A run ends only through ``conclude``,
-    which announces one party's verdict and returns the record.
-    """
-
-    def __init__(self, protocol: str, rng: Rng | None, cheat: CheatStrategy | None = None, *,
-                 secret="", inputs: str = "", mu: int = 0, nu: int = 0, forced=None,
-                 masks: tuple[int, ...] | None = None):
-        spec = SPECS[protocol]
-        self.cast = spec.cast
-        self.controllers = spec.controllers
-        self.transcript = Transcript(lambda: spec.config(
-            secret=str(secret), inputs=inputs, mu=mu, nu=nu,
-            seed=rng.seed if rng is not None else 0, mode=_mode_string(forced, masks),
-            strategy=cheat.name if cheat else ""))
-        self.cheat = cheat
-        self.base = rng if rng is not None else Rng(0)
-        self.born = self.base.derive(_STREAM_BORN)
-        self.held: dict[str, Frame] = {}
-        self.values: dict[str, object] = {}
 
     def deviation(self, step: str, kind: str) -> Deviation | None:
         """The cheater's deviation at ``step`` when it is of ``kind``, else None."""
@@ -198,8 +191,9 @@ class Run:
         self.transcript.append(step, frm, action, payload, "quantum", _endpoints(frm, to))
 
     def masks(self, parties: Sequence[str]) -> tuple[int, ...]:
-        """One private mask bit per party, each drawn from that party's stream."""
-        return tuple(self.base.derive(_STREAM_PARTY[party]).bit() for party in parties)
+        """The mask bits the run was given, else one per party from its own stream."""
+        return self._masks if self._masks is not None else tuple(
+            self.base.derive(_STREAM_PARTY[party]).bit() for party in parties)
 
     def mask(self, step: str, party: str, pair: TwoBits, mask: int) -> int:
         """The label of ``pair`` with its message (Z) bit hidden under ``mask``."""
@@ -211,14 +205,14 @@ class Run:
         operators: a sender's twin qubit."""
         return states.measure_qubit(Frame(BASIS[bit], reduce(xor, labels)))[0]
 
-    def open_chain(self, mu: int, nu: int, secret, *, forced=None,
-                   nu_secret_of: str | None = None, sender_pre_label: int | None = None,
+    def open_chain(self, secret, *, forced=None, nu_secret_of: str | None = None,
+                   sender_pre_label: int | None = None,
                    skip_relay: bool = False) -> tuple[TwoBits, TwoBits | None]:
-        """Open a chain over (mu, nu) carrying ``secret`` (a bit or a 1-qubit
-        state): the relay Bell-measures its pair (2, 3), then the sender,
-        after applying ``sender_pre_label`` to the payload when given,
-        Bell-measures (0, 1) and so moves the payload to the receiver's wire 4,
-        which the run keeps as ``moved``.
+        """Open a chain over the run's (mu, nu) carrying ``secret`` (a bit or
+        a 1-qubit state): the relay Bell-measures its pair (2, 3), then the
+        sender, after applying ``sender_pre_label`` to the payload when
+        given, Bell-measures (0, 1) and so moves the payload to the
+        receiver's wire 4, which the run keeps as ``moved``.
 
         Returns (aa, cc); cc is None when the relay skipped.  ``forced`` is
         the (aa, cc) cell to force; it, or either half, may be None (drawn from
@@ -226,13 +220,13 @@ class Run:
         channel label.  ``skip_relay`` models a relay that withholds its
         measurement: the payload then moves onto the relay's wire 2.
         """
-        sender, relay = self.cast["A"], self.cast["C"]
+        mu, nu, relay = self.mu, self.nu, self.relay
         forced_aa, forced_cc = forced or (None, None)
         # the payload has both Bell pairs to cross, or only the sender's
         # when the relay withholds its measurement
         payload = _payload(secret)
         frame = Frame(payload, mu, 1) if skip_relay else Frame(payload, mu ^ nu, 2)
-        self.announce("setup", sender, "channel_sender_relay", f"mu={mu}")
+        self.announce("setup", "alice", "channel_sender_relay", f"mu={mu}")
         if nu_secret_of is None:
             self.announce("setup", relay, "channel_relay_receiver", f"nu={nu}")
         else:
@@ -247,9 +241,9 @@ class Run:
 
         if sender_pre_label is not None:
             frame = states.apply_pauli(frame, sender_pre_label)
-            self.local("2", sender, "apply_input", "label=private")
+            self.local("2", "alice", "apply_input", "label=private")
         aa, frame = states.bsm(frame, self.born, force=forced_aa)
-        self.local("2", sender, "sender_bsm", f"aa={aa}")
+        self.local("2", "alice", "sender_bsm", f"aa={aa}")
         self.moved = states.extract_qubit(frame)
         return aa, cc
 
@@ -269,16 +263,16 @@ class Run:
     def measure_moved(self) -> int:
         """Step 3: the receiver measures the moved qubit and logs the bit."""
         bit = self.measure()
-        self.local("3", self.cast["B"], "measure_moved", f"bit={bit}")
+        self.local("3", "bob", "measure_moved", f"bit={bit}")
         return bit
 
-    def conclude(self, party: str, ok: bool, value: str, reason: str) -> RunRecord:
+    def conclude(self, party: str, ok: bool, value: str, reason: str) -> Run:
         """Announce ``party``'s verdict, accept with ``value`` or reject with
         ``reason``, and close the run on it: the only way a run ends."""
-        verdict = Verdict("accept", value=value) if ok else Verdict("reject", reason=reason)
-        self.announce("verdict", party, "verdict", f"outcome={verdict.outcome} "
-                      f"value={verdict.value} reason={verdict.reason}")
-        return RunRecord(verdict, self.transcript, self.held, self.values)
+        self.verdict = Verdict("accept", value=value) if ok else Verdict("reject", reason=reason)
+        self.announce("verdict", party, "verdict", f"outcome={self.verdict.outcome} "
+                      f"value={self.verdict.value} reason={self.verdict.reason}")
+        return self
 
 
 def _endpoints(frm: str, to: str) -> tuple[str, str]:
@@ -357,7 +351,7 @@ def cell_label(cell: dict) -> str:
 
 
 def bc_run(secret: int, rng: Rng | None = None, *, mu: int = 0, nu: int = 0,
-           forced=None, cheat: CheatStrategy | None = None) -> RunRecord:
+           forced=None, cheat: CheatStrategy | None = None) -> Run:
     """Bit commitment: the sender commits one bit, later reveals it.
 
     The receiver controls both the relay and receiver stations; the
@@ -368,7 +362,7 @@ def bc_run(secret: int, rng: Rng | None = None, *, mu: int = 0, nu: int = 0,
     """
     run = Run("bc", rng, cheat, secret=secret, mu=mu, nu=nu, forced=forced)
     run.local("setup", "alice", "payload", f"bit={secret}")
-    aa, cc = run.open_chain(mu, nu, secret, forced=forced, nu_secret_of="bob")
+    aa, cc = run.open_chain(secret, forced=forced, nu_secret_of="bob")
     moved_bit = run.measure_moved()
     # commitment twin: the payload bit masked by the sender's outcome pair
     run.send_qubit("4", "alice", "bob", "send_commit_twin")
@@ -390,7 +384,7 @@ def bc_run(secret: int, rng: Rng | None = None, *, mu: int = 0, nu: int = 0,
 
 
 def ct_run(secret: int, rng: Rng | None = None, *, forced=None,
-           cheat: CheatStrategy | None = None) -> RunRecord:
+           cheat: CheatStrategy | None = None) -> Run:
     """Asynchronous coin toss over the publicly fixed chain (0, 0).
 
     The receiver re-keys the moved payload with its own relay outcome and
@@ -399,10 +393,9 @@ def ct_run(secret: int, rng: Rng | None = None, *, forced=None,
     pair alone, so the coin equals ``secret XOR a'`` and is uniform over
     the measurement randomness.
     """
-    mu = nu = 0
     run = Run("ct", rng, cheat, secret=secret, forced=forced)
     run.local("setup", "alice", "payload", f"bit={secret}")
-    aa, cc = run.open_chain(mu, nu, secret, forced=forced)
+    aa, cc = run.open_chain(secret, forced=forced)
     moved_bit = run.measure_moved()
     fresh = run.deviation("transform", "fresh_qubit")
     if fresh:
@@ -425,7 +418,7 @@ def ct_run(secret: int, rng: Rng | None = None, *, forced=None,
 
 
 def ot_run(secret: int, rng: Rng | None = None, *, forced=None,
-           cheat: CheatStrategy | None = None) -> RunRecord:
+           cheat: CheatStrategy | None = None) -> Run:
     """Oblivious transfer flavour of the coin-toss dataflow.
 
     The announced state travels privately to the sender.  The receiver's
@@ -435,11 +428,10 @@ def ot_run(secret: int, rng: Rng | None = None, *, forced=None,
     identical for both message values and the sender learns the message
     with probability no better than a blind guess.
     """
-    mu = nu = 0
     inputs = str(forced[1]) if forced and forced[1] is not None else ""
     run = Run("ot", rng, cheat, secret=secret, inputs=inputs, forced=forced)
     run.local("setup", "alice", "payload", f"bit={secret}")
-    aa, cc = run.open_chain(mu, nu, secret, forced=forced)
+    aa, cc = run.open_chain(secret, forced=forced)
     run.measure_moved()
     run.apply(cc.label)
     run.local("4", "bob", "rekey", "label=private")
@@ -456,7 +448,7 @@ def ot_run(secret: int, rng: Rng | None = None, *, forced=None,
 def tpsc_run(alice_input: TwoBits, bob_input: TwoBits, public_bit: int,
              rng: Rng | None = None, *, mu: int = 0, nu: int = 0,
              forced=None, masks: tuple[int, int] | None = None,
-             cheat: CheatStrategy | None = None) -> RunRecord:
+             cheat: CheatStrategy | None = None) -> Run:
     """Two-party computation of one output bit from both (message, signature) inputs.
 
     Each party applies an operator whose X exponent is its signature bit
@@ -468,11 +460,11 @@ def tpsc_run(alice_input: TwoBits, bob_input: TwoBits, public_bit: int,
     inputs = f"{alice_input},{bob_input}"
     run = Run("tpsc", rng, cheat, secret=public_bit, inputs=inputs, mu=mu, nu=nu,
               forced=forced, masks=masks)
-    mask_a, mask_b = masks if masks is not None else run.masks(("alice", "bob"))
+    mask_a, mask_b = run.masks(("alice", "bob"))
     run.announce("setup", "alice", "public_payload", f"bit={public_bit}")
 
     label_a = run.mask("2", "alice", alice_input, mask_a)
-    aa, cc = run.open_chain(mu, nu, public_bit, forced=forced, sender_pre_label=label_a)
+    aa, cc = run.open_chain(public_bit, forced=forced, sender_pre_label=label_a)
     # the sender's outcome-keyed copy of her masked input, sent alongside
     run.send_qubit("2", "alice", "bob", "send_input_twin")
 
@@ -509,7 +501,7 @@ def tpsc_run(alice_input: TwoBits, bob_input: TwoBits, public_bit: int,
 
 def qss_run(secret, rng: Rng | None = None, *, mu: int = 0, nu: int = 0,
             forced=None, cheat: CheatStrategy | None = None,
-            reconstruct: bool = True) -> RunRecord:
+            reconstruct: bool = True) -> Run:
     """(2, 2) secret sharing of a bit or qubit across receiver and relay.
 
     ``secret`` is a bit, a 1-qubit state or ``"q"``: a random qubit from the
@@ -522,7 +514,7 @@ def qss_run(secret, rng: Rng | None = None, *, mu: int = 0, nu: int = 0,
     exactly.  With ``reconstruct=False`` the relay keeps its share: the
     receiver holds its qubit and rejects.
 
-    The record's ``held`` keeps the frame of the qubit a party is left with:
+    The run's ``held`` keeps the frame of the qubit a party is left with:
     the receiver's, when it keeps the uncorrected one (``reconstruct=False``)
     or recovers a quantum secret, and the relay's, when it skips its
     measurement (the ``relay_bsm`` skip) and captures the payload.
@@ -536,7 +528,7 @@ def qss_run(secret, rng: Rng | None = None, *, mu: int = 0, nu: int = 0,
     run.local("setup", "alice", "payload", f"value={secret_text}")
 
     skip = run.deviation("relay_bsm", "skip") is not None
-    aa, cc = run.open_chain(mu, nu, payload, forced=forced, skip_relay=skip)
+    aa, cc = run.open_chain(payload, forced=forced, skip_relay=skip)
     run.tell("auth", "bob", "alice", "ack_holding_qubit", "token")
     run.tell("share", "alice", "bob", "send_sender_share", f"aa={aa}")
 
@@ -557,7 +549,7 @@ def qss_run(secret, rng: Rng | None = None, *, mu: int = 0, nu: int = 0,
 
 
 def qds_run(message: Sequence[int], rng: Rng | None = None, *, mu: int = 0, nu: int = 0,
-            forced=None, cheat: CheatStrategy | None = None) -> RunRecord:
+            forced=None, cheat: CheatStrategy | None = None) -> Run:
     """Digital signature of a bit string, one chain instance per bit.
 
     Each chain's two measured bits attest the message bit it carried: the
@@ -582,7 +574,7 @@ def qds_run(message: Sequence[int], rng: Rng | None = None, *, mu: int = 0, nu: 
     # per chain: aa and cc as printed, the moved bit and the two attested bits
     chains = []
     for i, (bit, cell) in enumerate(zip(message, forced_cells)):
-        aa, cc = run.open_chain(mu, nu, bit, forced=cell)
+        aa, cc = run.open_chain(bit, forced=cell)
         moved = run.measure_moved()
         run.send_qubit("4", "alice", "charlie", "send_signature_twin", f"index={i}")
         twin = run.twin_bit(bit, aa.label)
@@ -605,9 +597,9 @@ def qds_run(message: Sequence[int], rng: Rng | None = None, *, mu: int = 0, nu: 
     bob_bad = [i for i, b in enumerate(reveal) if attested[i][0] != b]
     run.values["bob_failed_positions"] = bob_bad
     if bob_bad:
-        record = run.conclude("bob", False, "", "repudiation")
-        run.values.update(bob=record.verdict, charlie=Verdict("reject", reason="not_reached"))
-        return record
+        run.conclude("bob", False, "", "repudiation")
+        run.values.update(bob=run.verdict, charlie=Verdict("reject", reason="not_reached"))
+        return run
     run.values["bob"] = Verdict("accept", value="".join(map(str, reveal)))
 
     forward = _flip(reveal, run.shift("forward"))
@@ -617,9 +609,9 @@ def qds_run(message: Sequence[int], rng: Rng | None = None, *, mu: int = 0, nu: 
     charlie_bad = [i for i, b in enumerate(forward) if attested[i] != (b, b)]
     run.values["charlie_failed_positions"] = charlie_bad
     # charlie accepts only the message bob accepted, so its verdict is the run's
-    record = run.conclude("charlie", not charlie_bad, "".join(map(str, forward)), "forgery")
-    run.values["charlie"] = record.verdict
-    return record
+    run.conclude("charlie", not charlie_bad, "".join(map(str, forward)), "forgery")
+    run.values["charlie"] = run.verdict
+    return run
 
 
 def _flip(bits: Sequence[int], shift: int) -> list[int]:
@@ -635,7 +627,7 @@ def _at(positions: list[int], key: str, values: Sequence) -> str:
 def mpsc_run(alice_input: TwoBits, bob_input: TwoBits, public_bit: int,
              rng: Rng | None = None, *, mu: int = 0, nu: int = 0,
              forced=None, masks: tuple[int, int, int] | None = None,
-             cheat: CheatStrategy | None = None) -> RunRecord:
+             cheat: CheatStrategy | None = None) -> Run:
     """Three-party computation over a public payload bit.
 
     The relay's (message, signature) input is realised by its own Bell
@@ -649,12 +641,11 @@ def mpsc_run(alice_input: TwoBits, bob_input: TwoBits, public_bit: int,
     inputs = f"{alice_input},{bob_input},{charlie_input if charlie_input else '--'}"
     run = Run("mpsc", rng, cheat, secret=public_bit, inputs=inputs, mu=mu, nu=nu,
               forced=forced, masks=masks)
-    mask_a, mask_b, mask_c = masks if masks is not None else run.masks(
-        ("alice", "bob", "charlie"))
+    mask_a, mask_b, mask_c = run.masks(("alice", "bob", "charlie"))
     run.announce("setup", "alice", "public_payload", f"bit={public_bit}")
 
     label_a = run.mask("2", "alice", alice_input, mask_a)
-    aa, cc = run.open_chain(mu, nu, public_bit, forced=forced, sender_pre_label=label_a)
+    aa, cc = run.open_chain(public_bit, forced=forced, sender_pre_label=label_a)
     run.announce("2", "alice", "announce_sender_pair", f"aa={aa}")
 
     moved_bit = run.measure_moved()
@@ -680,8 +671,6 @@ def mpsc_run(alice_input: TwoBits, bob_input: TwoBits, public_bit: int,
 
 # --- protocol specs: one description per protocol ------------------------------
 
-_TWO_PARTY = {"A": "alice", "B": "bob", "C": "bob"}
-_THREE_PARTY = {"A": "alice", "B": "bob", "C": "charlie"}
 _QSS_PROBE = qubit(0.6, 0.8j)  # the forced cells' secret for ``q``
 _QSS_SECRET_HELP = ("qss needs --secret 0, 1, q (seeded random qubit) or "
                     "q:re,im,re,im (explicit amplitudes)")
@@ -691,20 +680,21 @@ _QSS_SECRET_HELP = ("qss needs --secret 0, 1, q (seeded random qubit) or "
 class ProtocolSpec:
     """Everything the CLI and the attack evaluator need to know about one protocol.
 
-    Who plays each station, how a configuration becomes runner arguments
-    (``parse``, given the configuration and its mode's forced cell: the one
-    cell, qds's list of them or None; it raises ConfigError with a
-    user-facing message on a bad value), which configuration fields it
-    never reads (``ignores``; they must stay unset), how many private mask
-    bits its forced cells fix and what its enumeration table rows add.
+    Who relays at station C (``relay``; alice and bob hold A and B in every
+    protocol), how a configuration becomes runner arguments (``parse``, given
+    the configuration and its mode's forced cell: the one cell, qds's list of
+    them or None; it raises ConfigError with a user-facing message on a bad
+    value), which configuration fields it never reads (``ignores``; they must
+    stay unset), how many private mask bits its forced cells fix and what its
+    enumeration table rows add.
     Parsing draws nothing: it is a pure function of the configuration,
     which only ``config`` builds, so ``runner_kwargs`` memoises it.
     """
 
     name: str
-    cast: Mapping[str, str]
+    relay: str
     parse: Callable[[RunConfig, object], dict]
-    row_extra: Callable[[RunRecord], str] = lambda record: ""
+    row_extra: Callable[[Run], str] = lambda record: ""
     default_inputs: str = ""
     k_from_secret: bool = False  # qds runs one chain per message bit
     masks: int = 0
@@ -713,10 +703,10 @@ class ProtocolSpec:
     @cached_property
     def controllers(self) -> tuple[str, ...]:
         """The parties behind the stations, sorted: who sees an announcement."""
-        return tuple(sorted(set(self.cast.values())))
+        return tuple(sorted({"alice", "bob", self.relay}))
 
     @property
-    def runner(self) -> Callable[..., RunRecord]:
+    def runner(self) -> Callable[..., Run]:
         # looked up at call time, so a wrapper bound to the module attribute
         # (a profiler, say) also sees the runs dispatched through the spec
         return globals()[f"{self.name}_run"]
@@ -854,31 +844,31 @@ def _mpsc_args(config: RunConfig, forced) -> dict:
                                  "mpsc needs --inputs like 10,01,11 (one pair per party)",
                                  open_last=True)
     return {"alice_input": alice, "bob_input": bob, "public_bit": _bit_secret(config),
-            "mu": config.mu, "nu": config.nu, "forced": _input_cell(config, forced, charlie)}
+            **_chain_args(config, _input_cell(config, forced, charlie))}
 
 
-def _output_extra(record: RunRecord) -> str:
+def _output_extra(record: Run) -> str:
     return f" f={record.verdict.value}" if record.verdict.accepted else ""
 
 
 SPECS: dict[str, ProtocolSpec] = {spec.name: spec for spec in (
-    ProtocolSpec("bc", _TWO_PARTY,
+    ProtocolSpec("bc", "bob",
                  lambda c, f: {"secret": _bit_secret(c), **_chain_args(c, f)},
                  ignores=("inputs",)),
     # ct and ot run over the publicly fixed chain (0, 0)
-    ProtocolSpec("ct", _TWO_PARTY,
+    ProtocolSpec("ct", "bob",
                  lambda c, f: {"secret": _bit_secret(c), "forced": f},
                  row_extra=lambda record: f" coin={record.values['coin']}",
                  ignores=("mu", "nu", "inputs")),
-    ProtocolSpec("ot", _TWO_PARTY, _ot_args, ignores=("mu", "nu")),
-    ProtocolSpec("tpsc", _TWO_PARTY, _tpsc_args,
+    ProtocolSpec("ot", "bob", _ot_args, ignores=("mu", "nu")),
+    ProtocolSpec("tpsc", "bob", _tpsc_args,
                  row_extra=_output_extra, default_inputs="00,00", masks=2),
-    ProtocolSpec("qss", _THREE_PARTY,
+    ProtocolSpec("qss", "charlie",
                  lambda c, f: {"secret": _qss_secret(c), **_chain_args(c, f)},
                  row_extra=lambda record: f" fidelity={record.values['fidelity']:.12f}",
                  ignores=("inputs",)),
-    ProtocolSpec("qds", _THREE_PARTY, _qds_args, k_from_secret=True, ignores=("inputs",)),
-    ProtocolSpec("mpsc", _THREE_PARTY, _mpsc_args,
+    ProtocolSpec("qds", "charlie", _qds_args, k_from_secret=True, ignores=("inputs",)),
+    ProtocolSpec("mpsc", "charlie", _mpsc_args,
                  row_extra=_output_extra, default_inputs="00,00,--", masks=3),
 )}
 
@@ -892,10 +882,10 @@ def spec_for(protocol: str) -> ProtocolSpec:
         raise ConfigError(f"unknown protocol {protocol!r}") from None
 
 
-def run_from_config(config: RunConfig) -> RunRecord:
+def run_from_config(config: RunConfig) -> Run:
     """Execute the protocol a configuration describes, reproducibly.
 
-    The record keeps ``config`` itself, not the runner's own encoding of it
+    The run keeps ``config`` itself, not the runner's own encoding of it
     (drawn ``q`` amplitudes, a forced mode for an input pair, default
     inputs).  A configuration naming a strategy is rejected: it records the
     cheater's name, not its hooks, so it cannot be re-run.
@@ -904,9 +894,9 @@ def run_from_config(config: RunConfig) -> RunRecord:
     if config.strategy:
         raise ConfigError(f"config names strategy {config.strategy!r}; "
                           "strategy runs are not replayable")
-    record = spec.runner(**spec.runner_kwargs(config), rng=Rng(config.seed))
-    record.transcript.config = config
-    return record
+    run = spec.runner(**spec.runner_kwargs(config), rng=Rng(config.seed))
+    run.transcript.config = config
+    return run
 
 
 def _encode_qubit(state: StateVector) -> str:

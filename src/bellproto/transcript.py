@@ -125,12 +125,12 @@ def parse_transcript(text: str) -> tuple[RunConfig, list[str]]:
     """Split a serialised transcript into its config and raw event lines.
 
     The layout is strict: the header, a run of ``config`` lines, only
-    ``event`` lines after them and ``end`` as the last line.
+    ``event`` lines after them and ``end``, line break included, last.
     """
     lines = text.splitlines()
     if not lines or lines[0] != FORMAT_VERSION:
         raise ValueError(f"not a {FORMAT_VERSION} transcript")
-    if lines[-1] != "end":
+    if not text.endswith("\nend\n"):
         raise ValueError("transcript does not close with its end marker")
     body = lines[1:-1]
     split = next((i for i, line in enumerate(body) if not line.startswith("config ")), len(body))

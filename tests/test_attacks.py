@@ -228,6 +228,17 @@ def test_mpsc_message_bits_stay_hidden_given_signatures():
     assert dist <= 1e-12
 
 
+@pytest.mark.parametrize("protocol, mode", [
+    ("bc", "forced:00:01"), ("bc", "forced:--:--"), ("tpsc", "enumerate;masks:01")])
+def test_run_strategy_rejects_a_mode_that_fixes_cells_or_masks(protocol, mode):
+    # a pinned cc used to cover a quarter of the cells under "mode enumerate",
+    # and a forced sample ran its one cell every trial
+    config = config_for(protocol, mode=mode)
+    for report_mode in ("enumerate", "sample"):
+        with pytest.raises(ConfigError, match=re.escape(f"mode {mode!r} fixes cells or masks")):
+            run_strategy(config, "null", mode=report_mode, trials=4, seed=1)
+
+
 def test_observer_on_own_secret_sees_everything():
     dist = view_distance("bc", "alice", vary="secret", values=(0, 1))
     assert dist == pytest.approx(1.0, abs=1e-12)
@@ -243,6 +254,14 @@ def test_view_distance_rejects_what_it_cannot_compare(kwargs, offender):
     # a misspelt key used to be ignored, and a distance of 0.0 reads as hiding
     with pytest.raises(ValueError, match=re.escape(offender)):
         view_distance("bc", "bob", **kwargs)
+
+
+@pytest.mark.parametrize("observer", ["charlie", "eve"])
+def test_view_distance_rejects_an_observer_who_holds_no_station(observer):
+    # such an observer sees no event, so its empty views used to read 0.0: hiding
+    with pytest.raises(ValueError, match=re.escape(
+            f"observer {observer!r} holds no station of bc; its controllers are alice, bob")):
+        view_distance("bc", observer, vary="secret", values=(0, 1))
 
 
 # --- the closed-form views against the eigenvalue oracle ------------------------

@@ -213,6 +213,16 @@ def test_replay_names_a_reordered_config_block(tmp_path):
     assert proc.stdout == "replay mismatch in the header or config block\n"
 
 
+def test_replay_rejects_a_transcript_without_its_last_line_break(tmp_path):
+    # the header and config are intact, so this is a malformed file, not a mismatch
+    transcript, lines, _config = _bc_transcript_lines(tmp_path)
+    transcript.write_text("\n".join(lines))
+    proc = run_cli("replay", str(transcript))
+    assert proc.returncode == EXIT_IO
+    assert proc.stdout == ""
+    assert proc.stderr == "error: transcript does not close with its end marker\n"
+
+
 def test_replay_missing_file_is_io_error(tmp_path):
     proc = run_cli("replay", str(tmp_path / "nope.pwv1"))
     assert proc.returncode == EXIT_IO

@@ -41,12 +41,12 @@ class DenseRun(Run):
         amps = reduce(np.matmul, map(pauli_matrix, labels)) @ _payload_state(bit).amplitudes
         return dense.measure_qubit(StateVector(amps), 0, self.born)[0]
 
-    def open_chain(self, mu, nu, secret, *, forced=None, nu_secret_of=None,
+    def open_chain(self, secret, *, forced=None, nu_secret_of=None,
                    sender_pre_label=None, skip_relay=False):
-        sender, relay = self.cast["A"], self.cast["C"]
+        mu, nu, relay = self.mu, self.nu, self.relay
         forced_aa, forced_cc = forced or (None, None)
         register = dense.chain_register(mu, nu, _payload_state(secret))
-        self.announce("setup", sender, "channel_sender_relay", f"mu={mu}")
+        self.announce("setup", "alice", "channel_sender_relay", f"mu={mu}")
         if nu_secret_of is None:
             self.announce("setup", relay, "channel_relay_receiver", f"nu={nu}")
         else:
@@ -61,9 +61,9 @@ class DenseRun(Run):
 
         if sender_pre_label is not None:
             register = dense.apply_pauli(register, sender_pre_label, 0)
-            self.local("2", sender, "apply_input", "label=private")
+            self.local("2", "alice", "apply_input", "label=private")
         aa, register = dense.bsm(register, (0, 1), self.born, force=forced_aa)
-        self.local("2", sender, "sender_bsm", f"aa={aa}")
+        self.local("2", "alice", "sender_bsm", f"aa={aa}")
         # raises if the freed wire were still entangled
         self.moved = dense.extract_qubit(register, 2 if skip_relay else 4)
         return aa, cc

@@ -54,7 +54,7 @@ def common_steps(mu, nu, payload, rng, measure_b=True, *, forced=None):
 
     Returns (aa, cc, moved_bit); moved_bit is None unless ``measure_b``."""
     run = Run("qss", rng, mu=mu, nu=nu)
-    aa, cc = run.open_chain(mu, nu, payload, forced=forced)
+    aa, cc = run.open_chain(payload, forced=forced)
     return aa, cc, run.measure_moved() if measure_b else None
 
 
@@ -84,7 +84,7 @@ def test_common_steps_quantum_payload_all_cells():
     probe = Rng(77).unit_qubit()
     for aa, cc in ALL_CELLS:
         run = Run("qss", None, mu=1, nu=2)
-        assert run.open_chain(1, 2, probe, forced=(aa, cc)) == (aa, cc)
+        assert run.open_chain(probe, forced=(aa, cc)) == (aa, cc)
         tau = infer_tau(aa, cc, 1, 2)
         assert equal_up_to_phase(run.moved_state(),
                                  StateVector(pauli_matrix(tau) @ probe.amplitudes))
