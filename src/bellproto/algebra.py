@@ -61,13 +61,18 @@ class TwoBits(NamedTuple):
         return cls(int(text[0]), int(text[1]))
 
     def __xor__(self, other: "TwoBits") -> "TwoBits":
-        return TwoBits(self.hi ^ other.hi, self.lo ^ other.lo)
+        return PAIRS[2 * (self.hi ^ other.hi) + (self.lo ^ other.lo)]
 
     def __str__(self) -> str:
-        return f"{self.hi}{self.lo}"
+        return _TEXT[2 * self.hi + self.lo]
+
+    def __format__(self, spec: str) -> str:
+        # an f-string reads the table; a format spec raises, as for any tuple
+        return _TEXT[2 * self.hi + self.lo] if not spec else object.__format__(self, spec)
 
 
 PAIRS = tuple(TwoBits(label >> 1, label & 1) for label in LABELS)  # indexed by label
+_TEXT = tuple(f"{label >> 1}{label & 1}" for label in LABELS)  # str of PAIRS[label]
 
 
 class SignedLabel(NamedTuple):
@@ -156,7 +161,8 @@ def omega_inner(a: int, b: int) -> int:
 
 def x_bit(label: int) -> int:
     """X exponent of a label (its low bit)."""
-    _check_label(label)
+    if label not in (0, 1, 2, 3):
+        _check_label(label)  # raises
     return label & 1
 
 
@@ -167,8 +173,9 @@ def label_from_zx(z: int, x: int) -> int:
     message bit and ``x`` the signature bit: both values of z map to the
     same x-column, so announcing x reveals nothing about z.
     """
-    _check_bit(z)
-    _check_bit(x)
+    if z not in (0, 1) or x not in (0, 1):
+        _check_bit(z)  # one of the two raises
+        _check_bit(x)
     return 2 * z + x
 
 

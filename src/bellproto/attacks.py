@@ -36,7 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .algebra import LABELS, PAIRS
 from .states import Rng
@@ -314,8 +314,9 @@ def view_distance(protocol: str, observer: str, *, vary: str,
     observer holds; classical observations enter as orthogonal sectors, so
     the result is a single number in [0, 1] and 0 means the observer's
     whole world is independent of the secret.  Values that are not a pair,
-    a key :func:`_view_config` does not take, or an observer who holds no
-    station, so sees no event, raise ValueError.
+    a key :func:`_view_config` does not take, an observer who holds no
+    station, so sees no event, or a ``cut_step`` that no enumerated run
+    carries, so cuts nothing, raise ValueError.
     """
     if len(values) != 2:
         raise ValueError(f"view_distance compares two values, got {len(values)}: {values!r}")
@@ -324,15 +325,28 @@ def view_distance(protocol: str, observer: str, *, vary: str,
                          f"its controllers are {', '.join(controllers)}")
     fixed = dict(fixed or {})
     runner_kwargs = fixed.pop("runner_kwargs", {})
-    sides = []
+    sides, steps = [], {}
     for value in values:
         config = _view_config(protocol, {**fixed, vary: value})
         cells = list(enumeration_cells(config))
         records = (run_cell(config, {**cell, **runner_kwargs}, None, None) for cell in cells)
+        if cut_step is not None:
+            records = _noting_steps(records, steps)
         sides.append(_views(records, observer, 1.0 / len(cells), cut_step))
+    if cut_step is not None and cut_step not in steps:
+        raise ValueError(f"cut_step {cut_step!r} is a step no {protocol} run carries; "
+                         f"its runs carry {', '.join(steps)}")
     a, b = sides
     return sum(_distance(a.get(view, _EMPTY), b.get(view, _EMPTY))
                for view in set(a) | set(b))
+
+
+def _noting_steps(records: Iterable[Run], steps: dict) -> Iterator[Run]:
+    """``records`` one at a time, each step they carry noted in ``steps``
+    in order of first appearance."""
+    for rec in records:
+        steps.update(dict.fromkeys(ev.step for ev in rec.transcript.events))
+        yield rec
 
 
 def _view_config(protocol: str, kwargs: dict) -> RunConfig:

@@ -54,6 +54,9 @@ from .algebra import LABELS, PAIRS, TwoBits, label_from_zx, x_bit
 from .states import BASIS, Frame, Rng, StateVector, fidelity, infer_tau, qubit
 from .transcript import RunConfig, Transcript
 
+# the stream a run without a generator derives from: seed 0, as its
+# configuration records; never drawn from, so its pool is mixed once
+_SEED_0 = Rng(0)
 # fixed derived-stream indices so replays are stable
 _STREAM_BORN = 0
 _STREAM_PARTY = {"alice": 1, "bob": 2, "charlie": 3}
@@ -87,7 +90,7 @@ class CheatStrategy:
     hooks: Mapping[str, Deviation]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Verdict:
     outcome: str  # accept | reject
     value: str = ""
@@ -116,11 +119,13 @@ class Run:
     (0 without one), the forced cells and any given masks as ``mode`` and
     the cheater's name as ``strategy``.  The transcript builds it, ``mode``
     string included, the first time something reads it, so a run read for
-    its verdict builds none.  Without a generator (forced-outcome runs)
-    streams fall back to ``Rng(0)``, the seed the configuration records.
-    The Born stream ``born`` feeds the sampled Bell outcomes, the engine's
-    only draws (a Z measurement reads its bit off the frame); every other
-    stream is derived where it is drawn from.
+    its verdict builds none.  Without a generator (forced-outcome runs) its
+    streams derive from one module-level seed-0 stream, the seed the
+    configuration records, which is only derived from, never drawn from.
+    A stream is derived where it is first drawn from: the Born stream
+    ``born``, which feeds the sampled Bell outcomes (the engine's only
+    draws; a Z measurement reads its bit off the frame), at the run's first
+    drawn outcome.  So a fully forced run derives no stream.
 
     After the sender's Bell measurement the run holds one qubit, ``moved``:
     a :class:`~bellproto.states.Frame`, the payload under its correction,
@@ -145,11 +150,17 @@ class Run:
             secret=str(secret), inputs=inputs, mu=mu, nu=nu,
             seed=rng.seed if rng is not None else 0, mode=_mode_string(forced, masks),
             strategy=cheat.name if cheat else ""))
+        # bound once: every logged event is one call of it
+        self._append = self.transcript.append
         self.cheat = cheat
-        self.base = rng if rng is not None else Rng(0)
-        self.born = self.base.derive(_STREAM_BORN)
+        self.base = rng if rng is not None else _SEED_0
         self.held: dict[str, Frame] = {}
         self.values: dict[str, object] = {}
+
+    @cached_property
+    def born(self) -> Rng:
+        """The stream of the sampled Bell outcomes, derived at the first one."""
+        return self.base.derive(_STREAM_BORN)
 
     @property
     def config(self) -> RunConfig:
@@ -161,13 +172,14 @@ class Run:
         ``cut_step`` excludes the first event carrying that step tag and
         everything after it (used for pre-reveal views).
         """
-        out = []
-        for ev in self.transcript.events:
-            if cut_step is not None and ev.step == cut_step:
-                break
-            if controller in ev.visible:
-                out.append(ev[:4])  # (step, actor, action, payload)
-        return tuple(out)
+        events = self.transcript.events
+        if cut_step is not None:
+            for i, ev in enumerate(events):
+                if ev.step == cut_step:
+                    events = events[:i]
+                    break
+        # (step, actor, action, payload) of each event the controller sees
+        return tuple([ev[:4] for ev in events if controller in ev.visible])
 
     def deviation(self, step: str, kind: str) -> Deviation | None:
         """The cheater's deviation at ``step`` when it is of ``kind``, else None."""
@@ -179,16 +191,17 @@ class Run:
         return getattr(self.deviation(step, "shift"), "value", 0)
 
     def local(self, step, actor, action, payload) -> None:
-        self.transcript.append(step, actor, action, payload, "local", (actor,))
+        self._append(step, actor, action, payload, "local", (actor,))
 
     def announce(self, step, actor, action, payload) -> None:
-        self.transcript.append(step, actor, action, payload, "classical", self.controllers)
+        self._append(step, actor, action, payload, "classical", self.controllers)
 
     def tell(self, step, frm, to, action, payload) -> None:
-        self.transcript.append(step, frm, action, payload, "classical", _endpoints(frm, to))
+        # a message between two parties is visible to both, in sorted order
+        self._append(step, frm, action, payload, "classical", (frm, to) if frm < to else (to, frm))
 
     def send_qubit(self, step, frm, to, action, payload="qubit") -> None:
-        self.transcript.append(step, frm, action, payload, "quantum", _endpoints(frm, to))
+        self._append(step, frm, action, payload, "quantum", (frm, to) if frm < to else (to, frm))
 
     def masks(self, parties: Sequence[str]) -> tuple[int, ...]:
         """The mask bits the run was given, else one per party from its own stream."""
@@ -203,7 +216,7 @@ class Run:
     def twin_bit(self, bit: int, *labels: int) -> int:
         """Measured bit of the basis state ``bit`` keyed by the labelled
         operators: a sender's twin qubit."""
-        return states.measure_qubit(Frame(BASIS[bit], reduce(xor, labels)))[0]
+        return states.measure_qubit(tuple.__new__(Frame, (BASIS[bit], reduce(xor, labels), 0)))[0]
 
     def open_chain(self, secret, *, forced=None, nu_secret_of: str | None = None,
                    sender_pre_label: int | None = None,
@@ -224,8 +237,9 @@ class Run:
         forced_aa, forced_cc = forced or (None, None)
         # the payload has both Bell pairs to cross, or only the sender's
         # when the relay withholds its measurement
-        payload = _payload(secret)
-        frame = Frame(payload, mu, 1) if skip_relay else Frame(payload, mu ^ nu, 2)
+        payload = (BASIS[secret] if secret in (0, 1)
+                   else tuple(_payload_state(secret).amplitudes.tolist()))
+        frame = tuple.__new__(Frame, (payload, mu, 1) if skip_relay else (payload, mu ^ nu, 2))
         self.announce("setup", "alice", "channel_sender_relay", f"mu={mu}")
         if nu_secret_of is None:
             self.announce("setup", relay, "channel_relay_receiver", f"nu={nu}")
@@ -236,13 +250,16 @@ class Run:
         if skip_relay:
             self.local("1", relay, "relay_bsm_skipped", "withheld")
         else:
-            cc, frame = states.bsm(frame, self.born, force=forced_cc)
+            # a forced half draws nothing, so it is handed no stream
+            cc, frame = states.bsm(frame, self.born if forced_cc is None else None,
+                                   force=forced_cc)
             self.local("1", relay, "relay_bsm", f"cc={cc}")
 
         if sender_pre_label is not None:
             frame = states.apply_pauli(frame, sender_pre_label)
             self.local("2", "alice", "apply_input", "label=private")
-        aa, frame = states.bsm(frame, self.born, force=forced_aa)
+        aa, frame = states.bsm(frame, self.born if forced_aa is None else None,
+                               force=forced_aa)
         self.local("2", "alice", "sender_bsm", f"aa={aa}")
         self.moved = states.extract_qubit(frame)
         return aa, cc
@@ -269,14 +286,14 @@ class Run:
     def conclude(self, party: str, ok: bool, value: str, reason: str) -> Run:
         """Announce ``party``'s verdict, accept with ``value`` or reject with
         ``reason``, and close the run on it: the only way a run ends."""
-        self.verdict = Verdict("accept", value=value) if ok else Verdict("reject", reason=reason)
-        self.announce("verdict", party, "verdict", f"outcome={self.verdict.outcome} "
-                      f"value={self.verdict.value} reason={self.verdict.reason}")
+        if ok:
+            self.verdict = Verdict("accept", value=value)
+            payload = f"outcome=accept value={value} reason="
+        else:
+            self.verdict = Verdict("reject", reason=reason)
+            payload = f"outcome=reject value= reason={reason}"
+        self._append("verdict", party, "verdict", payload, "classical", self.controllers)
         return self
-
-
-def _endpoints(frm: str, to: str) -> tuple[str, str]:
-    return (frm, to) if frm < to else (to, frm)
 
 
 # |0> and |1> as states, built once: a classical qss secret's fidelity reads them
@@ -291,11 +308,6 @@ def _payload_state(secret) -> StateVector:
     if secret in (0, 1):
         return _BASIS_STATES[secret]
     raise ValueError(f"secret must be a bit or a 1-qubit state, got {secret!r}")
-
-
-def _payload(secret) -> tuple[complex, complex]:
-    """The payload 2-vector of a bit or a 1-qubit state."""
-    return BASIS[secret] if secret in (0, 1) else tuple(_payload_state(secret).amplitudes.tolist())
 
 
 _MASKS = ";masks:"
@@ -707,9 +719,14 @@ class ProtocolSpec:
 
     @property
     def runner(self) -> Callable[..., Run]:
-        # looked up at call time, so a wrapper bound to the module attribute
-        # (a profiler, say) also sees the runs dispatched through the spec
-        return globals()[f"{self.name}_run"]
+        # looked up by name at call time, so a wrapper bound to the module
+        # attribute (a profiler, say) also sees the runs dispatched through
+        # the spec; the name is built once
+        return globals()[self._runner_name]
+
+    @cached_property
+    def _runner_name(self) -> str:
+        return f"{self.name}_run"
 
     def chains(self, secret: str) -> int:
         """The chain count ``k`` a configuration with this secret must carry."""

@@ -145,10 +145,12 @@ class Rng:
 
     Derived streams (:meth:`derive`) are independent and reproducible,
     keyed by (seed, index); concurrent trials should each own one.  A
-    stream is seeded at its first draw, so a stream that is derived but
-    never drawn from costs no seeding.  The seed is mixed once, on the
-    stream it was given to; each stream derived from it continues that
-    mixed pool with its own index only.
+    stream is seeded at its first draw, and the runtime derives one only
+    where it draws from it: a forced run derives none for its Bell
+    outcomes.  The seed is mixed once, on the stream it was given to;
+    each stream derived from it continues that mixed pool with its own
+    index only, so a stream that is only derived from, like the seed-0
+    stream of runs without a generator, is mixed once and never seeded.
     """
 
     __slots__ = ("seed", "_spawn_key", "_parent", "_pool", "_state", "_inc",
@@ -299,7 +301,7 @@ def infer_tau(aa: TwoBits, cc: TwoBits, mu: int, nu: int) -> int:
 # the Bell-outcome distribution of every chain measurement, exactly
 _QUARTERS = (0.25, 0.25, 0.25, 0.25)
 # the |0> and |1> payloads
-BASIS = ((1.0, 0.0), (0.0, 1.0))
+BASIS = _ZERO, _ONE = ((1.0, 0.0), (0.0, 1.0))
 
 
 class Frame(NamedTuple):
@@ -325,28 +327,32 @@ class Frame(NamedTuple):
         return StateVector(pauli_matrix(self.label).dot(self.payload))
 
 
+# builds a Frame from its three fields without NamedTuple's Python-level __new__
+_frame = tuple.__new__
 # where a Z measurement leaves a qubit
 _COLLAPSED = (Frame(BASIS[0], 0), Frame(BASIS[1], 0))
 
 
-def bsm(frame: Frame, rng: Rng, force: TwoBits | None = None) -> tuple[TwoBits, Frame]:
+def bsm(frame: Frame, rng: Rng | None, force: TwoBits | None = None) -> tuple[TwoBits, Frame]:
     """Bell measurement of the next pair on the payload's way.
 
     The outcome is the forced pair ``force``, else one draw from ``rng``
-    over four exact quarters.  The frame absorbs the outcome and has one
-    pair fewer to cross.
+    over four exact quarters (a forced measurement needs no stream).  The
+    frame absorbs the outcome and has one pair fewer to cross.
     """
-    if not frame.pairs:
+    payload, label, pairs = frame
+    if not pairs:
         raise ValueError("no Bell pair is left to measure")
     outcome = PAIRS[rng.choose(_QUARTERS)] if force is None else force
-    return outcome, Frame(frame.payload, frame.label ^ outcome.label, frame.pairs - 1)
+    return outcome, _frame(Frame, (payload, label ^ outcome.label, pairs - 1))
 
 
 def apply_pauli(frame: Frame, label: int) -> Frame:
     """Apply the labelled operator to the payload."""
     if label not in LABELS:
         raise ValueError(f"label must be in 0..3, got {label!r}")
-    return Frame(frame.payload, frame.label ^ label, frame.pairs)
+    payload, old, pairs = frame
+    return _frame(Frame, (payload, old ^ label, pairs))
 
 
 def extract_qubit(frame: Frame) -> Frame:
@@ -364,11 +370,15 @@ def measure_qubit(frame: Frame) -> tuple[int, Frame]:
     carries a classical bit), so the bit is certain: the payload's bit
     flipped by the label's X bit.  The qubit collapses onto |bit>.
     """
-    if frame.pairs:
+    payload, label, pairs = frame
+    if pairs:
         raise ValueError("the payload has not crossed the chain: no qubit to measure")
-    if frame.payload not in BASIS:
-        raise ValueError(f"only a basis payload is Z-measured, got {frame.payload!r}")
-    bit = BASIS.index(frame.payload) ^ (frame.label & 1)
+    if payload == _ZERO:
+        bit = label & 1
+    elif payload == _ONE:
+        bit = (label & 1) ^ 1
+    else:
+        raise ValueError(f"only a basis payload is Z-measured, got {payload!r}")
     return bit, _COLLAPSED[bit]
 
 

@@ -181,6 +181,15 @@ def test_signature_column_partition():
     assert {label_from_zx(0, 1), label_from_zx(1, 1)} == {1, 3}
 
 
+def test_label_helpers_reject_what_is_not_a_label_or_bit():
+    with pytest.raises(ValueError, match=r"^label must be in 0\.\.3, got 4$"):
+        x_bit(4)
+    with pytest.raises(ValueError, match="^bit must be 0 or 1, got 2$"):
+        label_from_zx(2, 0)
+    with pytest.raises(ValueError, match="^bit must be 0 or 1, got 2$"):
+        label_from_zx(0, 2)
+
+
 def test_bit_accessors():
     assert [x_bit(t) for t in LABELS] == [0, 1, 0, 1]
     assert [TwoBits.from_label(t).hi for t in LABELS] == [0, 0, 1, 1]
@@ -192,6 +201,12 @@ def test_transpose_phase():
         assert np.array_equal(
             pauli_matrix_int(label).T, expected * pauli_matrix_int(label)
         )
+
+
+def test_two_bits_reject_a_format_spec():
+    with pytest.raises(TypeError, match="unsupported format string passed to TwoBits.__format__"):
+        format(TwoBits.parse("01"), "x")
+    assert format(TwoBits.parse("01"), "") == "01"
 
 
 def test_two_bits_parse_and_format():

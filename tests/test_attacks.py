@@ -249,7 +249,11 @@ def test_observer_on_own_secret_sees_everything():
     (dict(vary="secret", values=(0, 1), fixed={"cut_step": "reveal"}), "'cut_step'"),
     (dict(vary="secret", values=(0, 1), fixed={"runner_kwarg": {}}), "'runner_kwarg'"),
     (dict(vary="secret", values=(0, 1, 1)), "two values, got 3"),
-], ids=["vary", "fixed", "runner_kwarg", "three-values"])
+    # a step no run carries cuts nothing, so the full views used to read as leaking
+    (dict(vary="secret", values=(0, 1), cut_step="revael"),
+     "cut_step 'revael' is a step no bc run carries; "
+     "its runs carry setup, 1, 2, 3, 4, 5, reveal, verify, verdict"),
+], ids=["vary", "fixed", "runner_kwarg", "three-values", "cut_step"])
 def test_view_distance_rejects_what_it_cannot_compare(kwargs, offender):
     # a misspelt key used to be ignored, and a distance of 0.0 reads as hiding
     with pytest.raises(ValueError, match=re.escape(offender)):

@@ -44,14 +44,16 @@ ENGINE_NAMES = ("states.bsm", "states.measure_qubit", "states.apply_pauli",
                 "states.extract_qubit", "states.StateVector.__init__")
 
 # engine calls of one tiny traced pass at seed 1, from cold caches: a faster
-# engine makes the same Bell measurements and derives the same streams.  The
+# engine makes the same Bell measurements.  A run derives a stream only where
+# it draws, so forced runs derive none but qds's shared stream, one per run
+# (the 32 of enumerate-sweep), and sampled runs derive the same ones.  The
 # Pauli frame builds a StateVector, and takes one Pauli matrix for it, only
 # where a runner reads amplitudes: qss's moved qubit, for its fidelity.  Held
 # qubits no longer build amplitudes: the views read their frames' Bloch
 # vectors.  Cheaper bookkeeping logs the same events.
 ENGINE_WORK = {
     "enumerate-sweep": {"states.StateVector.__init__.calls": 32, "states.bsm.calls": 1796,
-                        "states.Rng.__init__.calls": 1704,
+                        "states.Rng.__init__.calls": 32,
                         "transcript.Transcript.append.calls": 12736,
                         "algebra.pauli_matrix.calls": 32},
     "sample-replay": {"states.StateVector.__init__.calls": 3, "states.bsm.calls": 84,

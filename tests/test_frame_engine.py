@@ -13,13 +13,14 @@ one by one against the dense ones.
 from __future__ import annotations
 
 import itertools
+import re
 from functools import reduce
 
 import numpy as np
 import pytest
 
 from bellproto import dense, protocols, states
-from bellproto.algebra import LABELS, PAIRS, pauli_matrix
+from bellproto.algebra import LABELS, PAIRS, TwoBits, pauli_matrix
 from bellproto.attacks import CATALOG, enumeration_cells, run_cell
 from bellproto.protocols import Run, _payload_state, run_from_config
 from bellproto.states import (
@@ -160,6 +161,29 @@ def test_sampled_seeds_match_the_dense_engine(both_engines, protocol, extra):
         run_from_config(_sampled(protocol, s, **extra)) for s in range(20)]))
 
 
+def test_forced_runs_derive_a_stream_only_where_they_draw(monkeypatch):
+    """A forced run draws no Bell outcome and no mask, so it derives no
+    stream; qds derives its shared stream, which orders the split shares,
+    once per run.  The seed-0 stream that runs without a generator derive
+    from is never drawn from, so it is never seeded."""
+    built, init = [], Rng.__init__
+    monkeypatch.setattr(Rng, "__init__",
+                        lambda self, *args: built.append(args) or init(self, *args))
+
+    def runs_and_streams(run_all):
+        built.clear()
+        return len(run_all()), len(built)
+
+    for config in FORCED_CONFIGS:
+        runs, streams = runs_and_streams(lambda: [
+            run_cell(config, dict(cell), None, None) for cell in enumeration_cells(config)])
+        assert streams == (runs if config.protocol == "qds" else 0), config
+    for protocol, name in sorted(CATALOG):
+        runs, streams = runs_and_streams(lambda: _variant_cells(protocol, name))
+        assert streams == (runs if protocol == "qds" else 0), (protocol, name)
+    assert protocols._SEED_0._state is None
+
+
 # --- the frame's steps, one by one ----------------------------------------------
 
 
@@ -233,3 +257,11 @@ def test_frame_steps_reject_what_the_dense_steps_reject():
             chain._replace(pairs=pairs).state()
     with pytest.raises(ValueError, match="no Bell pair"):
         states.bsm(chain._replace(pairs=0), Rng(0))
+    # a parsed pair is not one of PAIRS; its xor is a pair, still not a label
+    pair = TwoBits.parse("10") ^ PAIRS[1]
+    assert pair == PAIRS[3] and str(pair) == f"{pair}" == "11"
+    rejected = re.escape(f"label must be in 0..3, got {pair!r}")
+    with pytest.raises(ValueError, match=rejected):
+        states.apply_pauli(chain, pair)
+    with pytest.raises(ValueError, match=rejected):
+        dense.apply_pauli(qubit(1, 0), pair, 0)
