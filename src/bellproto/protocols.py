@@ -154,13 +154,16 @@ class Run:
         self._append = self.transcript.append
         self.cheat = cheat
         self.base = rng if rng is not None else _SEED_0
+        self._born: Rng | None = None
         self.held: dict[str, Frame] = {}
         self.values: dict[str, object] = {}
 
-    @cached_property
+    @property
     def born(self) -> Rng:
         """The stream of the sampled Bell outcomes, derived at the first one."""
-        return self.base.derive(_STREAM_BORN)
+        if self._born is None:
+            self._born = self.base.derive(_STREAM_BORN)
+        return self._born
 
     @property
     def config(self) -> RunConfig:

@@ -22,7 +22,9 @@ forcing, is the reference oracle in :mod:`bellproto.dense`.
 
 Besides the frame, this module holds the seeded streams (:class:`Rng`:
 numpy's SeedSequence and PCG64 redone in Python bit for bit, so no numpy
-version can change a draw but the Gaussians of :meth:`Rng.unit_qubit`),
+version can change a draw but the Gaussians of :meth:`Rng.unit_qubit`;
+SeedSequence's hash constants depend on the step count alone and are
+computed once, at import, and a Born draw is two bits of one 64-bit word),
 what the runners read (:func:`qubit`, :func:`fidelity`, :func:`infer_tau`)
 and the two amplitude types, :class:`StateVector` and
 :class:`DensityMatrix`.  Only the dense engine builds the latter, but both
@@ -38,6 +40,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
+from operator import index as _index
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -58,6 +61,19 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _DOUBLE_UNIT = 2.0**-53
+# SeedSequence's hash constant after n steps is _INIT * _MULT**n, so hash
+# step n takes word ^ c[n] times c[n + 1]: the entropy hash's constants over
+# the sixteen steps that fill and cross-mix the pool, the output hash's over
+# the eight that seed PCG64
+_HASH_A = tuple(accumulate(range(16), lambda h, _: h * _MULT_A & _M32, initial=_INIT_A))
+_HASH_B = tuple(accumulate(range(8), lambda h, _: h * _MULT_B & _M32, initial=_INIT_B))
+# the hashes of the zero words that pad an entropy shorter than the pool
+_PADS = tuple((v := _HASH_A[n] * _HASH_A[n + 1] & _M32) ^ v >> 16 for n in range(4))
+# hash steps 4 to 15: every pool word (src) hashed and mixed into every other (dst)
+_CROSS = tuple((src, dst, _HASH_A[n], _HASH_A[n + 1]) for n, (src, dst) in enumerate(
+    ((src, dst) for src in range(4) for dst in range(4) if src != dst), 4))
+# the Bell-outcome distribution of every chain measurement, exactly
+_QUARTERS = (0.25, 0.25, 0.25, 0.25)
 
 
 def _words(n: int) -> list[int]:
@@ -72,16 +88,21 @@ def _words(n: int) -> list[int]:
 def _mix_word(pool: tuple[int, ...], h: int, word: int) -> tuple[tuple[int, ...], int]:
     """SeedSequence's step for an entropy word past the pool: the word is
     hashed once per pool word (``hashmix``, which advances the hash
-    constant ``h``) and mixed into it (``mix``)."""
-    out = []
-    for dst in pool:
-        value = word ^ h
-        h = h * _MULT_A & _M32
-        value = value * h & _M32
-        value ^= value >> 16
-        r = (_MIX_L * dst - _MIX_R * value) & _M32
-        out.append(r ^ r >> 16)
-    return tuple(out), h
+    constant ``h`` four steps) and mixed into it (``mix``)."""
+    p0, p1, p2, p3 = pool
+    h1 = h * _MULT_A & _M32
+    h2 = h1 * _MULT_A & _M32
+    h3 = h2 * _MULT_A & _M32
+    h4 = h3 * _MULT_A & _M32
+    v0 = (word ^ h) * h1 & _M32
+    v1 = (word ^ h1) * h2 & _M32
+    v2 = (word ^ h2) * h3 & _M32
+    v3 = (word ^ h3) * h4 & _M32
+    r0 = (_MIX_L * p0 - _MIX_R * (v0 ^ v0 >> 16)) & _M32
+    r1 = (_MIX_L * p1 - _MIX_R * (v1 ^ v1 >> 16)) & _M32
+    r2 = (_MIX_L * p2 - _MIX_R * (v2 ^ v2 >> 16)) & _M32
+    r3 = (_MIX_L * p3 - _MIX_R * (v3 ^ v3 >> 16)) & _M32
+    return (r0 ^ r0 >> 16, r1 ^ r1 >> 16, r2 ^ r2 >> 16, r3 ^ r3 >> 16), h4
 
 
 def _mix_entropy(words: list[int]) -> tuple[tuple[int, ...], int]:
@@ -89,43 +110,39 @@ def _mix_entropy(words: list[int]) -> tuple[tuple[int, ...], int]:
     the first four are hashed into the pool (a shorter entropy as if
     zero-padded), every pool word is mixed into every other, and any
     further word takes :func:`_mix_word`."""
-    h = _INIT_A
-    pool = []
-    for i in range(4):
-        value = (words[i] if i < len(words) else 0) ^ h
-        h = h * _MULT_A & _M32
-        value = value * h & _M32
-        pool.append(value ^ value >> 16)
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                value = pool[src] ^ h
-                h = h * _MULT_A & _M32
-                value = value * h & _M32
-                value ^= value >> 16
-                r = (_MIX_L * pool[dst] - _MIX_R * value) & _M32
-                pool[dst] = r ^ r >> 16
-    pool = tuple(pool)
+    pool = [(v := (word ^ _HASH_A[n]) * _HASH_A[n + 1] & _M32) ^ v >> 16
+            for n, word in enumerate(words[:4])]
+    pool += _PADS[len(pool):]
+    for src, dst, c, c_next in _CROSS:
+        v = (pool[src] ^ c) * c_next & _M32
+        r = (_MIX_L * pool[dst] - _MIX_R * (v ^ v >> 16)) & _M32
+        pool[dst] = r ^ r >> 16
+    pool, h = tuple(pool), _HASH_A[16]
     for word in words[4:]:
         pool, h = _mix_word(pool, h, word)
     return pool, h
 
 
 def _pcg64_seed(pool: tuple[int, ...]) -> tuple[int, int]:
-    """PCG64's (state, inc) from the pool: ``generate_state(4, uint64)``
-    read as the 128-bit seed and sequence."""
-    h = _INIT_B
-    half = []
-    for word in pool + pool:
-        value = word ^ h
-        h = h * _MULT_B & _M32
-        value = value * h & _M32
-        half.append(value ^ value >> 16)
+    """PCG64's (state, inc) from the pool: ``generate_state(4, uint64)``,
+    eight hashes of the pool words in turn, read as the 128-bit seed and
+    sequence."""
+    p0, p1, p2, p3 = pool
+    c0, c1, c2, c3, c4, c5, c6, c7, c8 = _HASH_B
+    w0 = (p0 ^ c0) * c1 & _M32
+    w1 = (p1 ^ c1) * c2 & _M32
+    w2 = (p2 ^ c2) * c3 & _M32
+    w3 = (p3 ^ c3) * c4 & _M32
+    w4 = (p0 ^ c4) * c5 & _M32
+    w5 = (p1 ^ c5) * c6 & _M32
+    w6 = (p2 ^ c6) * c7 & _M32
+    w7 = (p3 ^ c7) * c8 & _M32
     # the 32-bit words are little-endian halves of 64-bit words, high word first
-    seed = half[1] << 96 | half[0] << 64 | half[3] << 32 | half[2]
-    inc = (half[5] << 97 | half[4] << 65 | half[7] << 33 | half[6] << 1 | 1) & _M128
-    state = (inc + seed) & _M128  # one step from 0 is inc
-    return (state * _PCG_MULT + inc) & _M128, inc
+    seed = (w1 ^ w1 >> 16) << 96 | (w0 ^ w0 >> 16) << 64 | (w3 ^ w3 >> 16) << 32 | w2 ^ w2 >> 16
+    inc = ((w5 ^ w5 >> 16) << 97 | (w4 ^ w4 >> 16) << 65 | (w7 ^ w7 >> 16) << 33
+           | (w6 ^ w6 >> 16) << 1 | 1) & _M128
+    # one step from 0 is inc, and seeding adds the seed and steps again
+    return ((inc + seed) * _PCG_MULT + inc) & _M128, inc
 
 
 class Rng:
@@ -137,11 +154,14 @@ class Rng:
     (O'Neill 2014), ``random()`` as the top 53 bits of a 64-bit word,
     ``integers(0, 2)`` as numpy's buffered 32-bit Lemire draw (Lemire
     2019), and ``choice(len(p), p=p)`` for up to seven outcomes as one
-    uniform located in the normalised cumulative distribution.  So
-    identical seeds give identical draws on every platform and under every
-    numpy version.  The one draw left to numpy is :meth:`unit_qubit`'s
-    Gaussian pair, made by handing the stream's state to a
-    ``numpy.random.PCG64`` and taking it back.
+    uniform located in the normalised cumulative distribution; over four
+    exact quarters, the Born draw, that uniform's quarter is the top two
+    bits of its 64-bit word.  So identical seeds give identical draws on
+    every platform and under every numpy version.  The one draw left to
+    numpy is :meth:`unit_qubit`'s Gaussian pair, made by handing the
+    stream's state to a ``numpy.random.PCG64`` and taking it back.  Like
+    ``SeedSequence``, a stream takes a seed and indices that are integers
+    (``operator.index``) and not negative.
 
     Derived streams (:meth:`derive`) are independent and reproducible,
     keyed by (seed, index); concurrent trials should each own one.  A
@@ -157,9 +177,9 @@ class Rng:
                  "_has32", "_u32", "__weakref__")
 
     def __init__(self, seed: int, _spawn_key: tuple[int, ...] = ()):
-        self.seed = int(seed)
+        self.seed = seed = _index(seed)
         self._spawn_key = _spawn_key
-        if self.seed < 0 or any(key < 0 for key in _spawn_key):
+        if seed < 0 or min(_spawn_key, default=0) < 0:
             raise ValueError("expected non-negative integer")
         self._parent: Rng | None = None
         self._pool: tuple[tuple[int, ...], int] | None = None
@@ -168,7 +188,7 @@ class Rng:
         self._u32 = 0
 
     def derive(self, index: int) -> "Rng":
-        child = Rng(self.seed, self._spawn_key + (int(index),))
+        child = Rng(self.seed, self._spawn_key + (_index(index),))
         child._parent = self
         return child
 
@@ -205,7 +225,15 @@ class Rng:
         outcomes, as ``Generator.choice(len(p), p=p)`` draws it, with
         numpy's float operations in its order.  numpy sums fewer than eight
         terms by a left fold and more pairwise, so eight or more weights
-        are rejected like any other non-distribution."""
+        are rejected like any other non-distribution.
+
+        The Born draw passes ``_QUARTERS`` itself, whose cumulative
+        distribution is exactly [.25, .5, .75, 1]: the uniform
+        ``(x >> 11) * 2**-53`` of the word ``x`` falls in quarter
+        ``x >> 62``, which it returns.  Any other sequence, the dense
+        oracle's among them, takes the general path."""
+        if probabilities is _QUARTERS:
+            return self._next64() >> 62
         try:
             p = list(map(float, probabilities))
         except (TypeError, ValueError):
@@ -298,8 +326,6 @@ def infer_tau(aa: TwoBits, cc: TwoBits, mu: int, nu: int) -> int:
 
 # --- the Pauli frame ----------------------------------------------------------
 
-# the Bell-outcome distribution of every chain measurement, exactly
-_QUARTERS = (0.25, 0.25, 0.25, 0.25)
 # the |0> and |1> payloads
 BASIS = _ZERO, _ONE = ((1.0, 0.0), (0.0, 1.0))
 

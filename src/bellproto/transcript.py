@@ -12,6 +12,8 @@ The run id is a hash of the canonical configuration text, so equal
 configurations always produce byte-identical files, and replaying a file
 means re-running its embedded configuration and comparing event lines.
 Payloads are hex-encoded UTF-8 so the format survives any payload content.
+:meth:`Transcript.to_text` renders the configuration once, for its lines
+and the run id, and writes the event lines in one pass over the events.
 Events are logged through :meth:`Transcript.append` only, each as an
 :class:`Event` named tuple: a read-only value that costs one tuple to build,
 since a forced enumeration logs about fifteen of them per run.  A transcript
@@ -49,15 +51,15 @@ class RunConfig:
     strategy: str = ""
 
     def to_text(self) -> str:
-        return "\n".join(f"{key}={getattr(self, key)}" for key in CONFIG_KEYS)
+        return "\n".join([f"{key}={getattr(self, key)}" for key in CONFIG_KEYS])
 
     @classmethod
     def from_text(cls, text: str) -> "RunConfig":
         pairs = {}
         for line in text.split("\n"):  # a blank or padded line is malformed
-            if "=" not in line:
+            key, eq, value = line.partition("=")
+            if not eq:
                 raise ValueError(f"bad config line: {line!r}")
-            key, value = line.split("=", 1)
             if key not in CONFIG_KEYS:
                 raise ValueError(f"unknown config key: {key!r}")
             if key in pairs:
@@ -68,14 +70,18 @@ class RunConfig:
                     raise ValueError(f"non-canonical config integer: {line!r}")
                 value = number
             pairs[key] = value
-        missing = [k for k in CONFIG_KEYS if k not in pairs]
-        if missing:
+        if len(pairs) < len(CONFIG_KEYS):  # every key read is a distinct known one
+            missing = [k for k in CONFIG_KEYS if k not in pairs]
             raise ValueError(f"config is missing keys: {missing}")
         return cls(**pairs)
 
     @property
     def run_id(self) -> str:
-        return hashlib.sha256(self.to_text().encode()).hexdigest()[:12]
+        return _run_id(self.to_text())
+
+
+def _run_id(config_text: str) -> str:
+    return hashlib.sha256(config_text.encode()).hexdigest()[:12]
 
 
 class Event(NamedTuple):
@@ -87,10 +93,6 @@ class Event(NamedTuple):
     payload: str
     kind: str  # classical | quantum | local
     visible: tuple[str, ...] = ()
-
-    def wire_line(self, run_id: str) -> str:
-        payload_hex = self.payload.encode().hex() or "-"
-        return f"event {run_id} {self.step} {self.actor} {self.action} {payload_hex} {self.kind}"
 
 
 class Transcript:
@@ -113,12 +115,13 @@ class Transcript:
         return ev
 
     def to_text(self) -> str:
-        run_id = self.config.run_id
-        lines = [FORMAT_VERSION]
-        lines.extend(f"config {line}" for line in self.config.to_text().splitlines())
-        lines.extend(ev.wire_line(run_id) for ev in self.events)
-        lines.append("end")
-        return "\n".join(lines) + "\n"
+        config = self.config.to_text()
+        head = f"event {_run_id(config)}"
+        return "\n".join([
+            FORMAT_VERSION, *[f"config {line}" for line in config.splitlines()],
+            *[f"{head} {step} {actor} {action} {payload.encode().hex() or '-'} {kind}"
+              for step, actor, action, payload, kind, _visible in self.events],
+            "end", ""])
 
 
 def parse_transcript(text: str) -> tuple[RunConfig, list[str]]:
@@ -133,11 +136,15 @@ def parse_transcript(text: str) -> tuple[RunConfig, list[str]]:
     if not text.endswith("\nend\n"):
         raise ValueError("transcript does not close with its end marker")
     body = lines[1:-1]
-    split = next((i for i, line in enumerate(body) if not line.startswith("config ")), len(body))
+    split = 0
+    for line in body:
+        if not line.startswith("config "):
+            break
+        split += 1
     for line in body[split:]:
         if not line.startswith("event "):
             raise ValueError(f"unexpected transcript line: {line!r}")
-    config = RunConfig.from_text("\n".join(line[len("config "):] for line in body[:split]))
+    config = RunConfig.from_text("\n".join([line[7:] for line in body[:split]]))  # past "config "
     return config, body[split:]
 
 

@@ -81,6 +81,36 @@ def test_traced_pass_reaches_every_required_engine_name(workloads, name, tmp_pat
     assert {key: counts.get(key) for key in ENGINE_WORK[name]} == ENGINE_WORK[name]
 
 
+# the seedings and draws of one tiny sample-replay pass at seed 1, from cold
+# caches: a faster stream mixes a seed, seeds a generator and makes a Born
+# draw as often, and hands each Born draw the quarters constant itself
+SEEDINGS = {"_mix_entropy": 27, "_pcg64_seed": 47, "choose": 84, "choose over _QUARTERS": 84}
+
+
+def test_sample_pass_seeds_and_draws_as_often(workloads, monkeypatch, tmp_path):
+    from bellproto import states
+
+    counts = dict.fromkeys(SEEDINGS, 0)
+
+    def counted(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            if name == "choose":
+                counts["choose over _QUARTERS"] += args[1] is states._QUARTERS
+            return fn(*args)
+        return wrapper
+
+    for name in ("_mix_entropy", "_pcg64_seed"):
+        monkeypatch.setattr(states, name, counted(name, getattr(states, name)))
+    monkeypatch.setattr(states.Rng, "choose", counted("choose", states.Rng.choose))
+    ops = workloads.Ops()
+    workload = workloads.make("sample-replay", 1, True, tmp_path, child_env())
+    clear_package_caches()
+    workload.run_pass(0, ops)
+    assert ops.failed == 0
+    assert counts == SEEDINGS
+
+
 def test_tracer_patch_points_name_what_exists(monkeypatch):
     """``bench/tracer.py`` skips a name its module or class lacks, so a
     rename would silently stop tracing it.  The stale entries known today:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from bellproto import states
+from bellproto.attacks import run_strategy
 from bellproto.algebra import LABELS, TwoBits, pauli_matrix
 from bellproto.protocols import bc_run, run_from_config
 from bellproto.dense import (
@@ -475,6 +476,60 @@ def test_rng_rejects_negative_seed_at_construction():
         Rng(0).derive(-1)
 
 
+def test_rng_takes_integers_only_like_seed_sequence():
+    # SeedSequence raises TypeError on a float or a string; truncating one
+    # would draw another seed's stream
+    for bad in (2.5, "3"):
+        with pytest.raises(TypeError):
+            np.random.SeedSequence(bad)
+        with pytest.raises(TypeError):
+            Rng(bad)
+    with pytest.raises(TypeError):
+        Rng(1).derive(1.5)
+    config = _sampled("bc", 0)
+    with pytest.raises(TypeError):
+        run_strategy(config, "reveal-flip", mode="sample", trials=2, seed=2.5)
+    # bools and numpy integers are integers
+    assert [Rng(True).derive(np.uint8(2)).bit() for _ in range(2)] == [Rng(1, (2,)).bit()] * 2
+    assert Rng(np.int64(3)).seed == 3 and type(Rng(np.int64(3)).seed) is int
+    assert run_strategy(config, "reveal-flip", mode="sample", trials=2, seed=np.int64(2)) == \
+        run_strategy(config, "reveal-flip", mode="sample", trials=2, seed=2)
+
+
+def test_sampled_runs_draw_born_outcomes_over_the_quarters_constant(monkeypatch):
+    given = []
+    choose = Rng.choose
+    monkeypatch.setattr(Rng, "choose", lambda rng, p: given.append(p) or choose(rng, p))
+    for protocol, extra in [("bc", {}), ("ct", {}), ("ot", {}), ("tpsc", {}), ("mpsc", {}),
+                            ("qss", {"secret": "q"}), ("qds", {"k": 3})]:
+        for s in range(4):
+            run_from_config(_sampled(protocol, s, **extra))
+    assert len(given) > 50 and all(p is states._QUARTERS for p in given)
+
+
+def test_seeding_equals_seed_sequence_and_pcg64():
+    # seeds of 1 to 5 words and spawn keys of 1 to 3 indices of 1 or 2
+    # words, then a seed and a key index of many words
+    gen = np.random.default_rng(39)
+
+    def number(max_words):
+        return int.from_bytes(gen.bytes(4 * int(gen.integers(1, max_words + 1))), "little")
+
+    cases = [(number(5), tuple(number(2) for _ in range(int(gen.integers(1, 4)))))
+             for _ in range(200)]
+    cases.append((2**150 + 1, (2**300 + 7, 3)))
+    for seed, key in cases:
+        pool = tuple(np.random.SeedSequence(seed).pool)
+        assert states._mix_entropy(states._words(seed))[0] == pool
+        want = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key)).state["state"]
+        rng, derived = Rng(seed, key), Rng(seed)
+        for index in key:
+            derived = derived.derive(index)
+        for stream in (rng, derived):
+            stream._seed()
+            assert (stream._state, stream._inc) == (want["state"], want["inc"])
+
+
 def test_forced_cell_builds_no_generator(monkeypatch):
     # a fully forced bc cell draws nothing: its base and Born streams are
     # neither mixed nor seeded
@@ -556,6 +611,20 @@ def test_streams_give_the_known_answers(seed, key):
     assert "".join(str(rng.bit()) for _ in range(16)) == bits
     rng = fresh()
     assert "".join(str(rng.choose([0.1, 0.2, 0.3, 0.4])) for _ in range(12)) == indices
+
+
+@pytest.mark.parametrize("seed,key", list(KNOWN_ANSWERS),
+                         ids=[f"{s:#x}-{'.'.join(map(str, k)) or 'root'}" for s, k in KNOWN_ANSWERS])
+def test_born_draw_is_choice_over_quarters(seed, key):
+    # the Born draw's top two bits are choice(4, p=[.25] * 4) and the
+    # general path's draw, and leave bit()'s half-word buffer to bit()
+    eager, rng, general = _eager(seed, key), Rng(seed, key), Rng(seed, key)
+    for op in "qqbqbbqbqqqbbbqbqq":
+        if op == "q":
+            assert rng.choose(states._QUARTERS) == general.choose([0.25] * 4) \
+                == int(eager.choice(4, p=[0.25] * 4))
+        else:
+            assert rng.bit() == general.bit() == int(eager.integers(0, 2))
 
 
 def _choice_distributions(seed, count):
