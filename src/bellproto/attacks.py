@@ -181,18 +181,18 @@ def strategies_for(protocol: str) -> list[str]:
     return sorted(name for (proto, name) in CATALOG if proto == protocol)
 
 
-def enumeration_cells(config: RunConfig):
-    """Kwargs for every forced-outcome / mask cell of a protocol."""
+def enumeration_cells(config: RunConfig) -> Iterator[dict]:
+    """Every forced-outcome / mask cell of ``config``, parsed once, as the
+    runner's complete keyword arguments (besides rng and cheat)."""
     spec = spec_for(config.protocol)
     return spec.cells(spec.runner_kwargs(config))
 
 
 def run_cell(config: RunConfig, cell: dict, cheat: CheatStrategy | None,
              rng: Rng | None) -> Run:
-    """Run ``config`` with ``cell``'s kwargs (a forced cell, or none to sample)
-    over the configuration's parse, which every cell of it shares."""
-    spec = spec_for(config.protocol)
-    return spec.runner(**spec.runner_kwargs(config) | cell, rng=rng, cheat=cheat)
+    """Run ``config``'s protocol on ``cell``, the runner's complete keyword
+    arguments (besides rng and cheat); ``cell`` holds the parse."""
+    return spec_for(config.protocol).runner(**cell, rng=rng, cheat=cheat)
 
 
 def run_strategy(config: RunConfig, name: str,
@@ -227,13 +227,14 @@ def run_strategy(config: RunConfig, name: str,
             raise ConfigError(f"{name} is a capture strategy and runs in enumerate mode only")
         return _evaluate_capture(config, entry, variants[0])
 
-    # one (cheat, cell, stream) per run: each variant over every forced cell,
-    # or trials cycling through the variants on a stream each
+    # one (cheat, cell, stream) per run: every variant on each forced cell, or
+    # trials cycling through the variants on a stream each, over one parse
     if mode == "enumerate":
-        runs = ((cheat, cell, None) for cheat in variants for cell in enumeration_cells(config))
+        runs = ((cheat, cell, None) for cell in enumeration_cells(config) for cheat in variants)
     else:
+        cell = spec_for(config.protocol).runner_kwargs(config)
         mode, rng = f"sample:{trials}", Rng(seed)
-        runs = ((variants[t % len(variants)], {}, rng.derive(t)) for t in range(trials))
+        runs = ((variants[t % len(variants)], cell, rng.derive(t)) for t in range(trials))
     cells = rejected = 0
     for cheat, cell, stream in runs:
         cells += 1
@@ -250,7 +251,8 @@ def _evaluate_capture(config: RunConfig, entry: CatalogEntry,
                       cheat: CheatStrategy) -> SecurityReport:
     """Average the cheater's captured qubit over the sender outcomes it
     cannot see, and measure its distance from the maximally mixed state."""
-    records = [run_cell(config, {"forced": (aa, None)}, cheat, None) for aa in PAIRS]
+    kwargs = spec_for(config.protocol).runner_kwargs(config)
+    records = [run_cell(config, {**kwargs, "forced": (aa, None)}, cheat, None) for aa in PAIRS]
     if any(cheat.target not in rec.held for rec in records):
         raise RuntimeError("capture strategy did not leave a captured qubit")
     views = _views(records, cheat.target, 1 / len(records))

@@ -18,8 +18,8 @@ for bc/ct/qss/qds, a non-zero ``--mu``/``--nu`` for ct/ot), a negative
 runs enumerated only.  Exit 4
 covers a file that cannot be read or written (any ``--out``) and a
 transcript that is not UTF-8, does not parse, has a configuration no
-protocol accepts or names a strategy (its config records the cheater's
-name, not its hooks, so it cannot be re-run).
+protocol accepts or no run writes (mode ``enumerate``, say) or names a
+strategy (its config records the cheater's name, not its hooks).
 Without ``--inputs`` tpsc runs with ``00,00`` and mpsc with ``00,00,--``
 (the relay's pair left to its Bell outcome).  Every subcommand is
 deterministic given its flags: ``run`` and ``attack --mode sample`` require
@@ -78,12 +78,11 @@ def cmd_identities(args) -> int:
 
 
 def _config(args, mode: str, strategy: str = "") -> RunConfig:
-    """The configuration the flags describe, checked before any output."""
-    spec = spec_for(args.protocol)
-    config = spec.config(secret=args.secret, inputs=args.inputs, mu=args.mu, nu=args.nu,
-                         seed=args.seed, mode=mode, strategy=strategy)
-    spec.runner_kwargs(config)  # raises ConfigError on a bad value; the run reuses the parse
-    return config
+    """The configuration the flags describe.  The command that evaluates it
+    parses it, once, before any output, so a bad value raises ConfigError."""
+    return spec_for(args.protocol).config(
+        secret=args.secret, inputs=args.inputs, mu=args.mu, nu=args.nu,
+        seed=args.seed, mode=mode, strategy=strategy)
 
 
 def _enumerate_rows(config: RunConfig) -> tuple[list[str], bool]:

@@ -3,14 +3,13 @@
 The protocol runtime tracks a Pauli frame (:mod:`bellproto.states`); this
 module keeps the full amplitude registers it replaced and the eigenvalue
 :func:`trace_distance`, which the demos and the tests run on.  It is a
-leaf: no module of the package imports it.  No state transition is
-cached: each call computes from its input.
+leaf: no module of the package imports it.  Nothing is cached: each call
+computes from its input.
 
 Wire convention: qubit 0 is the most significant bit of the basis index,
 so ``amplitudes[0b101]`` of a 3-qubit register is the |101> amplitude with
 qubit 0 in state |1>; only :func:`wires_first` and :func:`wires_back` apply
-it, each as one gather through a flat index that is built and validated
-once per (register size, wire tuple) and then cached.
+it, each as one ``np.moveaxis`` over the register's ``(2,) * n`` view.
 
 The five-wire chain register is laid out as
 
@@ -35,7 +34,6 @@ identity suite checks by rebuilding every register in integer arithmetic.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -101,18 +99,12 @@ def chain_register(mu: int, nu: int, payload: StateVector) -> StateVector:
     return _product([payload.amplitudes, bell_state(mu).amplitudes, bell_state(nu).amplitudes])
 
 
-@lru_cache(maxsize=256)
-def _gather(n: int, wires: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Flat index that moves ``wires`` of an n-qubit register to the front,
-    and its inverse.  An invalid wire tuple raises, so it is never cached."""
+def _qubit_axes(values: np.ndarray, wires: Sequence[int]) -> np.ndarray:
+    """``values`` with one axis per wire; a bad wire in ``wires`` raises IndexError."""
+    n = values.size.bit_length() - 1
     if len(set(wires)) != len(wires) or any(not 0 <= w < n for w in wires):
         raise IndexError(f"wires {list(wires)} invalid for a {n}-qubit register")
-    order = [*wires, *(w for w in range(n) if w not in wires)]
-    index = np.arange(1 << n).reshape((2,) * n).transpose(order).reshape(-1)
-    inverse = np.argsort(index)
-    index.setflags(write=False)
-    inverse.setflags(write=False)
-    return index, inverse
+    return values.reshape((2,) * n)
 
 
 def wires_first(amps: np.ndarray, wires: Sequence[int]) -> np.ndarray:
@@ -121,14 +113,13 @@ def wires_first(amps: np.ndarray, wires: Sequence[int]) -> np.ndarray:
 
     Raises IndexError for a repeated or out-of-range wire.
     """
-    index, _ = _gather(amps.size.bit_length() - 1, tuple(wires))
-    return amps.reshape(index.size)[index].reshape(1 << len(wires), -1)
+    moved = np.moveaxis(_qubit_axes(amps, wires), wires, range(len(wires)))
+    return moved.reshape(1 << len(wires), -1)
 
 
 def wires_back(mat: np.ndarray, wires: Sequence[int]) -> np.ndarray:
     """Inverse of :func:`wires_first`: the flat amplitude vector in wire order."""
-    _, inverse = _gather(mat.size.bit_length() - 1, tuple(wires))
-    return mat.reshape(inverse.size)[inverse]
+    return np.moveaxis(_qubit_axes(mat, wires), range(len(wires)), wires).reshape(-1)
 
 
 def apply_pauli(state: StateVector, label: int, wire: int) -> StateVector:

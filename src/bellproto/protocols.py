@@ -44,9 +44,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, reduce
 from operator import xor
-from types import MappingProxyType
 from typing import Callable, Iterator, Mapping, Sequence
 
 from . import states
@@ -691,7 +690,7 @@ _QSS_SECRET_HELP = ("qss needs --secret 0, 1, q (seeded random qubit) or "
                     "q:re,im,re,im (explicit amplitudes)")
 
 
-@dataclass(frozen=True, eq=False)  # hashed by identity, so it can key the parse cache
+@dataclass(frozen=True)
 class ProtocolSpec:
     """Everything the CLI and the attack evaluator need to know about one protocol.
 
@@ -703,7 +702,7 @@ class ProtocolSpec:
     stay unset), how many private mask bits its forced cells fix and what its
     enumeration table rows add.
     Parsing draws nothing: it is a pure function of the configuration,
-    which only ``config`` builds, so ``runner_kwargs`` memoises it.
+    which only ``config`` builds; each evaluation parses once and holds it.
     """
 
     name: str
@@ -741,14 +740,13 @@ class ProtocolSpec:
                          inputs=inputs or self.default_inputs,
                          k=self.chains(secret), **fields)
 
-    @lru_cache(maxsize=256)  # parsed configurations, shared by every spec
-    def runner_kwargs(self, config: RunConfig) -> Mapping[str, object]:
-        """Keyword arguments of the runner (besides rng and cheat), read-only.
+    def runner_kwargs(self, config: RunConfig) -> dict:
+        """Keyword arguments of the runner (besides rng and cheat), a new dict.
 
         The mode is parsed here alone (:func:`parse_mode`), and a forced
-        mode must carry one cell per chain.  Memoised: the cells of one
-        enumeration, its CLI check and its evaluation share one parse.  A
-        bad value raises on every call.
+        mode must carry one cell per chain.  Each call parses afresh, so the
+        caller that evaluates a configuration parses it once and holds the
+        result.  A bad value raises :class:`ConfigError`.
         """
         if config.mu not in LABELS or config.nu not in LABELS:
             raise ConfigError("channel labels must be in 0..3")
@@ -772,10 +770,10 @@ class ProtocolSpec:
         if masks is not None and len(masks) != self.masks:
             raise ConfigError(f"{self.name} takes {self.masks} mask bits, "
                               f"got {len(masks)} in mode {config.mode!r}")
-        return MappingProxyType(kwargs if masks is None else {**kwargs, "masks": masks})
+        return kwargs if masks is None else {**kwargs, "masks": masks}
 
-    def cells(self, kwargs: Mapping[str, object]) -> Iterator[dict]:
-        """Runner kwargs of every forced cell, given the parsed arguments.
+    def cells(self, kwargs: dict) -> Iterator[dict]:
+        """Every forced cell of the parse ``kwargs``, as complete runner kwargs.
 
         The order is aa, then cc, then the masks.  A cc the parsed ``forced``
         already fixes (ot's receiver pair, mpsc's relay pair) stays pinned;
@@ -785,8 +783,9 @@ class ProtocolSpec:
         ccs = PAIRS if fixed is None or fixed[1] is None else (fixed[1],)
         for aa, cc in itertools.product(PAIRS, ccs):
             forced = [(aa, cc)] * len(kwargs["message"]) if self.k_from_secret else (aa, cc)
+            cell = {**kwargs, "forced": forced}
             for masks in itertools.product((0, 1), repeat=self.masks):
-                yield {"forced": forced, "masks": masks} if masks else {"forced": forced}
+                yield {**cell, "masks": masks} if masks else cell
 
 
 def _bit_secret(config: RunConfig) -> int:
@@ -908,13 +907,17 @@ def run_from_config(config: RunConfig) -> Run:
     The run keeps ``config`` itself, not the runner's own encoding of it
     (drawn ``q`` amplitudes, a forced mode for an input pair, default
     inputs).  A configuration naming a strategy is rejected: it records the
-    cheater's name, not its hooks, so it cannot be re-run.
+    cheater's name, not its hooks, so it cannot be re-run; so is a mode no
+    run writes, an evaluation's ``sample`` or ``enumerate``.
     """
     spec = spec_for(config.protocol)
     if config.strategy:
         raise ConfigError(f"config names strategy {config.strategy!r}; "
                           "strategy runs are not replayable")
-    run = spec.runner(**spec.runner_kwargs(config), rng=Rng(config.seed))
+    kwargs = spec.runner_kwargs(config)
+    if config.mode.partition(_MASKS)[0] in ("sample", "enumerate"):
+        raise ConfigError(f"mode {config.mode!r} is not a run's: sample:1 or forced:<cells>")
+    run = spec.runner(**kwargs, rng=Rng(config.seed))
     run.transcript.config = config
     return run
 

@@ -319,7 +319,9 @@ def test_qss_relay_capture_leaves_maximally_mixed_state():
     for secret, mu, nu in itertools.product(_CAPTURE_SECRETS, LABELS, LABELS):
         config = config_for("qss", secret=secret, mu=mu, nu=nu)
         assert run_strategy(config, "charlie-skip-bsm").state_distance == 0.0
-        records = [run_cell(config, {"forced": (aa, None)}, cheat, None) for aa in PAIRS]
+        kwargs = spec_for("qss").runner_kwargs(config)
+        records = [run_cell(config, {**kwargs, "forced": (aa, None)}, cheat, None)
+                   for aa in PAIRS]
         [avg] = _matrix_views(records, "charlie", 0.25).values()
         assert trace_distance(avg, np.eye(2) / 2) <= 1e-15
 
@@ -394,8 +396,9 @@ def test_enumeration_cell_counts():
 
 
 def test_run_cell_matches_direct_call():
-    cell = {"forced": (TwoBits(1, 0), TwoBits(0, 1))}
-    via_cell = run_cell(config_for("bc", secret="1"), dict(cell), None, None)
+    config = config_for("bc", secret="1")
+    cell = {**spec_for("bc").runner_kwargs(config), "forced": (TwoBits(1, 0), TwoBits(0, 1))}
+    via_cell = run_cell(config, cell, None, None)
     direct = bc_run(1, None, forced=(TwoBits(1, 0), TwoBits(0, 1)))
     assert via_cell.verdict == direct.verdict
 

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import child_env, clear_package_caches
+from conftest import child_env
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -43,7 +43,7 @@ def test_cli_mix_commands_pass_in_process_for_every_protocol(workloads, tmp_path
 ENGINE_NAMES = ("states.bsm", "states.measure_qubit", "states.apply_pauli",
                 "states.extract_qubit", "states.StateVector.__init__")
 
-# engine calls of one tiny traced pass at seed 1, from cold caches: a faster
+# engine calls of one tiny traced pass at seed 1: a faster
 # engine makes the same Bell measurements.  A run derives a stream only where
 # it draws, so forced runs derive none but qds's shared stream, one per run
 # (the 32 of enumerate-sweep), and sampled runs derive the same ones.  The
@@ -72,7 +72,6 @@ def test_traced_pass_reaches_every_required_engine_name(workloads, name, tmp_pat
 
     ops = workloads.Ops()
     workload = workloads.make(name, 1, True, tmp_path, child_env())
-    clear_package_caches()
     with tracer.Tracer() as traced:
         workload.trace_pass(0, ops)
     counts = traced.counts()
@@ -81,8 +80,8 @@ def test_traced_pass_reaches_every_required_engine_name(workloads, name, tmp_pat
     assert {key: counts.get(key) for key in ENGINE_WORK[name]} == ENGINE_WORK[name]
 
 
-# the seedings and draws of one tiny sample-replay pass at seed 1, from cold
-# caches: a faster stream mixes a seed, seeds a generator and makes a Born
+# the seedings and draws of one tiny sample-replay pass at seed 1: a faster
+# stream mixes a seed, seeds a generator and makes a Born
 # draw as often, and hands each Born draw the quarters constant itself
 SEEDINGS = {"_mix_entropy": 27, "_pcg64_seed": 47, "choose": 84, "choose over _QUARTERS": 84}
 
@@ -105,7 +104,6 @@ def test_sample_pass_seeds_and_draws_as_often(workloads, monkeypatch, tmp_path):
     monkeypatch.setattr(states.Rng, "choose", counted("choose", states.Rng.choose))
     ops = workloads.Ops()
     workload = workloads.make("sample-replay", 1, True, tmp_path, child_env())
-    clear_package_caches()
     workload.run_pass(0, ops)
     assert ops.failed == 0
     assert counts == SEEDINGS
@@ -134,8 +132,9 @@ def test_tracer_patch_points_name_what_exists(monkeypatch):
 @pytest.mark.parametrize("name", ("enumerate-sweep", "sample-replay"))
 def test_traced_cycles_repeat_every_counter(workloads, name, tmp_path):
     """``bench/run.py --trace 1`` requires every traced cycle to reproduce the
-    first one's counters exactly; engine caches whose contents drifted from
-    one cycle to the next would make the counts differ."""
+    first one's counters exactly.  The package keeps no cache, so a cycle
+    repeats the one before it; state carried from one cycle to the next
+    would make the counts differ."""
     import tracer
 
     ops = workloads.Ops()

@@ -14,7 +14,7 @@ from bellproto.cli import (
     EXIT_REJECT,
     main,
 )
-from bellproto.protocols import mpsc_run, ot_run, qds_run
+from bellproto.protocols import mpsc_run, ot_run, qds_run, run_from_config, spec_for
 from conftest import child_env
 
 
@@ -339,7 +339,9 @@ BAD_INPUTS = {
     **{f"replay-config-mode-{name}": (lambda tmp, mode=mode: ["replay", _edited_transcript(
         tmp, "config mode=sample:1\n", f"config mode={mode}\n")], EXIT_IO)
        for name, mode in (("trailing-space", "sample:1 "), ("padded-count", "sample:01"),
-                          ("other-count", "sample:2"), ("bogus", "bogus"))},
+                          ("other-count", "sample:2"), ("bogus", "bogus"),
+                          # an evaluation's modes, which no run records
+                          ("enumerate", "enumerate"), ("sample", "sample"))},
     "replay-bad-masks": (lambda tmp: ["replay", _edited_transcript(
         tmp, "config mode=sample:1", "config mode=sample:1;masks:2", "tpsc")], EXIT_IO),
     "replay-not-utf8": (lambda tmp: ["replay", _binary_file(tmp)], EXIT_IO),
@@ -442,6 +444,25 @@ def test_replay_rejects_a_forced_mode_with_the_wrong_cell_count(protocol, tmp_pa
     assert proc.returncode == EXIT_IO
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
     assert f"in mode {wrong!r}" in proc.stderr
+
+
+@pytest.mark.parametrize("protocol,inputs,mode", [
+    ("bc", "", "enumerate"), ("bc", "", "sample"), ("tpsc", "10,01", "sample;masks:01"),
+    ("mpsc", "10,01,--", "enumerate;masks:101")])
+def test_replay_rejects_an_evaluation_mode_with_consistent_run_ids(protocol, inputs, mode,
+                                                                   tmp_path, capsys):
+    """A run records ``sample:1`` or its forced cells.  A transcript written
+    again with an evaluation's mode, its run ids recomputed to match, is
+    malformed (exit 4), not a sampled run that replays identically."""
+    spec = spec_for(protocol)
+    record = run_from_config(spec.config(secret="1", inputs=inputs, seed=5, mode="sample:1"))
+    record.transcript.config = spec.config(secret="1", inputs=inputs, seed=5, mode=mode)
+    path = tmp_path / f"{protocol}.pwv1"
+    path.write_text(record.transcript.to_text())
+    capsys.readouterr()
+    assert main(["replay", str(path)]) == EXIT_IO
+    assert capsys.readouterr().err == (f"error: mode {mode!r} is not a run's: "
+                                       "sample:1 or forced:<cells>\n")
 
 
 def test_replay_rejects_a_mode_and_inputs_that_disagree(tmp_path, capsys):

@@ -22,7 +22,7 @@ import pytest
 from bellproto import dense, protocols, states
 from bellproto.algebra import LABELS, PAIRS, TwoBits, pauli_matrix
 from bellproto.attacks import CATALOG, enumeration_cells, run_cell
-from bellproto.protocols import Run, _payload_state, run_from_config
+from bellproto.protocols import Run, _payload_state, run_from_config, spec_for
 from bellproto.states import (
     TOL_EQ,
     Frame,
@@ -138,7 +138,8 @@ def _variant_cells(protocol, name):
     entry = CATALOG[(protocol, name)]
     cells = [dict(cell) for cell in enumeration_cells(config)]
     if entry.metric == "mixedness":  # the capture cells leave the relay's pair to the Born rule
-        cells += [{"forced": (aa, None)} for aa in PAIRS]
+        kwargs = spec_for(protocol).runner_kwargs(config)
+        cells += [{**kwargs, "forced": (aa, None)} for aa in PAIRS]
     return [run_cell(config, dict(cell), cheat, None)
             for cheat in entry.variants(config) for cell in cells]
 

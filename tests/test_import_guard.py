@@ -1,10 +1,12 @@
-"""Modules that must not import numpy at module level, and the dense leaf.
+"""Modules that must not import numpy at module level, the dense leaf, and
+no memo.
 
 The protocol runtime's views, transcripts and command line need no
 amplitude arithmetic of their own, so their module bodies import no numpy.
 A function may import it where it needs it.  The dense reference engine is
 the tests' and demos' oracle: no module of the package imports it, not
-even inside a function.  The checks read each module's syntax tree, so
+even inside a function.  No module memoises through ``functools.lru_cache``
+or ``functools.cache``.  The checks read each module's syntax tree, so
 they hold even on an interpreter that has numpy installed.
 """
 
@@ -63,3 +65,22 @@ def test_no_package_module_imports_dense(path):
 def test_identities_imports_only_algebra_and_states():
     tree = ast.parse((SRC / "identities.py").read_text())
     assert set(_package_imports(tree)) == {"algebra", "states"}
+
+
+def _cache_uses(tree: ast.Module):
+    """Each ``lru_cache`` or ``cache`` of functools the module names: imported
+    from functools, or read as an attribute of it."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            yield from (alias.name for alias in node.names
+                        if alias.name in ("lru_cache", "cache"))
+        elif (isinstance(node, ast.Attribute) and node.attr in ("lru_cache", "cache")
+              and isinstance(node.value, ast.Name) and node.value.id == "functools"):
+            yield node.attr
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.stem)
+def test_no_package_module_memoises_with_functools(path):
+    """The package keeps no cache: each evaluation holds its own parse, and
+    the dense engine computes each wire permutation from its input."""
+    assert list(_cache_uses(ast.parse(path.read_text()))) == []

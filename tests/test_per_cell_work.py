@@ -1,8 +1,11 @@
 """Work a forced cell repeats but no one reads: parsing and the run's RunConfig.
 
-Each configuration is parsed once (``ProtocolSpec.runner_kwargs`` memoises
-the parse), and a run builds its ``RunConfig`` only when something reads it.
-The counters wrap ``ProtocolSpec.parse`` and ``RunConfig.__init__``.
+Nothing keeps a parse.  Each evaluation (a report, a view distance, an
+honest table, a CLI command) parses its configuration once and holds the
+result, and each of its cells is the runner's complete keyword arguments,
+so ``run_cell`` parses nothing.  A run builds its ``RunConfig`` only when
+something reads it.  The counters wrap ``ProtocolSpec.parse`` and
+``RunConfig.__init__``.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from bellproto.protocols import (
     ConfigError,
     _encode_qubit,
     _mode_string,
+    run_from_config,
     spec_for,
 )
 from bellproto.transcript import RunConfig
@@ -60,10 +64,20 @@ def builds(monkeypatch):
 
 
 def test_enumerate_strategy_parses_its_configuration_once(parses):
+    """Every catalog report parses once for all its variants and cells:
+    qds's per-position variants and the capture report among them."""
     for protocol, name in sorted(CATALOG):
+        parses.clear()
         run_strategy(REPORT_CONFIGS[protocol], name)
-    assert set(parses) == set(REPORT_CONFIGS.values())
-    assert set(parses.values()) == {1}
+        assert parses == Counter([REPORT_CONFIGS[protocol]]), (protocol, name)
+
+
+def test_sampled_strategy_parses_its_configuration_once(parses):
+    """The one parse is every trial's cell; each trial has its own stream."""
+    config = replace(REPORT_CONFIGS["qds"], mode="sample")
+    report = run_strategy(config, "reveal-flip", mode="sample", trials=12, seed=5)
+    assert report.cells == 12
+    assert parses == Counter([config])
 
 
 def test_honest_cell_loop_parses_each_configuration_once(parses):
@@ -82,6 +96,32 @@ def test_view_distance_and_cli_enumeration_parse_once(parses):
         assert cli.main(["run", "--protocol", "mpsc", "--secret", "1", "--inputs", "10,01,--",
                          "--seed", "1", "--mode", "enumerate"]) == cli.EXIT_OK
     assert list(parses.values()) == [1]
+
+
+def test_view_distance_with_a_runner_override_parses_each_side_once(parses):
+    """The override joins each cell after the parse, so it costs no parse."""
+    assert view_distance("qss", "bob", vary="secret", values=(0, 1),
+                         fixed={"mu": 2, "runner_kwargs": {"reconstruct": False}}) <= 1e-12
+    assert sorted(parses.values()) == [1, 1]
+    assert {config.secret for config in parses} == {"0", "1"}
+
+
+def test_every_cli_command_parses_its_configuration_once(parses, tmp_path):
+    path = str(tmp_path / "tpsc.pwv1")
+    commands = {
+        "run": ["run", "--protocol", "tpsc", "--secret", "1", "--inputs", "10,01",
+                "--seed", "7", "--out", path],
+        "replay": ["replay", path],
+        "attack": ["attack", "--protocol", "qds", "--secret", "101", "--strategy",
+                   "reveal-flip"],
+        "attack sample": ["attack", "--protocol", "bc", "--strategy", "reveal-flip",
+                          "--mode", "sample", "--samples", "9", "--seed", "4"],
+    }
+    for name, argv in commands.items():
+        parses.clear()
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(argv) in (cli.EXIT_OK, cli.EXIT_REJECT), name
+        assert list(parses.values()) == [1], name
 
 
 def test_detection_only_enumeration_builds_no_run_config(builds):
@@ -132,6 +172,8 @@ _BAD_CONFIGS = (
 @pytest.mark.parametrize("config,message", _BAD_CONFIGS,
                          ids=("secret", "inputs", "k", "mode"))
 def test_bad_configuration_raises_on_every_call(config, message):
+    """Every entry point that parses: the parse itself, an enumeration, a
+    report and a run (``run_cell`` takes a parse, so it has none to check)."""
     spec = spec_for(config.protocol)
     for _ in range(3):
         with pytest.raises(ConfigError, match=re.escape(message)):
@@ -139,15 +181,23 @@ def test_bad_configuration_raises_on_every_call(config, message):
         with pytest.raises(ConfigError, match=re.escape(message)):
             list(enumeration_cells(config))
         with pytest.raises(ConfigError, match=re.escape(message)):
-            run_cell(config, {}, None, None)
+            run_strategy(config, "null")
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            run_from_config(config)
 
 
 @pytest.mark.parametrize("config", FORCED_CONFIGS,
                          ids=[f"{c.protocol}-{c.secret}-{c.inputs or '-'}"
                               for c in FORCED_CONFIGS])
 def test_shared_parse_is_read_only(config):
-    kwargs = spec_for(config.protocol).runner_kwargs(config)
-    assert kwargs is spec_for(config.protocol).runner_kwargs(config)
-    with pytest.raises(TypeError):
-        kwargs["mu"] = 0
+    """The cells of one enumeration share their parse's values, so no run
+    can change what a later cell runs: every shared value is immutable, and
+    each cell and each parse is a dict of its own."""
+    spec = spec_for(config.protocol)
+    kwargs = spec.runner_kwargs(config)
+    assert kwargs == spec.runner_kwargs(config) and kwargs is not spec.runner_kwargs(config)
     hash(tuple(kwargs.items()))  # every value is immutable
+    cells = list(spec.cells(kwargs))
+    assert len({id(cell) for cell in cells}) == len(cells)
+    for cell in cells:
+        assert all(cell[key] is value for key, value in kwargs.items() if key != "forced")
